@@ -41,7 +41,7 @@ from .partitions import ex_prime
 from .search import DEFAULT_LIMIT, ex_exact, ratio_table
 from .weights import (
     check_log_continuity,
-    growth_bound_profile,
+    growth_rows,
     is_nondecreasing,
     parse_weight,
 )
@@ -238,17 +238,10 @@ def _cmd_checkf(args, workers: int) -> dict:
     lo, hi = _parse_range(args.scan_range)
     result: dict = {"nondecreasing": is_nondecreasing(f, (lo, hi))}
     if args.growth_c is not None:
-        ok, first = growth_bound_profile(f, args.growth_c, (lo, hi))
-        rows = []
-        for n in range(max(lo, 1), hi + 1):
-            value = f(n)
-            if value <= 0:
-                raise ValueError(f"growth ratio undefined: f({n}) = {value} is not positive")
-            ratio = f(n + 1) / value
-            bound = 1 + n ** (-args.growth_c)
-            rows.append({"n": n, "ratio": ratio, "bound": bound,
-                         "ok": ratio <= bound})
-        result["growth"] = {"c": args.growth_c, "ok": ok,
+        rows = [{"n": n, "ratio": ratio, "bound": bound, "ok": ok}
+                for n, ratio, bound, ok in growth_rows(f, args.growth_c, (lo, hi))]
+        first = next((row["n"] for row in rows if not row["ok"]), None)
+        result["growth"] = {"c": args.growth_c, "ok": first is None,
                             "first_violation": first, "rows": rows}
     if (args.eps is None) != (args.delta is None):
         raise ValueError("log-continuity check needs both --eps and --delta")

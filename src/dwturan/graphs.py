@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .weights import tabulate
+
 
 def _bits(mask: int):
     """Yield set bit positions of mask, ascending."""
@@ -172,6 +174,13 @@ class ObjectiveValue:
     def approximate(cls, value: float) -> "ObjectiveValue":
         return cls(approx=float(value), exact=None)
 
+    @classmethod
+    def scaled(cls, total, den: Optional[int]) -> "ObjectiveValue":
+        """Value of a total of ``weights.tabulate`` values with denominator den."""
+        if den is None:
+            return cls.approximate(total)
+        return cls.of(Fraction(total, den))
+
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -202,7 +211,8 @@ class ObjectiveValue:
         return not self < other
 
     def __hash__(self):
-        return hash(self.exact if self.exact is not None else self.approx)
+        # equal values have equal approx: constructors set it to float(exact)
+        return hash(self.approx)
 
     def as_json(self):
         """int when exactly integral, else float."""
@@ -218,17 +228,8 @@ class ObjectiveValue:
 
 def e_f(G: Graph, f) -> ObjectiveValue:
     """Sum of f over the degree sequence of G."""
-    approx = math.fsum(f(d) for d in G.degrees)
-    if getattr(f, "supports_exact", False):
-        total = Fraction(0)
-        for d in G.degrees:
-            x = f.exact(d)
-            if x is None:
-                break
-            total += x
-        else:
-            return ObjectiveValue(approx=float(total), exact=total)
-    return ObjectiveValue.approximate(approx)
+    vals, den = tabulate(f, G.degrees)
+    return ObjectiveValue.scaled(math.fsum(vals) if den is None else sum(vals), den)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import ScaleLimitError
 from .graphs import Graph, ObjectiveValue, e_f
-from .weights import WeightFunction
+from .weights import WeightFunction, tabulate
 
 _FIELD_MAX_P = 100
 _FIELD_MAX_T = 4
@@ -324,12 +324,8 @@ def bipartite_upper_bound(n_k: int, f: WeightFunction) -> ObjectiveValue:
     capped by 2*n_k - 1. This bounds the weighted degree sum of every
     bipartite graph of that order for non-decreasing f.
     """
-    if getattr(f, "supports_exact", False):
-        hi = f.exact(2 * n_k - 1)
-        lo = f.exact(n_k)
-        if hi is not None and lo is not None:
-            return ObjectiveValue.of(n_k * hi + n_k * lo)
-    return ObjectiveValue.approximate(n_k * f(2 * n_k - 1) + n_k * f(n_k))
+    (hi, lo), den = tabulate(f, (2 * n_k - 1, n_k))
+    return ObjectiveValue.scaled(n_k * hi + n_k * lo, den)
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,20 @@ vectors with a fixed number of parts (zero parts allowed, so k parts
 subsume fewer) by dynamic programming; an exhaustive enumerator over
 non-increasing vectors serves as an independent cross-check.
 
-Arithmetic runs exactly (integers, then Fractions) whenever the weight
-supports exact evaluation on 0..n; otherwise floats with an absolute
-near-tie tolerance of 1e-9.
+Arithmetic runs in exact integers (weights.tabulate scales f(0..n-1) to a
+common denominator) whenever the weight is rational at every degree used;
+otherwise floats with an absolute near-tie tolerance of 1e-9.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InvariantViolation, ScaleLimitError
 from .graphs import ObjectiveValue, PartSizes, turan_part_sizes
-from .weights import WeightFunction
+from .weights import WeightFunction, tabulate
 
 FLOAT_TIE_TOL = 1e-9
 
@@ -47,50 +46,22 @@ class PartitionOptimum:
     ties_flag: bool = False
 
 
-def _exact_table(n: int, f: WeightFunction) -> Optional[list[Fraction]]:
-    if not getattr(f, "supports_exact", False):
-        return None
-    table = []
-    for d in range(n + 1):
-        x = f.exact(d)
-        if x is None:
-            return None
-        table.append(x)
-    return table
-
-
 def _part_values(n: int, f: WeightFunction):
-    """value[t] = t * f(n - t) for t in 0..n, plus exactness flag.
+    """(value, den): value[t] = t * f(n - t) for t in 0..n, from tabulate.
 
-    A zero part contributes 0 regardless of f(n), so value[0] = 0 without
-    evaluating f there.
+    A zero part contributes 0 regardless of f(n), so value[0] = 0 and only
+    f(0..n-1) is evaluated; den is None in float mode.
     """
-    exact = _exact_table(n, f)
-    if exact is not None:
-        if all(x.denominator == 1 for x in exact):
-            vals = [0] * (n + 1)
-            for t in range(1, n + 1):
-                vals[t] = t * int(exact[n - t])
-        else:
-            vals = [Fraction(0)] * (n + 1)
-            for t in range(1, n + 1):
-                vals[t] = t * exact[n - t]
-        return vals, True
-    vals_f = [0.0] * (n + 1)
-    for t in range(1, n + 1):
-        vals_f[t] = t * f(n - t)
-    return vals_f, False
+    table, den = tabulate(f, range(n))
+    return [0] + [t * table[n - t] for t in range(1, n + 1)], den
 
 
 def multipartite_value(parts, f: WeightFunction) -> ObjectiveValue:
     """Score of the complete multipartite graph with the given part sizes."""
-    sizes = list(parts)
+    sizes = [t for t in parts if t]
     n = sum(sizes)
-    vals, exact = _part_values(n, f)
-    total = sum(vals[t] for t in sizes)
-    if exact:
-        return ObjectiveValue.of(total)
-    return ObjectiveValue.approximate(total)
+    table, den = tabulate(f, [n - t for t in sizes])
+    return ObjectiveValue.scaled(sum(t * x for t, x in zip(sizes, table)), den)
 
 
 def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
@@ -106,9 +77,9 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         raise ValueError("need at least one part")
     if n < 0:
         raise ValueError("order must be non-negative")
-    vals, exact = _part_values(n, f)
+    vals, den = _part_values(n, f)
     neg = -math.inf
-    prev = [0 if exact else 0.0] + [neg] * n
+    prev = [0.0 if den is None else 0] + [neg] * n
     rows = [prev[:]]
     for _j in range(k):
         cur = [neg] * (n + 1)
@@ -130,7 +101,7 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     # j parts with m vertices; float mode matches within the tie tolerance
     # because regrouped float sums of the same parts can differ in the last
     # bits
-    tol = 0 if exact else FLOAT_TIE_TOL
+    tol = FLOAT_TIE_TOL if den is None else 0
     min_max: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(k + 1)]
     min_max[0][0] = 0
     for j in range(1, k + 1):
@@ -171,9 +142,8 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         witness.append(t_star)
         j, m = j - 1, m - t_star
 
-    value = ObjectiveValue.of(opt) if exact else ObjectiveValue.approximate(opt)
-    return PartitionOptimum(value=value, witness=PartSizes(witness), n=n, k=k,
-                            f=f, ties_flag=ties)
+    return PartitionOptimum(value=ObjectiveValue.scaled(opt, den),
+                            witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
 
 
 def _nonincreasing_vectors(k: int, m: int, cap: int):
@@ -197,8 +167,8 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         )
     if k < 1:
         raise ValueError("need at least one part")
-    vals, exact = _part_values(n, f)
-    tol = 0 if exact else FLOAT_TIE_TOL
+    vals, den = _part_values(n, f)
+    tol = FLOAT_TIE_TOL if den is None else 0
     best = None
     second = None
     best_vec = None
@@ -211,9 +181,8 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         elif second is None or v > second:
             second = v
     ties = second is not None and (best - second) <= tol
-    value = ObjectiveValue.of(best) if exact else ObjectiveValue.approximate(best)
-    return PartitionOptimum(value=value, witness=PartSizes(best_vec), n=n, k=k,
-                            f=f, ties_flag=ties)
+    return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
+                            witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)
 
 
 @dataclass(frozen=True)
@@ -254,10 +223,8 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
     balanced = multipartite_value(turan_part_sizes(r - 1, n), f)
 
     def times_n(d: int) -> ObjectiveValue:
-        x = f.exact(d) if getattr(f, "supports_exact", False) else None
-        if x is not None:
-            return ObjectiveValue.of(n * x)
-        return ObjectiveValue.approximate(n * f(d))
+        (x,), den = tabulate(f, (d,))
+        return ObjectiveValue.scaled(n * x, den)
 
     term_r = times_n(n * (r - 1) // r)
     term_rm1 = times_n(n * (r - 2) // (r - 1))

@@ -39,7 +39,7 @@ from .graphs import (
     e_f,
 )
 from .partitions import ex_prime
-from .weights import WeightFunction, is_nondecreasing
+from .weights import WeightFunction, is_nondecreasing, tabulate
 
 DEFAULT_LIMIT = 8
 _FLOAT_PRUNE_MARGIN = 1e-9
@@ -55,22 +55,6 @@ class SearchResult:
     f: WeightFunction
 
 
-def _weight_table(f: WeightFunction, n: int):
-    """f on 0..n-1 in the fastest faithful arithmetic: int, Fraction, or float."""
-    if getattr(f, "supports_exact", False):
-        vals = []
-        for d in range(n):
-            x = f.exact(d)
-            if x is None:
-                break
-            vals.append(x)
-        else:
-            if all(x.denominator == 1 for x in vals):
-                return [int(x) for x in vals], "int"
-            return vals, "fraction"
-    return [f(d) for d in range(n)], "float"
-
-
 def _slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -79,16 +63,17 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                  prefix: tuple[int, ...] = ()):
     """Run the pruned enumeration below one prefix of slot decisions.
 
-    Returns (best value or None, best bitstring, nodes) in the numeric mode
-    chosen by _weight_table. The bitstring int has slot 0 at the highest
-    bit so that integer order equals lexicographic order on slot decisions.
+    Returns (best value or None, best bitstring, nodes, den): values are
+    sums of weights.tabulate(f, 0..n-1), integers over den, or floats when
+    den is None. The bitstring int has slot 0 at the highest bit so that
+    integer order equals lexicographic order on slot decisions.
     """
     slots = _slots(n)
     M = len(slots)
-    table, mode = _weight_table(f, n)
+    table, den = tabulate(f, range(n))
     monotone = n <= 1 or is_nondecreasing(f, (0, n - 1))
-    prune_margin = 0 if mode != "float" else _FLOAT_PRUNE_MARGIN
-    zero = 0.0 if mode == "float" else 0
+    prune_margin = _FLOAT_PRUNE_MARGIN if den is None else 0
+    zero = 0.0 if den is None else 0
 
     is_clique = F.n >= 2 and F.num_edges == F.n * (F.n - 1) // 2
     r = F.n
@@ -176,13 +161,11 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             free[v] -= 1
     if live:
         rec(len(prefix), bits0)
-    return best, best_bits, nodes, mode
+    return best, best_bits, nodes, den
 
 
 def _subtree_job(args):
-    n, F, f, prefix = args
-    best, bits, nodes, mode = _search_tree(n, F, f, prefix)
-    return best, bits, nodes
+    return _search_tree(*args)
 
 
 def _bits_to_graph(n: int, bits: int) -> Graph:
@@ -225,7 +208,7 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
         best_bits = 0
         nodes = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for value, bits, sub_nodes in pool.map(_subtree_job, prefixes):
+            for value, bits, sub_nodes, den in pool.map(_subtree_job, prefixes):
                 nodes += sub_nodes
                 if value is None:
                     continue
@@ -233,7 +216,7 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
                     best = value
                     best_bits = bits
     else:
-        best, best_bits, nodes, _mode = _search_tree(n, F, f)
+        best, best_bits, nodes, den = _search_tree(n, F, f)
 
     if best is None:
         raise InvariantViolation("search evaluated no leaf; this cannot happen")
@@ -242,14 +225,14 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     if contains_subgraph(witness, F):
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
     value = e_f(witness, f)
-    if isinstance(best, float):
+    if den is None:
         # the search and e_f may group float additions differently
-        if not math.isclose(value.approx, best, rel_tol=1e-12, abs_tol=1e-12):
-            raise InvariantViolation("witness does not reproduce the optimal value")
+        reproduced = math.isclose(value.approx, best, rel_tol=1e-12, abs_tol=1e-12)
     else:
-        # int/Fraction search modes imply exact evaluation succeeded on 0..n-1
-        if value.exact != Fraction(best):
-            raise InvariantViolation("witness does not reproduce the optimal value")
+        # witness degrees lie in 0..n-1, where f was exact
+        reproduced = value.exact == Fraction(best, den)
+    if not reproduced:
+        raise InvariantViolation("witness does not reproduce the optimal value")
     return SearchResult(value=value, witness=witness, nodes_explored=nodes,
                         n=n, forbidden=F, f=f)
 

@@ -8,9 +8,11 @@ short windows and stay flat in between, and explicit non-decreasing step
 tables.
 
 Every family evaluates in float; families whose values are rational also
-evaluate exactly (as Fractions), queried per point via ``exact``. The
-predicate checkers are finite-range scanners: they certify the scanned
-range and nothing beyond it.
+evaluate exactly (as Fractions), queried per point via ``exact``.
+``tabulate`` is the one place that turns a weight into numbers: exact
+integers over a common denominator when every requested point is rational,
+floats otherwise. The predicate checkers are finite-range scanners: they
+certify the scanned range and nothing beyond it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class StaircaseParams:
     """Parameters of a doubling staircase.
 
     Around each seed n_k the function climbs by the factor 2**(1/m_k) for
-    exactly m_k steps, where m_k = floor(n_k**c / 2), and is flat everywhere
+    exactly m_k = climb_steps(n_k, c) steps, and is flat everywhere
     else. Seeds must be spread out (2*n_k < n_{k+1}) so that the flat run
     after a climb reaches at least 2*n_k before the next climb starts.
     """
@@ -144,7 +146,12 @@ class StaircaseParams:
 
     def windows(self) -> list[tuple[int, int]]:
         """(seed, step count) per seed; the climb occupies [seed, seed + steps)."""
-        return [(n_k, math.floor(n_k ** self.c / 2)) for n_k in self.seeds]
+        return [(n_k, climb_steps(n_k, self.c)) for n_k in self.seeds]
+
+
+def climb_steps(n_k: int, c: float) -> int:
+    """Length m_k = floor(n_k**c / 2) of the staircase climb at seed n_k."""
+    return math.floor(n_k ** c / 2)
 
 
 @dataclass(frozen=True, repr=False)
@@ -255,31 +262,38 @@ def staircase(params: StaircaseParams) -> WeightFunction:
 
 
 # ---------------------------------------------------------------------------
+# numeric layer
+
+
+def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list, Optional[int]]:
+    """f at each point, as integers over a common denominator when possible.
+
+    Returns (values, den). When f.exact is rational at every point, den is
+    the lcm of the denominators and values[i] == den * f.exact(points[i]),
+    as ints, so sums and comparisons of values are exact integer work.
+    Otherwise den is None and values[i] == f(points[i]), as floats.
+    Exactness is decided on these points only; ObjectiveValue.scaled turns
+    a total of values back into a value.
+    """
+    exact = []
+    for p in points:
+        x = f.exact(p)
+        if x is None:
+            return [f(p) for p in points], None
+        exact.append(x)
+    den = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (den // x.denominator) for x in exact], den
+
+
+# ---------------------------------------------------------------------------
 # predicates
 
 
 def is_nondecreasing(f: WeightFunction, rng: tuple[int, int]) -> bool:
     """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi."""
     lo, hi = rng
-    if getattr(f, "supports_exact", False):
-        prev = f.exact(lo)
-        if prev is not None:
-            for i in range(lo + 1, hi + 1):
-                cur = f.exact(i)
-                if cur is None:
-                    break
-                if cur < prev:
-                    return False
-                prev = cur
-            else:
-                return True
-    prev_f = f(lo)
-    for i in range(lo + 1, hi + 1):
-        cur_f = f(i)
-        if cur_f < prev_f:
-            return False
-        prev_f = cur_f
-    return True
+    vals, _den = tabulate(f, range(lo, hi + 1))
+    return all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def check_log_continuity(f: WeightFunction, eps: float, delta: float,
@@ -307,6 +321,27 @@ def check_log_continuity(f: WeightFunction, eps: float, delta: float,
     return True
 
 
+def growth_rows(f: WeightFunction, c: float, rng: tuple[int, int]):
+    """Yield (n, f(n+1)/f(n), 1 + n**(-c), ratio <= bound) for n in [lo, hi].
+
+    The scan starts at max(lo, 1); every growth verdict is read off these
+    rows, in the ratio form they carry.
+    """
+    if c <= 0:
+        raise ValueError("exponent c must be positive")
+    lo, hi = rng
+    lo = max(lo, 1)
+    prev = f(lo)
+    for n in range(lo, hi + 1):
+        if prev <= 0:
+            raise ValueError(f"growth ratio undefined: f({n}) = {prev} is not positive")
+        cur = f(n + 1)
+        ratio = cur / prev
+        bound = 1 + n ** (-c)
+        yield n, ratio, bound, ratio <= bound
+        prev = cur
+
+
 def check_growth_bound(f: WeightFunction, c: float, rng: tuple[int, int]) -> bool:
     """Scan: f(n+1)/f(n) <= 1 + n**(-c) for all n in [lo, hi]."""
     ok, _first = growth_bound_profile(f, c, rng)
@@ -316,25 +351,14 @@ def check_growth_bound(f: WeightFunction, c: float, rng: tuple[int, int]) -> boo
 def growth_bound_profile(f: WeightFunction, c: float,
                          rng: tuple[int, int]) -> tuple[bool, Optional[int]]:
     """Like check_growth_bound but also reports the first violating n."""
-    if c <= 0:
-        raise ValueError("exponent c must be positive")
-    lo, hi = rng
-    lo = max(lo, 1)
-    prev = f(lo)
-    for n in range(lo, hi + 1):
-        cur = f(n + 1)
-        if prev <= 0:
-            raise ValueError(f"growth ratio undefined: f({n}) = {prev} is not positive")
-        if cur > (1 + n ** (-c)) * prev:
-            return False, n
-        prev = cur
-    return True, None
+    first = next((n for n, _r, _b, ok in growth_rows(f, c, rng) if not ok), None)
+    return first is None, first
 
 
 def least_growth_seed(c: float, limit: int) -> Optional[int]:
     """Smallest seed n <= limit whose climb ratio 2**(1/m) fits under 1 + n**(-c).
 
-    m = floor(n**c / 2) as in the staircase family. Returns None when no
+    m = climb_steps(n, c) as in the staircase family. Returns None when no
     seed up to the limit qualifies; since 2**(1/m) - 1 >= ln2/m >=
     2*ln2*n**(-c) > n**(-c) whenever m = floor(n**c / 2), no seed ever
     does, at any c in (0, 1). The scanner exists to certify that fact on
@@ -343,7 +367,7 @@ def least_growth_seed(c: float, limit: int) -> Optional[int]:
     if not 0 < c < 1:
         raise ValueError("exponent c must lie in (0, 1)")
     for n in range(2, limit + 1):
-        m = math.floor(n ** c / 2)
+        m = climb_steps(n, c)
         if m < 1:
             continue
         if 2 ** (1 / m) <= 1 + n ** (-c):

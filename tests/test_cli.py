@@ -109,6 +109,30 @@ class TestCommands:
         assert [row["n"] for row in bad] == [9]
         jsonschema.validate(report, schema)
 
+    @pytest.mark.parametrize("argv", [
+        # 48/47 == 1 + 1/47 exactly: the row is ok, so the verdict is too
+        ["--f", "pow:mu=1", "--range", "47:47", "--growth-c", "1"],
+        ["--f", "pow:mu=1", "--range", "1:300", "--growth-c", "1"],
+        ["--f", "pow:mu=2", "--range", "1:300", "--growth-c", "0.9"],
+        ["--f", "staircase:c=0.5,seeds=9,base=1", "--range", "1:64", "--growth-c", "0.5"],
+        ["--f", "staircase:c=0.5,seeds=9;100,base=1", "--range", "1:300",
+         "--growth-c", "0.3"],
+    ])
+    def test_checkf_verdict_matches_rows(self, argv):
+        code, report = run_json(["checkf"] + argv)
+        assert code == 0
+        growth = report["result"]["growth"]
+        bad = [row["n"] for row in growth["rows"] if not row["ok"]]
+        assert all(row["ok"] == (row["ratio"] <= row["bound"]) for row in growth["rows"])
+        assert growth["ok"] == (not bad)
+        assert growth["first_violation"] == (bad[0] if bad else None)
+
+    def test_exprime_exact_below_a_climb(self, capsys):
+        argv = ["--workers", "1", "exprime", "--n", "101", "--k", "2",
+                "--f", "staircase:c=0.5,seeds=100,base=1"]
+        assert cli.main(argv) == 0
+        assert '"value": 101,' in capsys.readouterr().out
+
     def test_checkf_log_continuity(self, schema):
         code, report = run_json(
             ["checkf", "--f", "pow:mu=2", "--range", "1:1000",

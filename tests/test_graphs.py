@@ -1,6 +1,7 @@
 """Graph core: construction, weighted totals, containment, coloring."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dwturan import (
     Graph,
+    ObjectiveValue,
     PartSizes,
     blowup_k3,
     chromatic_number,
@@ -111,6 +113,18 @@ class TestObjective:
         v = e_f(complete_graph(3), log_family())
         assert v.approx == pytest.approx(3 * math.log(2))
         assert math.exp(v.approx) == pytest.approx(8.0)
+
+    def test_equal_values_hash_equal(self):
+        assert len({ObjectiveValue.of(Fraction(1, 3)), ObjectiveValue.approximate(1 / 3)}) == 1
+        values = [ObjectiveValue.of(Fraction(1, 3)), ObjectiveValue.approximate(1 / 3),
+                  ObjectiveValue.of(2), ObjectiveValue.approximate(2.0),
+                  ObjectiveValue.of(Fraction(4, 2)), ObjectiveValue.scaled(6, 3),
+                  ObjectiveValue.scaled(2.0, None), ObjectiveValue.of(Fraction(7, 10)),
+                  ObjectiveValue.approximate(0.7), ObjectiveValue.approximate(0.1)]
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
 
     @given(graphs())
     def test_handshake(self, g):

@@ -15,6 +15,7 @@ from dwturan import (
     ex_prime_enumerated,
     half,
     multipartite_value,
+    parse_weight,
     power,
     turan_chain_check,
 )
@@ -101,6 +102,15 @@ class TestExPrime:
     def test_no_ties_flag_when_unique(self):
         assert not ex_prime(4, 2, power(4)).ties_flag
 
+    def test_exact_on_the_degrees_used(self):
+        # f(101) lies inside the climb at seed 100 and is irrational, but no
+        # vertex of a graph on 101 vertices has degree 101
+        f = parse_weight("staircase:c=0.5,seeds=100,base=1")
+        res = ex_prime(101, 2, f)
+        via_graph = e_f(complete_multipartite(res.witness), f)
+        assert res.value.is_exact and via_graph.is_exact
+        assert res.value.exact == via_graph.exact == 101
+
 
 class TestEnumeratedOracle:
     def test_agrees_on_erratum_instance(self):
@@ -132,6 +142,18 @@ class TestEnumeratedOracle:
             b = ex_prime_enumerated(n, k, f)
             assert a.value.exact == b.value.exact, (n, k, f)
             assert a.witness == b.witness, (n, k, f)
+
+    def test_fractional_step_cross_check(self):
+        # level denominators 2, 3 and 7: the DP runs on integers over 42
+        f = StepWeight([0, 2, 5, 9], [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 3])
+        for n in range(0, 31):
+            for k in (2, 3, 4):
+                a = ex_prime(n, k, f)
+                b = ex_prime_enumerated(n, k, f)
+                via_graph = e_f(complete_multipartite(a.witness), f)
+                assert a.value.is_exact, (n, k)
+                assert a.value.exact == b.value.exact == via_graph.exact, (n, k)
+                assert a.witness == b.witness, (n, k)
 
     def test_float_mode_cross_check(self):
         rng = random.Random(7)

@@ -19,6 +19,7 @@ from dwturan import (
     power,
     staircase,
 )
+from dwturan.weights import growth_bound_profile, growth_rows, tabulate
 
 
 class _Pow2(WeightFunction):
@@ -70,6 +71,43 @@ class TestFamilies:
     def test_step_weight(self):
         f = StepWeight([0, 5, 9], [1, 3, 7])
         assert [f.exact(n) for n in (0, 4, 5, 8, 9, 100)] == [1, 1, 3, 3, 7, 7]
+
+
+_STEP_2_3_7 = StepWeight([0, 2, 5, 9], [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 3])
+
+
+class TestTabulate:
+    """tabulate against per-point f.exact (scaled) or f (float)."""
+
+    @pytest.mark.parametrize("f,points,den", [
+        (power(2), range(0, 40), 1),
+        (power(0), range(0, 5), 1),
+        (power(2.5), range(0, 40), None),
+        (half(), range(0, 40), 2),
+        (half(), [4, 0, 8, 4], 1),  # even degrees only: integral halves
+        (half(), [4, 3], 2),
+        (log_family(), range(0, 40), None),
+        (log_family(-2.0), [0], None),
+        # seed 25 at c=1/2 climbs in two steps: 26 is irrational, 25 and 27 are not
+        (staircase(StaircaseParams(0.5, (25,), 1)), [*range(0, 26), *range(27, 60)], 1),
+        (staircase(StaircaseParams(0.5, (25,), 1)), range(0, 60), None),
+        (staircase(StaircaseParams(0.5, (9, 100), Fraction(1, 3))), range(0, 101), 3),
+        (staircase(StaircaseParams(0.5, (9, 100), 1)), range(0, 102), None),
+        (_STEP_2_3_7, range(0, 12), 42),
+        (_STEP_2_3_7, [5, 0, 5, 2], 42),
+        (_STEP_2_3_7, [9, 10, 11], 1),
+        (_STEP_2_3_7, [], 1),
+    ])
+    def test_matches_per_point_values(self, f, points, den):
+        vals, got_den = tabulate(f, points)
+        assert got_den == den
+        if den is None:
+            assert any(f.exact(p) is None for p in points)
+            assert vals == [f(p) for p in points]
+            assert all(type(v) is float for v in vals)
+        else:
+            assert all(type(v) is int for v in vals)
+            assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
 
 
 class TestStaircase:
@@ -184,6 +222,19 @@ class TestGrowthBound:
         # so every climb step violates the bound at the staircase's own c
         f = staircase(StaircaseParams(0.5, (10_000,), 1))
         assert not check_growth_bound(f, 0.5, (1, 20_000))
+
+    def test_ratio_equal_to_bound_passes(self):
+        # 48/47 is exactly 1 + 1/47; the product form 47 * (1 + 1/47) rounds
+        # below 48, the ratio form the report prints does not
+        assert list(growth_rows(power(1), 1, (47, 47))) == [
+            (47, 48 / 47, 1 + 47 ** -1, True)]
+        assert growth_bound_profile(power(1), 1, (47, 47)) == (True, None)
+
+    def test_profile_reads_the_rows(self):
+        f = staircase(StaircaseParams(0.5, (9, 100), 1))
+        rows = list(growth_rows(f, 0.5, (1, 300)))
+        first = next(n for n, _ratio, _bound, ok in rows if not ok)
+        assert growth_bound_profile(f, 0.5, (1, 300)) == (False, first) == (False, 9)
 
     def test_no_seed_passes_at_own_exponent(self):
         for c in (0.3, 0.5, 0.7):
