@@ -320,6 +320,19 @@ class SubgraphMatcher:
     vertices (equal neighborhoods, as twins) are forced onto ascending host
     images, which removes the factorial blow-up on blow-up patterns without
     losing any copy.
+
+    ``exists_using_edge`` pins one oriented pattern edge per orbit of Aut(F)
+    on oriented edges onto the host edge, not all 2|E(F)| of them: any copy
+    through the host edge can be composed with an automorphism so that the
+    orbit's representative lands on it. Such a search drops the twin order
+    on the two anchored positions and keeps it between the others. The
+    composed copy cannot be asked to order its anchors against their twins,
+    since the host edge fixes their images; permuting each twin class minus
+    the anchors still sorts the rest. Keeping the twin order on the anchors
+    loses copies: C4 has one anchor, and the C4-free search at n = 7 then
+    accepts graphs that contain C4. The orbits are found on the first such
+    call, by the same anchored search with F as its own host; Aut(F) itself
+    is never listed.
     """
 
     def __init__(self, F: Graph):
@@ -328,7 +341,6 @@ class SubgraphMatcher:
         order = sorted(range(k), key=lambda v: (-F.degrees[v], v))
         pos_of = {v: i for i, v in enumerate(order)}
         self.order = order
-        self.pos_of = pos_of
         self.deg = [F.degrees[v] for v in order]
         self.nbr_positions = [
             [pos_of[w] for w in F.neighbors(v)] for v in order
@@ -349,12 +361,14 @@ class SubgraphMatcher:
         for lo, hi in twins:
             self.twin_constraints[hi].append(lo)
             self.twin_reverse[lo].append(hi)
+        self._anchors = None
 
     def exists_in(self, host: Graph) -> bool:
         k = self.pattern.n
         if k > host.n:
             return False
-        return self._search(host.adj, host.degrees, host.n, [-1] * k, 0)
+        return self._search(host.adj, host.degrees, host.n, [-1] * k, 0, 0,
+                            self.twin_constraints, self.twin_reverse)
 
     def exists_using_edge(self, adj: Sequence[int], degs: Sequence[int],
                           n: int, a: int, b: int) -> bool:
@@ -366,40 +380,56 @@ class SubgraphMatcher:
         k = self.pattern.n
         if k > n:
             return False
-        F = self.pattern
-        for x, y in F.edges():
-            for px, py in ((x, y), (y, x)):
-                ix = self.pos_of[px]
-                iy = self.pos_of[py]
-                if degs[a] < self.deg[ix] or degs[b] < self.deg[iy]:
-                    continue
-                assigned = [-1] * k
-                assigned[ix] = a
-                assigned[iy] = b
-                if not self._consistent(adj, assigned, ix) or not self._consistent(adj, assigned, iy):
-                    continue
-                if self._search(adj, degs, n, assigned, 0):
-                    return True
+        if self._anchors is None:
+            self._anchors = self._edge_orbit_anchors()
+        for ix, iy, below, above in self._anchors:
+            if degs[a] < self.deg[ix] or degs[b] < self.deg[iy]:
+                continue
+            assigned = [-1] * k
+            assigned[ix] = a
+            assigned[iy] = b
+            if self._search(adj, degs, n, assigned, 1 << a | 1 << b, 0, below, above):
+                return True
         return False
 
-    def _consistent(self, adj: Sequence[int], assigned: list[int], i: int) -> bool:
-        hi = assigned[i]
-        for j in self.nbr_positions[i]:
-            hj = assigned[j]
-            if hj >= 0 and not (adj[hi] >> hj & 1):
-                return False
-        for j in self.twin_constraints[i]:
-            hj = assigned[j]
-            if hj >= 0 and hj >= hi:
-                return False
-        for j in self.twin_reverse[i]:
-            hj = assigned[j]
-            if hj >= 0 and hj <= hi:
-                return False
-        return True
+    def _edge_orbit_anchors(self) -> list:
+        """One (ix, iy, below, above) per Aut(F)-orbit of oriented edges.
+
+        ix, iy are the positions of the representative's ends; below and
+        above are the twin lists without the anchored positions. Oriented
+        edges are visited by position pair, so each representative is the
+        lexicographically least of its orbit. (u, v) joins the orbit of a
+        representative when an anchored search of F in F sends that
+        representative onto (u, v); an edge-preserving injection of F into
+        itself is an automorphism.
+        """
+        F = self.pattern
+        k = F.n
+
+        def maps_onto(anchor, u, v):
+            ix, iy, below, above = anchor
+            assigned = [-1] * k
+            assigned[ix] = u
+            assigned[iy] = v
+            return self._search(F.adj, F.degrees, k, assigned, 1 << u | 1 << v, 0,
+                                below, above)
+
+        anchors = []
+        for ix in range(k):
+            for iy in sorted(self.nbr_positions[ix]):
+                u, v = self.order[ix], self.order[iy]
+                if any(maps_onto(rep, u, v) for rep in anchors):
+                    continue
+                below = [[j for j in row if j != ix and j != iy]
+                         for row in self.twin_constraints]
+                above = [[j for j in row if j != ix and j != iy]
+                         for row in self.twin_reverse]
+                anchors.append((ix, iy, below, above))
+        return anchors
 
     def _search(self, adj: Sequence[int], degs: Sequence[int], n: int,
-                assigned: list[int], i: int) -> bool:
+                assigned: list[int], used: int, i: int,
+                below: list[list[int]], above: list[list[int]]) -> bool:
         k = len(assigned)
         while i < k and assigned[i] >= 0:
             i += 1
@@ -411,29 +441,29 @@ class SubgraphMatcher:
             if hj >= 0:
                 cand &= adj[hj]
         floor = -1
-        for j in self.twin_constraints[i]:
+        for j in below[i]:
             hj = assigned[j]
             if hj > floor:
                 floor = hj
         if floor >= 0:
             cand &= ~((1 << (floor + 1)) - 1)
         ceiling = n
-        for j in self.twin_reverse[i]:
+        for j in above[i]:
             hj = assigned[j]
             if 0 <= hj < ceiling:
                 ceiling = hj
         if ceiling < n:
             cand &= (1 << ceiling) - 1
-        for j in range(k):
-            hj = assigned[j]
-            if hj >= 0:
-                cand &= ~(1 << hj)
+        cand &= ~used
         need = self.deg[i]
-        for h in _bits(cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            h = low.bit_length() - 1
             if degs[h] < need:
                 continue
             assigned[i] = h
-            if self._search(adj, degs, n, assigned, i + 1):
+            if self._search(adj, degs, n, assigned, used | low, i + 1, below, above):
                 assigned[i] = -1
                 return True
             assigned[i] = -1

@@ -338,13 +338,16 @@ class GapReport:
     exceeds: bool
 
 
-def gap_report(spec: CounterexampleSpec) -> GapReport:
-    """Compare the construction's weighted value with the bipartite bound.
+def gap_report(spec: CounterexampleSpec, G: Graph) -> GapReport:
+    """Compare the weighted value of G = counterexample_graph(spec) with
+    the bipartite bound.
 
     exceeds = True certifies that no bipartite graph of the same order
     reaches the construction's value under this weight.
     """
-    G = counterexample_graph(spec)
+    if G.n != 2 * spec.side_size:
+        raise ValueError(f"graph on {G.n} vertices is not the construction "
+                         f"on 2 * {spec.side_size} vertices")
     value = e_f(G, spec.f)
     bound = bipartite_upper_bound(spec.side_size, spec.f)
     return GapReport(side_size=spec.side_size, construction_value=value,

@@ -20,6 +20,19 @@ def naive_contains(G: Graph, F: Graph) -> bool:
     return False
 
 
+def naive_contains_through_edge(G: Graph, F: Graph, a: int, b: int) -> bool:
+    """Is there a copy of F in G with some edge of F mapped onto {a, b}?"""
+    if F.n > G.n:
+        return False
+    f_edges = F.edges()
+    ends = ((a, b), (b, a))
+    for images in permutations(range(G.n), F.n):
+        if (all(G.has_edge(images[u], images[v]) for u, v in f_edges)
+                and any((images[u], images[v]) in ends for u, v in f_edges)):
+            return True
+    return False
+
+
 def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

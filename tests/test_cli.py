@@ -96,6 +96,24 @@ class TestCommands:
         assert res["gap"] == {"value": 36, "bound": 27, "exceeds": True}
         jsonschema.validate(report, schema)
 
+    def test_counterexample_builds_once(self, monkeypatch):
+        from dwturan import normgraphs
+
+        calls = {"norm_graph": 0, "kab_free_check": 0, "counterexample_graph": 0}
+        for name in calls:
+            original = getattr(normgraphs, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(normgraphs, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        code, _ = run_json(["counterexample", "--q", "3", "--t", "2", "--s", "3",
+                            "--f", "staircase:c=0.5,seeds=9,base=1"])
+        assert code == 0
+        assert calls == {"norm_graph": 1, "kab_free_check": 1, "counterexample_graph": 1}
+
     def test_checkf(self, schema):
         code, report = run_json(
             ["checkf", "--f", "staircase:c=0.5,seeds=9,base=1",

@@ -20,13 +20,16 @@ from dwturan import (
     cycle_graph,
     e_f,
     empty_graph,
+    graph6_encode,
     half,
     log_family,
     petersen_graph,
     power,
     turan_graph,
 )
-from oracles import naive_contains
+from dwturan.cli import parse_graph_spec
+from dwturan.graphs import SubgraphMatcher
+from oracles import all_graphs, naive_contains, naive_contains_through_edge
 
 
 @st.composite
@@ -193,8 +196,6 @@ class TestIncrementalContainment:
         blowup_k3(2), complete_bipartite(2, 3), Graph(4, [(0, 1), (1, 2), (2, 3)]),
     ])
     def test_matches_full_search_on_growing_hosts(self, pattern):
-        from dwturan.graphs import SubgraphMatcher
-
         matcher = SubgraphMatcher(pattern)
         rng = random.Random(hash(pattern) & 0xFFFF)
         for _ in range(15):
@@ -219,6 +220,45 @@ class TestIncrementalContainment:
                     deg[v] -= 1
                 else:
                     edges.append((u, v))
+
+
+CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
+
+
+class TestEdgeAnchoredOracle:
+    """exists_using_edge against trying every injective vertex map, on every
+    edge of every host, in both orientations."""
+
+    @staticmethod
+    def _check_every_edge(matcher, G):
+        F = matcher.pattern
+        present = naive_contains(G, F)
+        for a, b in G.edges():
+            expected = present and naive_contains_through_edge(G, F, a, b)
+            for u, v in ((a, b), (b, a)):
+                got = matcher.exists_using_edge(G.adj, G.degrees, G.n, u, v)
+                assert got == expected, (graph6_encode(F), graph6_encode(G), u, v)
+
+    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    def test_every_labeled_host_up_to_five_vertices(self, spec):
+        matcher = SubgraphMatcher(parse_graph_spec(spec))
+        for n in range(2, 6):
+            for G in all_graphs(n):
+                self._check_every_edge(matcher, G)
+
+    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    def test_sampled_six_vertex_hosts(self, spec):
+        matcher = SubgraphMatcher(parse_graph_spec(spec))
+        rng = random.Random(6)
+        pairs = list(combinations(range(6), 2))
+        for _ in range(200):
+            mask = rng.getrandbits(len(pairs))
+            G = Graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            self._check_every_edge(matcher, G)
+
+    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    def test_petersen_host(self, spec):
+        self._check_every_edge(SubgraphMatcher(parse_graph_spec(spec)), petersen_graph())
 
 
 class TestChromaticNumber:

@@ -216,7 +216,8 @@ class TestBipartiteBound:
 
 class TestGapReport:
     def test_staircase_gap(self):
-        rep = gap_report(CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase()))
+        spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
+        rep = gap_report(spec, counterexample_graph(spec))
         assert rep.construction_value.exact == 36
         assert rep.bipartite_bound.exact == 27
         assert rep.exceeds
@@ -227,7 +228,8 @@ class TestGapReport:
         assert Fraction(36) == 2 * 9 * f.exact(10)
 
     def test_linear_weight_shows_no_gap(self):
-        rep = gap_report(CounterexampleSpec(q=3, t=2, s=3, f=power(1)))
+        spec = CounterexampleSpec(q=3, t=2, s=3, f=power(1))
+        rep = gap_report(spec, counterexample_graph(spec))
         assert rep.construction_value.exact == 226  # twice the edge count
         assert rep.bipartite_bound.exact == 234
         assert not rep.exceeds
@@ -236,7 +238,13 @@ class TestGapReport:
         # seed = side size 25; the climb ends at 27 and every degree
         # in the assembly is at least 30, so the doubled level applies
         f = staircase(StaircaseParams(0.5, (25,), 1))
-        rep = gap_report(CounterexampleSpec(q=5, t=2, s=3, f=f))
+        spec = CounterexampleSpec(q=5, t=2, s=3, f=f)
+        rep = gap_report(spec, counterexample_graph(spec))
         assert rep.construction_value.exact == 100
         assert rep.bipartite_bound.exact == 75
         assert rep.exceeds
+
+    def test_rejects_graph_of_another_order(self):
+        spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
+        with pytest.raises(ValueError):
+            gap_report(spec, norm_graph(3, 2))

@@ -13,6 +13,7 @@ from dwturan import (
     cycle_graph,
     e_f,
     ex_exact,
+    graph6_encode,
     ex_prime,
     power,
     ratio_table,
@@ -112,6 +113,36 @@ class TestExExact:
     def test_trivial_orders_float_weight(self):
         assert ex_exact(0, complete_graph(3), power(1.5)).value.approx == 0.0
         assert ex_exact(1, complete_graph(3), power(1.5)).value.approx == 0.0
+
+
+class TestFrozenPatternValues:
+    """Values, witnesses and node counts that the incremental matcher decides.
+
+    C4 at n = 7 is where an edge-anchored matcher that loses copies reads
+    252 (the complete graph) instead of 60.
+    """
+
+    @pytest.mark.parametrize("F,n,value,witness,nodes", [
+        (cycle_graph(4), 7, 60, "F@QFw", 158553),
+        (cycle_graph(5), 7, 92, "F?B~w", 96284),
+    ])
+    def test_seven_vertices(self, F, n, value, witness, nodes):
+        self._check(F, n, value, witness, nodes)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("F,n,value,witness,nodes", [
+        (cycle_graph(5), 8, 128, "G?~vf_", 1932811),
+        (cycle_graph(4), 8, 74, "G?CaF{", 4818487),
+    ])
+    def test_eight_vertices(self, F, n, value, witness, nodes):
+        self._check(F, n, value, witness, nodes)
+
+    @staticmethod
+    def _check(F, n, value, witness, nodes):
+        res = ex_exact(n, F, power(2))
+        assert res.value.exact == value
+        assert graph6_encode(res.witness) == witness
+        assert res.nodes_explored == nodes
 
 
 class TestVerifyTheorem1:
