@@ -333,6 +333,12 @@ class SubgraphMatcher:
     accepts graphs that contain C4. The orbits are found on the first such
     call, by the same anchored search with F as its own host; Aut(F) itself
     is never listed.
+
+    A complete pattern K_k (k >= 2) goes to ``creates_clique`` instead, which
+    is faster than the anchored search on it; ``exists_using_edge`` is the
+    one question the labeled search asks, whatever the pattern. ``exists_in``
+    stays generic for every pattern, so re-checking a witness of a clique
+    search runs a different algorithm from the one that pruned it.
     """
 
     def __init__(self, F: Graph):
@@ -362,6 +368,7 @@ class SubgraphMatcher:
             self.twin_constraints[hi].append(lo)
             self.twin_reverse[lo].append(hi)
         self._anchors = None
+        self._clique = k >= 2 and F.num_edges == k * (k - 1) // 2
 
     def exists_in(self, host: Graph) -> bool:
         k = self.pattern.n
@@ -378,6 +385,9 @@ class SubgraphMatcher:
         forbidden-subgraph checks where the host just gained that edge.
         """
         k = self.pattern.n
+        if self._clique:
+            # looked up in the module at call time, so perfbench/tracing.py counts it
+            return creates_clique(adj, a, b, k)
         if k > n:
             return False
         if self._anchors is None:
@@ -505,28 +515,6 @@ def creates_clique(adj: Sequence[int], a: int, b: int, r: int) -> bool:
 # chromatic number
 
 
-def _max_clique_size(adj: Sequence[int], n: int) -> int:
-    best = 0
-
-    def grow(mask: int, size: int):
-        nonlocal best
-        if size + mask.bit_count() <= best:
-            return
-        if mask == 0:
-            best = max(best, size)
-            return
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            if size + mask.bit_count() <= best:
-                return
-            mask ^= low
-            grow(adj[v] & mask, size + 1)
-
-    grow((1 << n) - 1, 0)
-    return best
-
-
 def chromatic_number(F: Graph) -> int:
     """Least k admitting a proper k-coloring; exact backtracking from a clique bound."""
     n = F.n
@@ -534,9 +522,11 @@ def chromatic_number(F: Graph) -> int:
         raise ValueError("chromatic number of the empty-order graph is undefined")
     if F.num_edges == 0:
         return 1
-    lower = _max_clique_size(F.adj, n)
-    order = sorted(range(n), key=lambda v: (-F.degrees[v], v))
     adj = F.adj
+    lower = 2
+    while mask_has_clique(adj, (1 << n) - 1, lower + 1):
+        lower += 1
+    order = sorted(range(n), key=lambda v: (-F.degrees[v], v))
 
     def colorable(k: int) -> bool:
         colors = [-1] * n

@@ -231,9 +231,9 @@ def norm_graph(q: int, t: int, *, max_size: int = _NORM_GRAPH_MAX_SIZE) -> Graph
     return Graph(fld.size, edges)
 
 
-def _kab_scan(adj: Sequence[int], n: int, a: int, b: int, firsts) -> bool:
-    """Scan all a-subsets whose smallest member lies in firsts."""
-    for v0 in firsts:
+def _kab_scan(adj: Sequence[int], n: int, a: int, b: int) -> bool:
+    """Scan all a-subsets, grouped by their smallest member."""
+    for v0 in range(n - a + 1):
         base = adj[v0]
         for rest in combinations(range(v0 + 1, n), a - 1):
             common = base
@@ -244,18 +244,9 @@ def _kab_scan(adj: Sequence[int], n: int, a: int, b: int, firsts) -> bool:
     return True
 
 
-def _kab_job(args) -> bool:
-    G, a, b, firsts = args
-    return _kab_scan(G.adj, G.n, a, b, firsts)
-
-
-def kab_free_check(G: Graph, a: int, b: int, *, workers: int = 1,
+def kab_free_check(G: Graph, a: int, b: int, *,
                    max_subsets: int = _KAB_MAX_SUBSETS) -> bool:
-    """True iff no a-set of vertices has b or more common neighbors.
-
-    The subset scan splits by smallest member; any violation anywhere
-    decides the answer, so the reduction over workers is order-free.
-    """
+    """True iff no a-set of vertices has b or more common neighbors."""
     if a > b:
         raise ValueError("call with a <= b")
     if a < 1:
@@ -267,14 +258,7 @@ def kab_free_check(G: Graph, a: int, b: int, *, workers: int = 1,
         raise ScaleLimitError(
             f"{total} subsets to scan exceeds the limit {max_subsets}"
         )
-    firsts = range(G.n - a + 1)
-    if workers > 1 and G.n >= 2 * workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [list(firsts)[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return all(pool.map(_kab_job, [(G, a, b, ch) for ch in chunks]))
-    return _kab_scan(G.adj, G.n, a, b, firsts)
+    return _kab_scan(G.adj, G.n, a, b)
 
 
 class ConstructionRefused(ValueError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .errors import InvariantViolation, ScaleLimitError
@@ -80,65 +81,43 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     vals, den = _part_values(n, f)
     neg = -math.inf
     prev = [0.0 if den is None else 0] + [neg] * n
-    rows = [prev[:]]
+    rows = [prev]
     for _j in range(k):
-        cur = [neg] * (n + 1)
-        for m in range(n + 1):
-            b = neg
-            for t in range(m + 1):
-                p = prev[m - t]
-                if p == neg:
-                    continue
-                v = p + vals[t]
-                if v > b:
-                    b = v
-            cur[m] = b
-        rows.append(cur)
-        prev = cur
+        # prev[m::-1][t] = prev[m - t]; zip stops at t = m
+        prev = [max(map(add, prev[m::-1], vals)) for m in range(n + 1)]
+        rows.append(prev)
     opt = rows[k][n]
 
-    # min_max[j][m]: smallest possible largest part over optimal fillings of
-    # j parts with m vertices; float mode matches within the tie tolerance
-    # because regrouped float sums of the same parts can differ in the last
-    # bits
+    # float mode matches within the tie tolerance because regrouped float
+    # sums of the same parts can differ in the last bits
     tol = FLOAT_TIE_TOL if den is None else 0
-    min_max: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(k + 1)]
-    min_max[0][0] = 0
+
+    def leaders(j: int, m: int):
+        """Ascending t that lead an optimal non-increasing filling of j parts
+        with m vertices: a largest part t, after an optimal filling of the
+        rest whose largest part is at most t."""
+        target = rows[j][m]
+        for t in range(-(-m // j), m + 1):  # from ceil(m / j)
+            p = rows[j - 1][m - t]
+            if p != neg and abs((p + vals[t]) - target) <= tol:
+                mm = min_max[j - 1][m - t]
+                if mm is not None and mm <= t:
+                    yield t
+
+    # min_max[j][m]: smallest possible largest part over optimal fillings
+    min_max: list[list[Optional[int]]] = [[0] + [None] * n]
     for j in range(1, k + 1):
-        for m in range(n + 1):
-            target = rows[j][m]
-            if target == neg:
-                continue
-            lo = -(-m // j)  # smallest feasible max part: ceil(m / j)
-            for t in range(lo, m + 1):
-                p = rows[j - 1][m - t]
-                if p == neg:
-                    continue
-                if abs((p + vals[t]) - target) <= tol:
-                    mm = min_max[j - 1][m - t]
-                    if mm is not None and mm <= t:
-                        min_max[j][m] = t
-                        break
+        min_max.append([next(leaders(j, m), None) for m in range(n + 1)])
 
     witness: list[int] = []
     ties = False
     j, m = k, n
     while j > 0:
-        t_star = min_max[j][m]
+        found = leaders(j, m)
+        t_star = next(found, None)
         if t_star is None:
             raise InvariantViolation("partition witness reconstruction lost the optimum")
-        target = rows[j][m]
-        hits = 0
-        for t in range(-(-m // j), m + 1):
-            p = rows[j - 1][m - t]
-            if p == neg:
-                continue
-            if abs((p + vals[t]) - target) <= tol:
-                mm = min_max[j - 1][m - t]
-                if mm is not None and mm <= t:
-                    hits += 1
-        if hits > 1:
-            ties = True
+        ties = ties or next(found, None) is not None
         witness.append(t_star)
         j, m = j - 1, m - t_star
 

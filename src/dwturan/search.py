@@ -35,7 +35,6 @@ from .graphs import (
     chromatic_number,
     complete_graph,
     contains_subgraph,
-    creates_clique,
     e_f,
 )
 from .partitions import ex_prime
@@ -75,9 +74,8 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     prune_margin = _FLOAT_PRUNE_MARGIN if den is None else 0
     zero = 0.0 if den is None else 0
 
-    is_clique = F.n >= 2 and F.num_edges == F.n * (F.n - 1) // 2
-    r = F.n
-    matcher = None if is_clique else SubgraphMatcher(F)
+    # called with the new edge already present in adj
+    creates_forbidden = SubgraphMatcher(F).exists_using_edge
 
     adj = [0] * n
     deg = [0] * n
@@ -85,12 +83,6 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     nodes = 0
     best = None
     best_bits = 0
-
-    def creates_forbidden(u: int, v: int) -> bool:
-        # called with the edge already present in adj
-        if is_clique:
-            return creates_clique(adj, u, v, r)
-        return matcher.exists_using_edge(adj, deg, n, u, v)
 
     def add(u, v):
         adj[u] |= 1 << v
@@ -113,7 +105,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             if adj[u] >> v & 1:
                 continue
             add(u, v)
-            creates = creates_forbidden(u, v)
+            creates = creates_forbidden(adj, deg, n, u, v)
             undo_add(u, v)
             if not creates:
                 return False
@@ -136,7 +128,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             return
         u, v = slots[i]
         add(u, v)
-        if not creates_forbidden(u, v):
+        if not creates_forbidden(adj, deg, n, u, v):
             rec(i + 1, bits | (1 << (M - 1 - i)))
         undo_add(u, v)
         free[u] -= 1
@@ -152,7 +144,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         u, v = slots[i]
         if decision:
             add(u, v)
-            if creates_forbidden(u, v):
+            if creates_forbidden(adj, deg, n, u, v):
                 live = False
                 break
             bits0 |= 1 << (M - 1 - i)

@@ -30,8 +30,6 @@ class WeightFunction:
     returning a Fraction, or None at points with no rational value.
     """
 
-    supports_exact = False
-
     def __call__(self, n: int) -> float:
         raise NotImplementedError
 
@@ -56,15 +54,11 @@ class PowerWeight(WeightFunction):
         if self.mu < 0:
             raise ValueError("exponent must be non-negative")
 
-    @property
-    def supports_exact(self) -> bool:
-        return float(self.mu) == int(self.mu)
-
     def __call__(self, n: int) -> float:
         return float(n) ** self.mu
 
     def exact(self, n: int) -> Optional[Fraction]:
-        if not self.supports_exact:
+        if self.mu != int(self.mu):
             return None
         return Fraction(n ** int(self.mu))
 
@@ -76,8 +70,6 @@ class PowerWeight(WeightFunction):
 @dataclass(frozen=True, repr=False)
 class HalfWeight(WeightFunction):
     """x -> x/2; the weighted total of a graph equals its number of edges."""
-
-    supports_exact = True
 
     def __call__(self, n: int) -> float:
         return n / 2
@@ -171,8 +163,6 @@ class StaircaseWeight(WeightFunction):
     def __post_init__(self):
         object.__setattr__(self, "_windows", tuple(self.params.windows()))
 
-    supports_exact = True
-
     def _locate(self, n: int) -> tuple[int, int, int]:
         """(completed climbs, step offset, steps of current climb) at n."""
         done = 0
@@ -222,8 +212,6 @@ class StepWeight(WeightFunction):
             raise ValueError("first jump must be 0 so the table covers all inputs")
         if any(a >= b for a, b in zip(self.jumps, self.jumps[1:])):
             raise ValueError("jumps must strictly increase")
-
-    supports_exact = True
 
     def _level(self, n: int) -> Fraction:
         i = 0

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here deliberately avoids the library's search machinery:
-containment is tested by trying every injective vertex map, and the
-forbidden-free maximum by scoring every labeled graph.
+containment is tested by trying every injective vertex map, coloring by
+trying every color map, and the forbidden-free maximum by scoring every
+labeled graph.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from dwturan import Graph, e_f
 
@@ -31,6 +32,15 @@ def naive_contains_through_edge(G: Graph, F: Graph, a: int, b: int) -> bool:
                 and any((images[u], images[v]) in ends for u, v in f_edges)):
             return True
     return False
+
+
+def naive_chromatic_number(n: int, edges) -> int:
+    """Least k such that some map of the n vertices into k colors is proper."""
+    for k in range(1, n + 1):
+        for colors in product(range(k), repeat=n):
+            if all(colors[u] != colors[v] for u, v in edges):
+                return k
+    raise ValueError("chromatic number of the empty-order graph is undefined")
 
 
 def all_graphs(n: int):

@@ -29,7 +29,12 @@ from dwturan import (
 )
 from dwturan.cli import parse_graph_spec
 from dwturan.graphs import SubgraphMatcher
-from oracles import all_graphs, naive_contains, naive_contains_through_edge
+from oracles import (
+    all_graphs,
+    naive_chromatic_number,
+    naive_contains,
+    naive_contains_through_edge,
+)
 
 
 @st.composite
@@ -227,12 +232,13 @@ CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
 
 class TestEdgeAnchoredOracle:
     """exists_using_edge against trying every injective vertex map, on every
-    edge of every host, in both orientations."""
+    edge of every host, in both orientations; exists_in on every host."""
 
     @staticmethod
     def _check_every_edge(matcher, G):
         F = matcher.pattern
         present = naive_contains(G, F)
+        assert matcher.exists_in(G) == present, (graph6_encode(F), graph6_encode(G))
         for a, b in G.edges():
             expected = present and naive_contains_through_edge(G, F, a, b)
             for u, v in ((a, b), (b, a)):
@@ -277,6 +283,12 @@ class TestChromaticNumber:
     def test_empty_order_rejected(self):
         with pytest.raises(ValueError):
             chromatic_number(Graph(0))
+
+    def test_every_labeled_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for G in all_graphs(n):
+                assert chromatic_number(G) == naive_chromatic_number(n, G.edges()), \
+                    graph6_encode(G)
 
 
 class TestPartSizes:

@@ -148,10 +148,6 @@ class TestKabFree:
     def test_c5_no_shared_pair(self):
         assert kab_free_check(cycle_graph(5), 2, 2)
 
-    def test_workers_agree(self):
-        g = norm_graph(3, 2)
-        assert kab_free_check(g, 2, 3, workers=2) == kab_free_check(g, 2, 3)
-
     def test_subset_budget(self):
         with pytest.raises(ScaleLimitError):
             kab_free_check(norm_graph(5, 2), 2, 3, max_subsets=10)

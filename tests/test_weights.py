@@ -44,7 +44,7 @@ class TestFamilies:
 
     def test_power_fractional_no_exact(self):
         f = power(0.5)
-        assert not f.supports_exact
+        assert f.exact(4) is None
         assert f(4) == 2.0
 
     def test_power_rejects_negative(self):
