@@ -50,6 +50,7 @@ from .normgraphs import (
     bipartite_upper_bound,
     counterexample_graph,
     gap_report,
+    join_contains_blowup,
     kab_free_check,
     norm,
     norm_graph,
@@ -124,6 +125,7 @@ __all__ = [
     "graph6_encode",
     "half",
     "is_nondecreasing",
+    "join_contains_blowup",
     "kab_free_check",
     "least_growth_seed",
     "log_family",

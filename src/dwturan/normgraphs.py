@@ -13,16 +13,30 @@ bipartite subgraphs far denser than its degree suggests. Gluing one copy
 inside each side of a complete bipartite graph yields a graph whose two
 weighted-degree sums defeat every bipartite graph of the same order under
 staircase weights that double just above the side size.
+
+That graph G is the join of two copies of the side graph H, so it never
+needs a search of its own for the blown-up triangle K(m, m, m). A copy of
+K(m, m, m) meets the two sides in K(x) and K(m - x) for some x in [0, m]^3,
+and any such pair of copies combines into one, because the join supplies
+every edge between the sides. The search is therefore for small patterns
+K(x) in H. The assembly gate makes H K_{s,s}-free, and K(x) contains
+K_{s,s} as soon as one part has s vertices and the other two together
+have s; those x are ruled out without a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import ScaleLimitError
-from .graphs import Graph, ObjectiveValue, e_f
+from .graphs import (
+    Graph,
+    ObjectiveValue,
+    SubgraphMatcher,
+    complete_multipartite,
+    e_f,
+)
 from .weights import WeightFunction, tabulate
 
 _FIELD_MAX_P = 100
@@ -212,7 +226,7 @@ def norm_graph(q: int, t: int, *, max_size: int = _NORM_GRAPH_MAX_SIZE) -> Graph
     """Graph on GF(q^t): a ~ b (a != b) iff norm(a + b) = 1.
 
     Would-be loops (norm(a + a) = 1) are dropped, so each degree is K or
-    K - 1 with K = (q^t - 1)/(q - 1).
+    K - 1 with K = (q^t - 1)/(q - 1). Vertex i is ``from_index(i)``.
     """
     if t < 2:
         raise ValueError("need extension degree t >= 2")
@@ -220,33 +234,36 @@ def norm_graph(q: int, t: int, *, max_size: int = _NORM_GRAPH_MAX_SIZE) -> Graph
     if fld.size > max_size:
         raise ScaleLimitError(f"norm graph on {fld.size} vertices exceeds limit {max_size}")
     one = fld.one
-    norm_one = [a for a in fld.elements() if norm(a) == one]
-    edges = []
+    # b ~ a iff b = u - a for some u of norm 1. Addition is digit-wise mod q,
+    # so elements are coded with base-(2q - 1) digits: adding two codes never
+    # carries, and reduce_code maps the sum back to the index of u - a.
+    wide = 2 * q - 1
+
+    def code(i: int, sign: int) -> int:
+        return sum(sign * (i // q ** k) % q * wide ** k for k in range(t))
+
+    reduce_code = [sum((c // wide ** k) % wide % q * q ** k for k in range(t))
+                   for c in range(wide ** t)]
+    norm_one = [code(i, 1) for i, a in enumerate(fld.elements()) if norm(a) == one]
+    adj = []
     for i in range(fld.size):
-        a = fld.from_index(i)
+        neg_a = code(i, -1)
+        row = 0
         for u in norm_one:
-            j = fld.index(u - a)
-            if j > i:
-                edges.append((i, j))
-    return Graph(fld.size, edges)
-
-
-def _kab_scan(adj: Sequence[int], n: int, a: int, b: int) -> bool:
-    """Scan all a-subsets, grouped by their smallest member."""
-    for v0 in range(n - a + 1):
-        base = adj[v0]
-        for rest in combinations(range(v0 + 1, n), a - 1):
-            common = base
-            for v in rest:
-                common &= adj[v]
-            if common.bit_count() >= b:
-                return False
-    return True
+            row |= 1 << reduce_code[u + neg_a]
+        adj.append(row & ~(1 << i))
+    return Graph._from_adj(fld.size, adj)
 
 
 def kab_free_check(G: Graph, a: int, b: int, *,
                    max_subsets: int = _KAB_MAX_SUBSETS) -> bool:
-    """True iff no a-set of vertices has b or more common neighbors."""
+    """True iff no a-set of vertices has b or more common neighbors.
+
+    The scan grows an a-set in increasing vertex order and carries the
+    common neighborhood of its members; a branch ends as soon as that
+    neighborhood has fewer than b vertices, since adding members only
+    shrinks it. The budget counts all C(n, a) sets, scanned or cut.
+    """
     if a > b:
         raise ValueError("call with a <= b")
     if a < 1:
@@ -258,7 +275,18 @@ def kab_free_check(G: Graph, a: int, b: int, *,
         raise ScaleLimitError(
             f"{total} subsets to scan exceeds the limit {max_subsets}"
         )
-    return _kab_scan(G.adj, G.n, a, b)
+    adj = G.adj
+    n = G.n
+
+    def extend(common: int, start: int, need: int) -> bool:
+        # need >= 1 members still to add, from vertices start..n-1
+        for v in range(start, n - need + 1):
+            shared = common & adj[v]
+            if shared.bit_count() >= b and (need == 1 or extend(shared, v + 1, need - 1)):
+                return True
+        return False
+
+    return not extend((1 << n) - 1, 0, a)
 
 
 class ConstructionRefused(ValueError):
@@ -298,6 +326,43 @@ def counterexample_graph(spec: CounterexampleSpec) -> Graph:
     edges += [(N + u, N + v) for u, v in side.edges()]
     edges += [(u, N + v) for u in range(N) for v in range(N)]
     return Graph(2 * N, edges)
+
+
+def join_contains_blowup(side: Graph, m: int, *,
+                         kss_free: Optional[int] = None) -> bool:
+    """Does the join of two copies of side contain K(m, m, m)?
+
+    Such a copy meets the first copy of side in some K(x), x in [0, m]^3,
+    and the second in K(m - x); conversely, the join adds every edge
+    between the copies, so any such pair of copies makes a K(m, m, m). Each
+    sorted x is asked of side once. With kss_free = s the caller asserts
+    that side is K_{s,s}-free, and every x with a part of size >= s while
+    the other two sum to >= s is ruled out without a search: K(x) contains
+    K_{s,s}, with that part as one side and the other two as the other.
+    An x is also ruled out when K(x) contains a K(y) already found absent.
+    """
+    if m < 1:
+        raise ValueError("class size must be positive")
+    known: dict[tuple[int, ...], bool] = {}
+
+    def contains(x: tuple[int, ...]) -> bool:
+        x = tuple(sorted(x))
+        if kss_free is not None and x[2] >= kss_free and x[0] + x[1] >= kss_free:
+            return False
+        if x not in known:
+            # K(x) contains K(y) when sorted y is at most x part by part
+            known[x] = not any(
+                not hit and all(a <= b for a, b in zip(y, x))
+                for y, hit in known.items()
+            ) and SubgraphMatcher(complete_multipartite(x)).exists_in(side)
+        return known[x]
+
+    for x0 in range(m + 1):
+        for x1 in range(x0, m + 1):
+            for x2 in range(x1, m + 1):
+                if contains((x0, x1, x2)) and contains((m - x0, m - x1, m - x2)):
+                    return True
+    return False
 
 
 def bipartite_upper_bound(n_k: int, f: WeightFunction) -> ObjectiveValue:

@@ -72,7 +72,9 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     table, den = tabulate(f, range(n))
     monotone = n <= 1 or is_nondecreasing(f, (0, n - 1))
     prune_margin = _FLOAT_PRUNE_MARGIN if den is None else 0
-    zero = 0.0 if den is None else 0
+    # a leaf's value depends on its degree multiset alone, so isomorphic
+    # leaves tie exactly and the bitstring decides between them
+    leaf_sum = math.fsum if den is None else sum
 
     # called with the new edge already present in adj
     creates_forbidden = SubgraphMatcher(F).exists_using_edge
@@ -121,7 +123,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
-            value = sum((table[deg[x]] for x in range(n)), zero)
+            value = leaf_sum([table[d] for d in deg])
             if best is None or value > best or (value == best and bits < best_bits):
                 best = value
                 best_bits = bits
@@ -218,7 +220,8 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
     value = e_f(witness, f)
     if den is None:
-        # the search and e_f may group float additions differently
+        # e_f decides exactness on the witness degrees alone, so it may
+        # return the exact total where the search summed floats
         reproduced = math.isclose(value.approx, best, rel_tol=1e-12, abs_tol=1e-12)
     else:
         # witness degrees lie in 0..n-1, where f was exact

@@ -3,12 +3,13 @@
 Everything here deliberately avoids the library's search machinery:
 containment is tested by trying every injective vertex map, coloring by
 trying every color map, and the forbidden-free maximum by scoring every
-labeled graph.
+labeled graph. The norm graph is built by field-element subtraction and
+K_{a,b}-freeness by scanning every a-subset.
 """
 
 from itertools import combinations, permutations, product
 
-from dwturan import Graph, e_f
+from dwturan import FiniteField, Graph, e_f, norm
 
 
 def naive_contains(G: Graph, F: Graph) -> bool:
@@ -72,3 +73,35 @@ def random_step_weight(rng, max_jump=130, max_level=60):
         levels.append(level)
         level += rng.randrange(0, max_level)
     return StepWeight(jumps, levels)
+
+
+def naive_norm_graph(q: int, t: int) -> Graph:
+    """a ~ b iff b = u - a for some u of norm 1, in FieldElement arithmetic."""
+    fld = FiniteField(q, t)
+    norm_one = [a for a in fld.elements() if norm(a) == fld.one]
+    edges = []
+    for i in range(fld.size):
+        a = fld.from_index(i)
+        for u in norm_one:
+            j = fld.index(u - a)
+            if j > i:
+                edges.append((i, j))
+    return Graph(fld.size, edges)
+
+
+def naive_kab_free(G: Graph, a: int, b: int) -> bool:
+    """No a-subset of vertices has b or more common neighbors."""
+    for members in combinations(range(G.n), a):
+        common = (1 << G.n) - 1
+        for v in members:
+            common &= G.adj[v]
+        if common.bit_count() >= b:
+            return False
+    return True
+
+
+def join(H: Graph, K: Graph) -> Graph:
+    """H and K side by side, with every edge between them added."""
+    edges = H.edges() + [(H.n + u, H.n + v) for u, v in K.edges()]
+    edges += [(u, H.n + v) for u in range(H.n) for v in range(K.n)]
+    return Graph(H.n + K.n, edges)

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from dwturan import cli, complete_graph, cycle_graph, graph6_encode
+from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
 
 
@@ -109,10 +110,29 @@ class TestCommands:
 
             monkeypatch.setattr(normgraphs, name, counted)
             monkeypatch.setattr(cli, name, counted)
+        hosts = []
+        exists_in = SubgraphMatcher.exists_in
+
+        def recorded(self, host):
+            hosts.append(host.n)
+            return exists_in(self, host)
+
+        monkeypatch.setattr(SubgraphMatcher, "exists_in", recorded)
         code, _ = run_json(["counterexample", "--q", "3", "--t", "2", "--s", "3",
                             "--f", "staircase:c=0.5,seeds=9,base=1"])
         assert code == 0
         assert calls == {"norm_graph": 1, "kab_free_check": 1, "counterexample_graph": 1}
+        # the blow-up is looked for in one side at a time, never in the whole graph
+        assert hosts and set(hosts) == {9}
+
+    def test_counterexample_reach(self):
+        # a 338-vertex construction: the direct search for K(5,5,5) in the
+        # whole graph already ran past 120 s on the 50-vertex (5, 2, 3) one
+        code, report = run_json(["counterexample", "--q", "13", "--t", "2", "--s", "3",
+                                 "--f", "staircase:c=0.5,seeds=9,base=1"])
+        assert code == 0
+        assert report["result"]["n"] == 338
+        assert report["result"]["forbidden_free"] is True
 
     def test_checkf(self, schema):
         code, report = run_json(

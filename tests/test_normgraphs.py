@@ -1,5 +1,7 @@
 """Field arithmetic, norm graphs, and the two-sided construction."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from dwturan import (
     ConstructionRefused,
     CounterexampleSpec,
     FiniteField,
+    Graph,
     ScaleLimitError,
     StaircaseParams,
     bipartite_upper_bound,
@@ -18,6 +21,8 @@ from dwturan import (
     cycle_graph,
     e_f,
     gap_report,
+    graph6_encode,
+    join_contains_blowup,
     kab_free_check,
     norm,
     norm_graph,
@@ -25,6 +30,15 @@ from dwturan import (
     staircase,
     blowup_k3,
 )
+from oracles import all_graphs, join, naive_kab_free, naive_norm_graph
+
+# the norm graphs and K_{a,b} checks of the benchmark's construct workload
+CONSTRUCT_FIELDS = ((13, 2), (11, 2), (7, 2), (5, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 4))
+
+
+def _random_graph(n, rng):
+    p = rng.uniform(0.2, 0.9)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 class TestFieldArithmetic:
@@ -140,6 +154,14 @@ class TestNormGraph:
         with pytest.raises(ScaleLimitError):
             norm_graph(7, 2, max_size=10)
 
+    @pytest.mark.parametrize("q,t", [
+        (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+        (7, 2), (7, 3), (11, 2), (13, 2), (17, 2),
+    ])
+    def test_matches_field_element_construction(self, q, t):
+        # every field with q^t <= 343 that FiniteField accepts
+        assert graph6_encode(norm_graph(q, t)) == graph6_encode(naive_norm_graph(q, t))
+
 
 class TestKabFree:
     def test_k23_is_not_k23_free(self):
@@ -151,6 +173,62 @@ class TestKabFree:
     def test_subset_budget(self):
         with pytest.raises(ScaleLimitError):
             kab_free_check(norm_graph(5, 2), 2, 3, max_subsets=10)
+
+    PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
+
+    def test_matches_subset_scan_small_graphs(self):
+        for n in range(6):
+            for G in all_graphs(n):
+                for a, b in self.PAIRS:
+                    assert kab_free_check(G, a, b) == naive_kab_free(G, a, b), (G.adj, a, b)
+
+    def test_matches_subset_scan_random_graphs(self):
+        rng = random.Random(6)
+        for n in range(6, 10):
+            for _ in range(40):
+                G = _random_graph(n, rng)
+                for a, b in self.PAIRS:
+                    assert kab_free_check(G, a, b) == naive_kab_free(G, a, b), (G.adj, a, b)
+
+    @pytest.mark.parametrize("q,t", CONSTRUCT_FIELDS)
+    def test_matches_subset_scan_norm_graphs(self, q, t):
+        G = norm_graph(q, t)
+        for a, b in ((t, t), (t, math.factorial(t) + 1)):
+            assert kab_free_check(G, a, b) == naive_kab_free(G, a, b)
+
+
+class TestJoinBlowup:
+    """The decomposed check against a direct search of the join H + H."""
+
+    @staticmethod
+    def _agrees(H):
+        G = join(H, H)
+        for m in range(1, 5):
+            expected = contains_subgraph(G, blowup_k3(m))
+            assert join_contains_blowup(H, m) == expected, (H.adj, m)
+            for s in range(1, 4):
+                if kab_free_check(H, s, s):
+                    assert join_contains_blowup(H, m, kss_free=s) == expected, (H.adj, m, s)
+
+    def test_small_sides(self):
+        # one side per isomorphism class: both answers are invariant under relabeling
+        for n in range(6):
+            seen = set()
+            for H in all_graphs(n):
+                if H in seen:
+                    continue
+                seen.update(H.relabel(p) for p in itertools.permutations(range(n)))
+                self._agrees(H)
+
+    def test_random_sides(self):
+        rng = random.Random(7)
+        for n in (6, 7):
+            for _ in range(15):
+                self._agrees(_random_graph(n, rng))
+
+    def test_rejects_empty_class(self):
+        with pytest.raises(ValueError):
+            join_contains_blowup(norm_graph(3, 2), 0)
 
 
 def _toy_staircase():
@@ -166,9 +244,14 @@ class TestCounterexample:
         assert set(g.degrees) == {12, 13}
 
     def test_forbidden_blowup_absent(self):
-        spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
-        g = counterexample_graph(spec)
-        assert not contains_subgraph(g, blowup_k3(5))
+        for s in (3, 4):
+            spec = CounterexampleSpec(q=3, t=2, s=s, f=_toy_staircase())
+            g = counterexample_graph(spec)
+            side = g.induced_subgraph(range(spec.side_size))
+            assert side == norm_graph(3, 2)
+            assert not contains_subgraph(g, blowup_k3(s + 2))
+            assert not join_contains_blowup(side, s + 2, kss_free=s)
+            assert not join_contains_blowup(side, s + 2)
 
     def test_refuses_s_two(self):
         # the GF(9) norm graph contains a K_{2,2}, so the s=2 gate fails

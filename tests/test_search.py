@@ -15,6 +15,7 @@ from dwturan import (
     ex_exact,
     graph6_encode,
     ex_prime,
+    parse_weight,
     power,
     ratio_table,
     verify_theorem1,
@@ -109,6 +110,16 @@ class TestExExact:
         assert res.value.approx == pytest.approx(
             naive_ex_exact(5, complete_graph(3), power(1.5)).approx
         )
+
+    @pytest.mark.parametrize("n,F,weight,witness", [
+        (4, complete_graph(4), "log", "C^"),
+        (7, cycle_graph(4), "pow:mu=1.5", "F@QFw"),
+    ])
+    def test_float_witness_is_least_bitstring(self, n, F, weight, witness):
+        # isomorphic optima must tie exactly, whatever order their degrees
+        # are summed in, so that the least bitstring is the witness
+        res = ex_exact(n, F, parse_weight(weight))
+        assert graph6_encode(res.witness) == witness
 
     def test_trivial_orders_float_weight(self):
         assert ex_exact(0, complete_graph(3), power(1.5)).value.approx == 0.0
