@@ -142,10 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_exact(args, workers: int) -> dict:
+def _cmd_exact(args) -> dict:
     F = parse_graph_spec(args.forbidden)
     f = parse_weight(args.f)
-    res = ex_exact(args.n, F, f, limit=args.limit, workers=workers)
+    res = ex_exact(args.n, F, f, limit=args.limit, workers=args.workers)
     return {
         "value": res.value.as_json(),
         "witness_graph6": graph6_encode(res.witness),
@@ -154,7 +154,7 @@ def _cmd_exact(args, workers: int) -> dict:
     }
 
 
-def _cmd_exprime(args, workers: int) -> dict:
+def _cmd_exprime(args) -> dict:
     f = parse_weight(args.f)
     res = ex_prime(args.n, args.k, f)
     return {
@@ -164,11 +164,11 @@ def _cmd_exprime(args, workers: int) -> dict:
     }
 
 
-def _cmd_ratio(args, workers: int) -> dict:
+def _cmd_ratio(args) -> dict:
     F = parse_graph_spec(args.forbidden)
     f = parse_weight(args.f)
     rows = ratio_table((args.nmin, args.nmax), F, f,
-                       limit=args.limit, workers=workers)
+                       limit=args.limit, workers=args.workers)
     return {
         "rows": [
             {
@@ -182,7 +182,7 @@ def _cmd_ratio(args, workers: int) -> dict:
     }
 
 
-def _cmd_majorize(args, workers: int) -> dict:
+def _cmd_majorize(args) -> dict:
     G = parse_graph_spec(args.graph)
     res = erdos_majorizer(G, args.r)
     dominated = verify_majorization(G, res)
@@ -195,7 +195,7 @@ def _cmd_majorize(args, workers: int) -> dict:
     }
 
 
-def _cmd_normgraph(args, workers: int) -> dict:
+def _cmd_normgraph(args) -> dict:
     G = norm_graph(args.q, args.t)
     checks = {}
     t = args.t
@@ -210,7 +210,7 @@ def _cmd_normgraph(args, workers: int) -> dict:
     }
 
 
-def _cmd_counterexample(args, workers: int) -> dict:
+def _cmd_counterexample(args) -> dict:
     f = parse_weight(args.f)
     spec = CounterexampleSpec(q=args.q, t=args.t, s=args.s, f=f)
     # runs the K_{s,s} gate on the side graph and raises ConstructionRefused
@@ -234,7 +234,7 @@ def _cmd_counterexample(args, workers: int) -> dict:
     }
 
 
-def _cmd_checkf(args, workers: int) -> dict:
+def _cmd_checkf(args) -> dict:
     f = parse_weight(args.f)
     lo, hi = _parse_range(args.scan_range)
     result: dict = {"nondecreasing": is_nondecreasing(f, (lo, hi))}
@@ -265,24 +265,6 @@ _DISPATCH = {
     "checkf": _cmd_checkf,
 }
 
-_CONFIG_SKIP = {"format", "out", "workers", "command"}
-
-
-def _resolved_config(args, workers: int) -> dict:
-    cfg = {
-        "command": args.command,
-        "format": args.format,
-        "workers": workers,
-    }
-    if args.out is not None:
-        cfg["out"] = args.out
-    for key, value in sorted(vars(args).items()):
-        if key in _CONFIG_SKIP:
-            continue
-        cfg[key] = value
-    return cfg
-
-
 def _to_csv(command: str, result: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -309,17 +291,21 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, Optional[dict]]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None
     try:
-        workers = args.workers if args.workers else _default_workers()
-        if workers < 1:
+        if args.workers is None:
+            args.workers = _default_workers()
+        if args.workers < 1:
             raise ValueError("worker count must be >= 1")
-        result = _DISPATCH[args.command](args, workers)
+        result = _DISPATCH[args.command](args)
     except InvariantViolation as exc:
         return 1, {"error": str(exc), "kind": "invariant"}
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         return 2, {"error": str(exc), "kind": "input"}
     report = {
         "command": args.command,
-        "config": _resolved_config(args, workers),
+        # every parsed option, the resolved worker count included; --out
+        # only when given
+        "config": {key: value for key, value in vars(args).items()
+                   if key != "out" or value is not None},
         "result": result,
     }
     return 0, report

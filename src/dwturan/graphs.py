@@ -46,11 +46,6 @@ class Graph:
         self.degrees = tuple(m.bit_count() for m in adj)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; duplicate edges collapse."""
-        return cls(n, edges)
-
-    @classmethod
     def _from_adj(cls, n: int, adj: Sequence[int]) -> "Graph":
         # trusted internal path: rows already symmetric and loop-free
         g = cls.__new__(cls)
@@ -77,9 +72,6 @@ class Graph:
             for k in _bits(rest):
                 out.append((u, u + 1 + k))
         return out
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
@@ -259,6 +251,28 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return complete_multipartite([a, b])
 
 
+def multipartite_on_classes(n: int, classes: Iterable[Iterable[int]]) -> Graph:
+    """Graph on 0..n-1 where u ~ v iff u and v lie in different classes.
+
+    The classes must be disjoint; a vertex in no class stays isolated.
+    """
+    masks = []
+    for cls in classes:
+        mask = 0
+        for v in cls:
+            mask |= 1 << v
+        masks.append(mask)
+    full = 0
+    for mask in masks:
+        full |= mask
+    adj = [0] * n
+    for mask in masks:
+        row = full & ~mask
+        for v in _bits(mask):
+            adj[v] = row
+    return Graph._from_adj(n, adj)
+
+
 def complete_multipartite(parts: Iterable[int] | PartSizes) -> Graph:
     """Complete multipartite graph; u ~ v iff u and v lie in different parts.
 
@@ -266,26 +280,21 @@ def complete_multipartite(parts: Iterable[int] | PartSizes) -> Graph:
     part of size s has degree total - s.
     """
     sizes = list(parts)
-    n = sum(sizes)
     if any(s < 0 for s in sizes):
         raise ValueError("part sizes must be non-negative")
-    full = (1 << n) - 1
-    adj = []
+    classes = []
     start = 0
     for s in sizes:
-        part_mask = ((1 << s) - 1) << start
-        row = full & ~part_mask
-        adj.extend([row] * s)
+        classes.append(range(start, start + s))
         start += s
-    return Graph._from_adj(n, adj)
+    return multipartite_on_classes(start, classes)
 
 
 def turan_graph(k: int, n: int) -> Graph:
     """Complete k-partite graph on n vertices with part sizes as equal as possible."""
     if k < 1:
         raise ValueError("need at least one part")
-    q, r = divmod(n, k)
-    return complete_multipartite([q + 1] * r + [q] * (k - r))
+    return complete_multipartite(turan_part_sizes(k, n))
 
 
 def turan_part_sizes(k: int, n: int) -> PartSizes:
@@ -321,6 +330,14 @@ class SubgraphMatcher:
     images, which removes the factorial blow-up on blow-up patterns without
     losing any copy.
 
+    The twin order only looks backward: each position keeps its nearest
+    earlier twin and must take a larger image than that twin's. Positions
+    are filled in ascending order, so when one is placed every earlier
+    twin already has its image and no later twin has one yet; a ceiling
+    from later twins could never apply. By induction the images ascend
+    along each twin class, so the nearest earlier twin carries the largest
+    image among them.
+
     ``exists_using_edge`` pins one oriented pattern edge per orbit of Aut(F)
     on oriented edges onto the host edge, not all 2|E(F)| of them: any copy
     through the host edge can be composed with an automorphism so that the
@@ -351,7 +368,7 @@ class SubgraphMatcher:
         self.nbr_positions = [
             [pos_of[w] for w in F.neighbors(v)] for v in order
         ]
-        # twin pairs as (earlier position, later position); ascending images
+        # twin pairs as (earlier position, later position)
         twins = []
         for u, v in combinations(range(k), 2):
             mu, mv = F.adj[u], F.adj[v]
@@ -362,20 +379,25 @@ class SubgraphMatcher:
             if same:
                 pu, pv = pos_of[u], pos_of[v]
                 twins.append((min(pu, pv), max(pu, pv)))
-        self.twin_constraints: list[list[int]] = [[] for _ in range(k)]
-        self.twin_reverse: list[list[int]] = [[] for _ in range(k)]
-        for lo, hi in twins:
-            self.twin_constraints[hi].append(lo)
-            self.twin_reverse[lo].append(hi)
+        self._twins = twins
+        self.twin_prev = self._twin_prev(())
         self._anchors = None
         self._clique = k >= 2 and F.num_edges == k * (k - 1) // 2
+
+    def _twin_prev(self, anchored) -> list[int]:
+        """Per position, its nearest earlier twin position outside anchored, or -1."""
+        prev = [-1] * self.pattern.n
+        for lo, hi in self._twins:
+            if lo > prev[hi] and lo not in anchored and hi not in anchored:
+                prev[hi] = lo
+        return prev
 
     def exists_in(self, host: Graph) -> bool:
         k = self.pattern.n
         if k > host.n:
             return False
         return self._search(host.adj, host.degrees, host.n, [-1] * k, 0, 0,
-                            self.twin_constraints, self.twin_reverse)
+                            self.twin_prev)
 
     def exists_using_edge(self, adj: Sequence[int], degs: Sequence[int],
                           n: int, a: int, b: int) -> bool:
@@ -392,22 +414,22 @@ class SubgraphMatcher:
             return False
         if self._anchors is None:
             self._anchors = self._edge_orbit_anchors()
-        for ix, iy, below, above in self._anchors:
+        for ix, iy, twin_prev in self._anchors:
             if degs[a] < self.deg[ix] or degs[b] < self.deg[iy]:
                 continue
             assigned = [-1] * k
             assigned[ix] = a
             assigned[iy] = b
-            if self._search(adj, degs, n, assigned, 1 << a | 1 << b, 0, below, above):
+            if self._search(adj, degs, n, assigned, 1 << a | 1 << b, 0, twin_prev):
                 return True
         return False
 
     def _edge_orbit_anchors(self) -> list:
-        """One (ix, iy, below, above) per Aut(F)-orbit of oriented edges.
+        """One (ix, iy, twin_prev) per Aut(F)-orbit of oriented edges.
 
-        ix, iy are the positions of the representative's ends; below and
-        above are the twin lists without the anchored positions. Oriented
-        edges are visited by position pair, so each representative is the
+        ix, iy are the positions of the representative's ends; twin_prev is
+        the twin order without the anchored positions. Oriented edges are
+        visited by position pair, so each representative is the
         lexicographically least of its orbit. (u, v) joins the orbit of a
         representative when an anchored search of F in F sends that
         representative onto (u, v); an edge-preserving injection of F into
@@ -417,12 +439,12 @@ class SubgraphMatcher:
         k = F.n
 
         def maps_onto(anchor, u, v):
-            ix, iy, below, above = anchor
+            ix, iy, twin_prev = anchor
             assigned = [-1] * k
             assigned[ix] = u
             assigned[iy] = v
             return self._search(F.adj, F.degrees, k, assigned, 1 << u | 1 << v, 0,
-                                below, above)
+                                twin_prev)
 
         anchors = []
         for ix in range(k):
@@ -430,16 +452,12 @@ class SubgraphMatcher:
                 u, v = self.order[ix], self.order[iy]
                 if any(maps_onto(rep, u, v) for rep in anchors):
                     continue
-                below = [[j for j in row if j != ix and j != iy]
-                         for row in self.twin_constraints]
-                above = [[j for j in row if j != ix and j != iy]
-                         for row in self.twin_reverse]
-                anchors.append((ix, iy, below, above))
+                anchors.append((ix, iy, self._twin_prev((ix, iy))))
         return anchors
 
     def _search(self, adj: Sequence[int], degs: Sequence[int], n: int,
                 assigned: list[int], used: int, i: int,
-                below: list[list[int]], above: list[list[int]]) -> bool:
+                twin_prev: list[int]) -> bool:
         k = len(assigned)
         while i < k and assigned[i] >= 0:
             i += 1
@@ -450,20 +468,9 @@ class SubgraphMatcher:
             hj = assigned[j]
             if hj >= 0:
                 cand &= adj[hj]
-        floor = -1
-        for j in below[i]:
-            hj = assigned[j]
-            if hj > floor:
-                floor = hj
-        if floor >= 0:
-            cand &= ~((1 << (floor + 1)) - 1)
-        ceiling = n
-        for j in above[i]:
-            hj = assigned[j]
-            if 0 <= hj < ceiling:
-                ceiling = hj
-        if ceiling < n:
-            cand &= (1 << ceiling) - 1
+        j = twin_prev[i]
+        if j >= 0:
+            cand &= -1 << (assigned[j] + 1)
         cand &= ~used
         need = self.deg[i]
         while cand:
@@ -473,7 +480,7 @@ class SubgraphMatcher:
             if degs[h] < need:
                 continue
             assigned[i] = h
-            if self._search(adj, degs, n, assigned, used | low, i + 1, below, above):
+            if self._search(adj, degs, n, assigned, used | low, i + 1, twin_prev):
                 assigned[i] = -1
                 return True
             assigned[i] = -1

@@ -20,6 +20,7 @@ from .graphs import (
     creates_clique,
     e_f,
     mask_has_clique,
+    multipartite_on_classes,
     _bits,
 )
 from .partitions import ex_prime
@@ -33,24 +34,6 @@ class MajorizerResult:
 
     classes: tuple[tuple[int, ...], ...]
     graph: Graph
-
-
-def _multipartite_on_classes(n: int, classes) -> Graph:
-    adj = [0] * n
-    masks = []
-    for cls in classes:
-        m = 0
-        for v in cls:
-            m |= 1 << v
-        masks.append(m)
-    full = 0
-    for m in masks:
-        full |= m
-    for m, cls in zip(masks, classes):
-        row = full & ~m
-        for v in cls:
-            adj[v] = row
-    return Graph._from_adj(n, adj)
 
 
 def erdos_majorizer(G: Graph, r: int) -> MajorizerResult:
@@ -79,7 +62,7 @@ def erdos_majorizer(G: Graph, r: int) -> MajorizerResult:
         return [first] + inner
 
     classes = build(list(range(G.n)), G, r)
-    H = _multipartite_on_classes(G.n, classes)
+    H = multipartite_on_classes(G.n, classes)
     return MajorizerResult(classes=tuple(tuple(sorted(c)) for c in classes), graph=H)
 
 
@@ -97,7 +80,7 @@ def verify_majorization(G: Graph, res: MajorizerResult) -> bool:
             seen.add(v)
     if len(seen) != G.n:
         return False
-    if H != _multipartite_on_classes(G.n, res.classes):
+    if H != multipartite_on_classes(G.n, res.classes):
         return False
     return all(H.degrees[v] >= G.degrees[v] for v in range(G.n))
 

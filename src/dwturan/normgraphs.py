@@ -27,7 +27,7 @@ have s; those x are ruled out without a search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ScaleLimitError
 from .graphs import (
@@ -108,13 +108,6 @@ class FiniteField:
         self.t = t
         self.size = p ** t
         self.modulus = _smallest_irreducible(p, t)
-
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.t:
-            raise ValueError(f"at most {self.t} coefficients expected")
-        cs += [0] * (self.t - len(cs))
-        return FieldElement(self, tuple(cs))
 
     def from_index(self, i: int) -> "FieldElement":
         """Element number i, coefficients as base-p digits, constant first."""
@@ -222,7 +215,7 @@ def norm(a: FieldElement) -> FieldElement:
     return a ** a.field.norm_exponent
 
 
-def norm_graph(q: int, t: int, *, max_size: int = _NORM_GRAPH_MAX_SIZE) -> Graph:
+def norm_graph(q: int, t: int) -> Graph:
     """Graph on GF(q^t): a ~ b (a != b) iff norm(a + b) = 1.
 
     Would-be loops (norm(a + a) = 1) are dropped, so each degree is K or
@@ -231,8 +224,10 @@ def norm_graph(q: int, t: int, *, max_size: int = _NORM_GRAPH_MAX_SIZE) -> Graph
     if t < 2:
         raise ValueError("need extension degree t >= 2")
     fld = FiniteField(q, t)
-    if fld.size > max_size:
-        raise ScaleLimitError(f"norm graph on {fld.size} vertices exceeds limit {max_size}")
+    if fld.size > _NORM_GRAPH_MAX_SIZE:
+        raise ScaleLimitError(
+            f"norm graph on {fld.size} vertices exceeds limit {_NORM_GRAPH_MAX_SIZE}"
+        )
     one = fld.one
     # b ~ a iff b = u - a for some u of norm 1. Addition is digit-wise mod q,
     # so elements are coded with base-(2q - 1) digits: adding two codes never
@@ -262,25 +257,30 @@ def kab_free_check(G: Graph, a: int, b: int, *,
     The scan grows an a-set in increasing vertex order and carries the
     common neighborhood of its members; a branch ends as soon as that
     neighborhood has fewer than b vertices, since adding members only
-    shrinks it. The budget counts all C(n, a) sets, scanned or cut.
+    shrinks it. The budget counts the sets the scan examines, of every
+    size from 1 to a, and the scan raises ScaleLimitError as soon as it
+    has examined more than max_subsets; the order is fixed, so the same
+    input always answers or always stops at the same set. Sets smaller
+    than a count too, so a scan that cuts nothing examines somewhat more
+    than C(n, a) sets: at a = 2, C(n, 2) + n - 1.
     """
     if a > b:
         raise ValueError("call with a <= b")
     if a < 1:
         raise ValueError("subset size must be positive")
-    total = 1
-    for i in range(a):
-        total = total * (G.n - i) // (i + 1)
-    if total > max_subsets:
-        raise ScaleLimitError(
-            f"{total} subsets to scan exceeds the limit {max_subsets}"
-        )
     adj = G.adj
     n = G.n
+    left = max_subsets
 
     def extend(common: int, start: int, need: int) -> bool:
         # need >= 1 members still to add, from vertices start..n-1
+        nonlocal left
         for v in range(start, n - need + 1):
+            left -= 1
+            if left < 0:
+                raise ScaleLimitError(
+                    f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
+                )
             shared = common & adj[v]
             if shared.bit_count() >= b and (need == 1 or extend(shared, v + 1, need - 1)):
                 return True

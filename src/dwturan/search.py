@@ -15,9 +15,9 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
 Among evaluated optimal leaves the reported witness is the one whose edge
 bitstring (fixed slot order) is lexicographically smallest; with the
 maximality rule active that means smallest among maximal witnesses. Results
-are independent of the worker count: parallel runs partition the tree by
-the first few slot decisions and reduce with the same value-then-bitstring
-comparison.
+are independent of the worker count: a run partitions the tree by its
+first few slot decisions (none when serial) and reduces the subtrees with
+the same value-then-bitstring comparison.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import InvariantViolation, ScaleLimitError
 from .graphs import (
@@ -158,10 +159,6 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     return best, best_bits, nodes, den
 
 
-def _subtree_job(args):
-    return _search_tree(*args)
-
-
 def _bits_to_graph(n: int, bits: int) -> Graph:
     slots = _slots(n)
     M = len(slots)
@@ -174,8 +171,13 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     """Exact maximum of the weighted degree sum over F-free graphs of order n.
 
     Refuses orders above the limit (the tree has up to 2**C(n,2) leaves).
-    With workers > 1 the first few slot decisions are farmed out to a
-    process pool; value and witness do not depend on the worker count.
+    One worker searches the whole tree, the subtree below the empty prefix,
+    in this process. With workers > 1 the tree is split on its first
+    ceil(log2(4 * workers)) slot decisions (at least 2, at most C(n,2)) and
+    a process pool searches one subtree per prefix. The subtree results
+    are reduced once, by value and then least bitstring, so value and
+    witness do not depend on the worker count; the node count does, since
+    subtrees do not share their incumbents.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -194,23 +196,22 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     M = n * (n - 1) // 2
     if workers > 1 and M > 2:
         depth = min(M, max(2, math.ceil(math.log2(4 * workers))))
-        prefixes = []
-        for p in range(1 << depth):
-            decisions = tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
-            prefixes.append((n, F, f, decisions))
-        best = None
-        best_bits = 0
-        nodes = 0
+        prefixes = [tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
+                    for p in range(1 << depth)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for value, bits, sub_nodes, den in pool.map(_subtree_job, prefixes):
-                nodes += sub_nodes
-                if value is None:
-                    continue
-                if best is None or value > best or (value == best and bits < best_bits):
-                    best = value
-                    best_bits = bits
+            results = list(pool.map(_search_tree, repeat(n), repeat(F), repeat(f),
+                                    prefixes))
     else:
-        best, best_bits, nodes, den = _search_tree(n, F, f)
+        results = [_search_tree(n, F, f)]
+    best = None
+    best_bits = 0
+    nodes = 0
+    for value, bits, sub_nodes, den in results:
+        nodes += sub_nodes
+        if value is not None and (best is None or value > best
+                                  or (value == best and bits < best_bits)):
+            best = value
+            best_bits = bits
 
     if best is None:
         raise InvariantViolation("search evaluated no leaf; this cannot happen")

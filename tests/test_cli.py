@@ -190,6 +190,19 @@ class TestConfigEmbedding:
         assert cfg["n"] == 4 and cfg["k"] == 2 and cfg["f"] == "pow:mu=1"
         assert cfg["format"] == "json"
 
+    def test_workers_env(self, monkeypatch):
+        from dwturan import search
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("exprime started a process pool")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("DWTURAN_WORKERS", "3")
+        code, report = cli.run(["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"])
+        assert code == 0
+        assert report["config"]["workers"] == 3
+        assert "out" not in report["config"]
+
     def test_threads_alias(self):
         code, report = cli.run(
             ["--threads", "2", "exact", "--n", "4", "--forbidden", "K3",
@@ -227,6 +240,21 @@ class TestExitCodes:
             ["exact", "--n", "12", "--forbidden", "K3", "--f", "half"])
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_worker_count_below_one(self, count):
+        code, report = cli.run(["--workers", count, "exprime", "--n", "4",
+                                "--k", "2", "--f", "pow:mu=1"])
+        assert code == 2
+        assert report["error"] == "worker count must be >= 1"
+
+    def test_gate_refuses_343_vertex_side(self):
+        # the K_{3,3} gate answers within the scan budget and refuses
+        code, report = run_json(
+            ["counterexample", "--q", "7", "--t", "3", "--s", "3",
+             "--f", "half"])
+        assert code == 2
+        assert "contains a K_{3,3}" in report["error"]
+
     def test_refused_construction(self):
         code, report = run_json(
             ["counterexample", "--q", "3", "--t", "2", "--s", "2",
@@ -261,6 +289,28 @@ class TestDeterminism:
         lines = out.strip().splitlines()
         assert lines[0] == "n,ex,ex_prime,ratio"
         assert lines[1].startswith("4,36,16,")
+
+    def test_csv_growth_rows(self, capsys):
+        argv = ["--workers", "1", "--format", "csv", "checkf", "--f", "pow:mu=1",
+                "--range", "1:3", "--growth-c", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "n,ratio,bound,ok\n"
+            "1,2.0,2.0,True\n"
+            "2,1.5,1.5,True\n"
+            "3,1.3333333333333333,1.3333333333333333,True\n"
+        )
+
+    def test_csv_key_value(self, capsys):
+        argv = ["--workers", "1", "--format", "csv", "exprime", "--n", "4",
+                "--k", "2", "--f", "pow:mu=1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "key,value\n"
+            "ties_flag,false\n"
+            "value,8\n"
+            'witness,"[2, 2]"\n'
+        )
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"

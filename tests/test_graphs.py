@@ -49,24 +49,24 @@ def graphs(draw, max_n=8):
 
 class TestConstruction:
     def test_from_edges_triangle(self):
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g == complete_graph(3)
 
     def test_from_edges_empty(self):
-        g = Graph.from_edges(2, [])
+        g = Graph(2, [])
         assert g.num_edges == 0 and g.n == 2
 
     def test_duplicate_edges_collapse(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 1), (1, 0)])
+        g = Graph(4, [(0, 1), (0, 1), (1, 0)])
         assert g.num_edges == 1
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(3, [(0, 3)])
+            Graph(3, [(0, 3)])
 
     def test_multipartite_octahedron(self):
         g = complete_multipartite([2, 2, 2])
@@ -228,6 +228,9 @@ class TestIncrementalContainment:
 
 
 CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
+# K1,4: four false twins around one centre. D~w: K5 minus an edge, a class
+# of three true twins that holds both ends of an anchored edge.
+ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w"]
 
 
 class TestEdgeAnchoredOracle:
@@ -245,14 +248,14 @@ class TestEdgeAnchoredOracle:
                 got = matcher.exists_using_edge(G.adj, G.degrees, G.n, u, v)
                 assert got == expected, (graph6_encode(F), graph6_encode(G), u, v)
 
-    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    @pytest.mark.parametrize("spec", ORACLE_PATTERNS)
     def test_every_labeled_host_up_to_five_vertices(self, spec):
         matcher = SubgraphMatcher(parse_graph_spec(spec))
         for n in range(2, 6):
             for G in all_graphs(n):
                 self._check_every_edge(matcher, G)
 
-    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    @pytest.mark.parametrize("spec", ORACLE_PATTERNS)
     def test_sampled_six_vertex_hosts(self, spec):
         matcher = SubgraphMatcher(parse_graph_spec(spec))
         rng = random.Random(6)
@@ -262,7 +265,7 @@ class TestEdgeAnchoredOracle:
             G = Graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
             self._check_every_edge(matcher, G)
 
-    @pytest.mark.parametrize("spec", CLI_SHORTHANDS)
+    @pytest.mark.parametrize("spec", ORACLE_PATTERNS)
     def test_petersen_host(self, spec):
         self._check_every_edge(SubgraphMatcher(parse_graph_spec(spec)), petersen_graph())
 

@@ -48,8 +48,8 @@ class TestFieldArithmetic:
 
     def test_gf9_x_squared(self):
         fld = FiniteField(3, 2)
-        x = fld.element([0, 1])
-        assert x * x == fld.element([2, 0])  # x^2 = -1 = 2
+        x = fld.from_index(3)  # coefficients (0, 1)
+        assert x * x == fld.from_index(2)  # x^2 = -1 = 2
 
     def test_additive_identity(self):
         fld = FiniteField(5, 2)
@@ -152,7 +152,7 @@ class TestNormGraph:
 
     def test_scale_limit(self):
         with pytest.raises(ScaleLimitError):
-            norm_graph(7, 2, max_size=10)
+            norm_graph(17, 3)  # 4913 vertices
 
     @pytest.mark.parametrize("q,t", [
         (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
@@ -173,6 +173,23 @@ class TestKabFree:
     def test_subset_budget(self):
         with pytest.raises(ScaleLimitError):
             kab_free_check(norm_graph(5, 2), 2, 3, max_subsets=10)
+
+    def test_budget_counts_examined_sets(self):
+        # on the 169-vertex norm graph nothing is cut at a = 2, b = 3: the
+        # scan examines 168 single vertices and all C(169, 2) = 14196 pairs
+        G = norm_graph(13, 2)
+        assert kab_free_check(G, 2, 3, max_subsets=14364)
+        with pytest.raises(ScaleLimitError):
+            kab_free_check(G, 2, 3, max_subsets=14363)
+
+    def test_k33_gate_on_343_vertices(self):
+        # C(343, 3) > 5e6 sets exist, but the scan meets a K_{3,3} after
+        # examining six
+        G = norm_graph(7, 3)
+        assert not kab_free_check(G, 3, 3)
+        assert not kab_free_check(G, 3, 3, max_subsets=6)
+        with pytest.raises(ScaleLimitError):
+            kab_free_check(G, 3, 3, max_subsets=5)
 
     PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
 

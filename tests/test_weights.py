@@ -192,6 +192,15 @@ class TestLogContinuity:
     def test_constant_passes(self):
         assert check_log_continuity(power(0), 0.01, 5.0, (1, 1000))
 
+    def test_non_monotone_scans_every_m(self):
+        # f is 1 except f(11) = 5. With delta 0.5 the window of n ends at
+        # floor(1.5 n), which is never 11, so only the scan over every m of
+        # the window (n = 8, 9, 10) can see the bump
+        f = StepWeight([0, 11, 12], [1, 5, 1])
+        assert not is_nondecreasing(f, (1, 30))
+        assert not check_log_continuity(f, 3.9, 0.5, (1, 20))
+        assert check_log_continuity(f, 4.0, 0.5, (1, 20))
+
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.21, 0.5, 1.0, 1.25])
     @pytest.mark.parametrize("mu", [1, 2, 3])
     def test_power_witness_delta(self, eps, mu):
