@@ -81,7 +81,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _default_workers() -> int:
     env = os.environ.get("DWTURAN_WORKERS")
     if env:
-        return max(1, int(env))
+        return int(env)
     return os.cpu_count() or 1
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ScaleLimitError
+from .errors import InvariantViolation, ScaleLimitError
 from .graphs import (
     Graph,
     ObjectiveValue,
@@ -215,6 +215,28 @@ def norm(a: FieldElement) -> FieldElement:
     return a ** a.field.norm_exponent
 
 
+def _norm_one_subgroup(fld: FiniteField) -> list[FieldElement]:
+    """The elements of norm 1, as the powers of one generator.
+
+    They form the subgroup of order K = (p^t - 1)/(p - 1) of the cyclic
+    group GF(p^t)*, which is the image of x -> x^(p - 1). So h = a^(p - 1)
+    generates it for a primitive a, and the cycle of h has length K; a
+    shorter cycle means a was not primitive and the next a is tried. The
+    first p indices are the base field, where a^(p - 1) = 1.
+    """
+    one = fld.one
+    for i in range(fld.p, fld.size):
+        h = fld.from_index(i) ** (fld.p - 1)
+        subgroup = [one]
+        x = h
+        while x != one:
+            subgroup.append(x)
+            x = x * h
+        if len(subgroup) == fld.norm_exponent:
+            return subgroup
+    raise InvariantViolation(f"no generator of the norm-one subgroup in {fld}")
+
+
 def norm_graph(q: int, t: int) -> Graph:
     """Graph on GF(q^t): a ~ b (a != b) iff norm(a + b) = 1.
 
@@ -228,7 +250,6 @@ def norm_graph(q: int, t: int) -> Graph:
         raise ScaleLimitError(
             f"norm graph on {fld.size} vertices exceeds limit {_NORM_GRAPH_MAX_SIZE}"
         )
-    one = fld.one
     # b ~ a iff b = u - a for some u of norm 1. Addition is digit-wise mod q,
     # so elements are coded with base-(2q - 1) digits: adding two codes never
     # carries, and reduce_code maps the sum back to the index of u - a.
@@ -239,7 +260,7 @@ def norm_graph(q: int, t: int) -> Graph:
 
     reduce_code = [sum((c // wide ** k) % wide % q * q ** k for k in range(t))
                    for c in range(wide ** t)]
-    norm_one = [code(i, 1) for i, a in enumerate(fld.elements()) if norm(a) == one]
+    norm_one = [code(fld.index(u), 1) for u in _norm_one_subgroup(fld)]
     adj = []
     for i in range(fld.size):
         neg_a = code(i, -1)

@@ -6,9 +6,11 @@ copy of the forbidden graph (containment is monotone under edge addition,
 so only copies through the newly added edge are searched). Two further
 prunings apply whenever the weight is non-decreasing on 0..n-1:
 
-  * bound: each vertex can finish with degree at most current degree plus
-    its undecided slots, so the weight sum of those caps bounds every leaf
-    below; subtrees strictly under the incumbent are cut.
+  * bound: each vertex can finish with degree at most its cap, current
+    degree plus undecided slots, so the weight sum of the caps bounds every
+    leaf below; subtrees strictly under the incumbent are cut. Including a
+    slot leaves every cap as it is, so the sum is recomputed only when a
+    slot is excluded.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
@@ -82,45 +84,37 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
 
     adj = [0] * n
     deg = [0] * n
-    free = [n - 1] * n
+    # cap[x] = deg[x] + undecided slots at x
+    cap = [n - 1] * n
     nodes = 0
     best = None
     best_bits = 0
-
-    def add(u, v):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        free[u] -= 1
-        free[v] -= 1
-
-    def undo_add(u, v):
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        deg[u] -= 1
-        deg[v] -= 1
-        free[u] += 1
-        free[v] += 1
 
     def leaf_is_maximal() -> bool:
         for u, v in slots:
             if adj[u] >> v & 1:
                 continue
-            add(u, v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
             creates = creates_forbidden(adj, deg, n, u, v)
-            undo_add(u, v)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            deg[u] -= 1
+            deg[v] -= 1
             if not creates:
                 return False
         return True
 
-    def rec(i: int, bits: int):
+    # bound is the weight sum over cap. The include child inherits it; the
+    # exclude child sums it afresh in vertex order, since an incremental
+    # update would round differently in float mode and move prune decisions.
+    def rec(i: int, bits: int, bound):
         nonlocal nodes, best, best_bits
         nodes += 1
-        if monotone and best is not None:
-            bound = sum(table[deg[x] + free[x]] for x in range(n))
-            if bound < best - prune_margin:
-                return
+        if monotone and best is not None and bound < best - prune_margin:
+            return
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
@@ -130,32 +124,39 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                 best_bits = bits
             return
         u, v = slots[i]
-        add(u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
         if not creates_forbidden(adj, deg, n, u, v):
-            rec(i + 1, bits | (1 << (M - 1 - i)))
-        undo_add(u, v)
-        free[u] -= 1
-        free[v] -= 1
-        rec(i + 1, bits)
-        free[u] += 1
-        free[v] += 1
+            rec(i + 1, bits | (1 << (M - 1 - i)), bound)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        deg[u] -= 1
+        deg[v] -= 1
+        cap[u] -= 1
+        cap[v] -= 1
+        rec(i + 1, bits, sum(map(table.__getitem__, cap)))
+        cap[u] += 1
+        cap[v] += 1
 
     # apply the prefix decisions, bailing out if they already force a copy
     bits0 = 0
-    live = True
     for i, decision in enumerate(prefix):
         u, v = slots[i]
         if decision:
-            add(u, v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
             if creates_forbidden(adj, deg, n, u, v):
-                live = False
                 break
             bits0 |= 1 << (M - 1 - i)
         else:
-            free[u] -= 1
-            free[v] -= 1
-    if live:
-        rec(len(prefix), bits0)
+            cap[u] -= 1
+            cap[v] -= 1
+    else:
+        rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
     return best, best_bits, nodes, den
 
 

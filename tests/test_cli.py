@@ -247,6 +247,15 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == "worker count must be >= 1"
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_worker_env_below_one(self, monkeypatch, count):
+        # the environment variable is held to the same rule as --workers
+        monkeypatch.setenv("DWTURAN_WORKERS", count)
+        code, report = cli.run(["exprime", "--n", "4", "--k", "2",
+                                "--f", "pow:mu=1"])
+        assert code == 2
+        assert report["error"] == "worker count must be >= 1"
+
     def test_gate_refuses_343_vertex_side(self):
         # the K_{3,3} gate answers within the scan budget and refuses
         code, report = run_json(

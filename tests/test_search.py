@@ -156,6 +156,42 @@ class TestFrozenPatternValues:
         assert res.nodes_explored == nodes
 
 
+class TestFrozenCliqueValues:
+    """Values, witnesses and node counts of the clique search.
+
+    The node counts follow every prune decision of the degree-cap bound in
+    the int, scaled-Fraction and float modes; a bound that is stale or off
+    by one term moves them before it moves a value.
+    """
+
+    @pytest.mark.parametrize("r,n,weight,value,witness,nodes", [
+        (3, 7, "pow:mu=2", 84, "F?~v_", 50875),
+        (4, 7, "pow:mu=2", 148, "FFz~o", 44747),
+        (3, 6, "half", 9, "EFz_", 3146),
+        (4, 6, "half", 12, "E]~o", 2164),
+        (3, 7, "log:floor=0", 8.55333223803211, "F?~v_", 23029),
+        (4, 7, "log:floor=0", 10.596634733096073, "FFz~o", 18302),
+    ])
+    def test_one_worker(self, r, n, weight, value, witness, nodes):
+        res = ex_exact(n, complete_graph(r), parse_weight(weight))
+        if isinstance(value, float):
+            assert res.value.approx == pytest.approx(value, rel=1e-12)
+        else:
+            assert res.value.exact == value
+        assert graph6_encode(res.witness) == witness
+        assert res.nodes_explored == nodes
+
+    @pytest.mark.parametrize("workers,nodes", [(1, 408), (2, 515)])
+    def test_pool_prefixes(self, workers, nodes):
+        # two workers split the tree on its first three slots, so the
+        # subtrees start from prefix decisions that exclude slots
+        res = ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"),
+                       workers=workers)
+        assert res.value.exact == 12
+        assert graph6_encode(res.witness) == "DFw"
+        assert res.nodes_explored == nodes
+
+
 class TestVerifyTheorem1:
     def test_small_cases(self):
         assert verify_theorem1(6, 3, power(2))
