@@ -7,6 +7,12 @@ vectors with a fixed number of parts (zero parts allowed, so k parts
 subsume fewer) by dynamic programming; an exhaustive enumerator over
 non-increasing vectors serves as an independent cross-check.
 
+The DP fills only the entries its result reads: rows 1..k-1 of the table
+(row 1 in closed form) and row k at m = n, and the witness table min_max
+for j < k. Each row still scans every size of its last part: bounding it
+by the largest part t >= ceil(m/j) would regroup float sums and move the
+last bits of float-mode values.
+
 Arithmetic runs in exact integers (weights.tabulate scales f(0..n-1) to a
 common denominator) whenever the weight is rational at every degree used;
 otherwise floats with an absolute near-tie tolerance of 1e-9.
@@ -69,10 +75,16 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     """Maximum score over all complete k-partite graphs of order n.
 
     DP over (parts used, vertices placed): best[j][m] = max over the size t
-    of the j-th part of best[j-1][m-t] + t*f(n-t); O(k n^2) evaluations.
-    The witness is rebuilt by descending through the table, taking at each
-    level the smallest feasible maximal part, which yields the
-    lexicographically smallest non-increasing optimal vector.
+    of the j-th part of best[j-1][m-t] + t*f(n-t). Only what the result
+    reads is filled: row 1 is vals[m] (t = m is the one term reaching row
+    0's finite entry), rows 2..k-1 in full, at O(n^2) evaluations each, and
+    row k at m = n only. The witness is rebuilt by descending through the
+    table, taking at each level the smallest feasible maximal part, which
+    yields the lexicographically smallest non-increasing optimal vector.
+
+    Every row scans every size t of its last part. Restricting row j to a
+    largest part t >= ceil(m/j) would be exact on integers, but in float
+    mode it regroups the sums and moves last bits of reported values.
     """
     if k < 1:
         raise ValueError("need at least one part")
@@ -80,23 +92,22 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         raise ValueError("order must be non-negative")
     vals, den = _part_values(n, f)
     neg = -math.inf
-    prev = [0.0 if den is None else 0] + [neg] * n
-    rows = [prev]
-    for _j in range(k):
+    row0 = [0.0 if den is None else 0] + [neg] * n
+    rows = [row0, [row0[0] + v for v in vals]]
+    for _j in range(2, k):
+        prev = rows[-1]
         # prev[m::-1][t] = prev[m - t]; zip stops at t = m
-        prev = [max(map(add, prev[m::-1], vals)) for m in range(n + 1)]
-        rows.append(prev)
-    opt = rows[k][n]
+        rows.append([max(map(add, prev[m::-1], vals)) for m in range(n + 1)])
+    opt = max(map(add, rows[k - 1][n::-1], vals))
 
     # float mode matches within the tie tolerance because regrouped float
     # sums of the same parts can differ in the last bits
     tol = FLOAT_TIE_TOL if den is None else 0
 
-    def leaders(j: int, m: int):
+    def leaders(j: int, m: int, target):
         """Ascending t that lead an optimal non-increasing filling of j parts
-        with m vertices: a largest part t, after an optimal filling of the
-        rest whose largest part is at most t."""
-        target = rows[j][m]
+        with m vertices, of value target: a largest part t, after an optimal
+        filling of the rest whose largest part is at most t."""
         for t in range(-(-m // j), m + 1):  # from ceil(m / j)
             p = rows[j - 1][m - t]
             if p != neg and abs((p + vals[t]) - target) <= tol:
@@ -104,42 +115,37 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
                 if mm is not None and mm <= t:
                     yield t
 
-    # min_max[j][m]: smallest possible largest part over optimal fillings
+    # min_max[j][m]: smallest possible largest part over optimal fillings;
+    # the descent reads it for j < k only
     min_max: list[list[Optional[int]]] = [[0] + [None] * n]
-    for j in range(1, k + 1):
-        min_max.append([next(leaders(j, m), None) for m in range(n + 1)])
+    for j in range(1, k):
+        min_max.append([next(leaders(j, m, target), None)
+                         for m, target in enumerate(rows[j])])
 
     witness: list[int] = []
     ties = False
-    j, m = k, n
+    j, m, target = k, n, opt
     while j > 0:
-        found = leaders(j, m)
+        found = leaders(j, m, target)
         t_star = next(found, None)
         if t_star is None:
             raise InvariantViolation("partition witness reconstruction lost the optimum")
         ties = ties or next(found, None) is not None
         witness.append(t_star)
         j, m = j - 1, m - t_star
+        target = rows[j][m]
 
     return PartitionOptimum(value=ObjectiveValue.scaled(opt, den),
                             witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
 
 
-def _nonincreasing_vectors(k: int, m: int, cap: int):
-    """All non-increasing k-vectors of non-negative ints summing to m,
-    entries <= cap, in ascending lexicographic order."""
-    if k == 0:
-        if m == 0:
-            yield ()
-        return
-    lo = -(-m // k)
-    for t in range(lo, min(cap, m) + 1):
-        for rest in _nonincreasing_vectors(k - 1, m - t, t):
-            yield (t,) + rest
-
-
 def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
-    """Independent oracle: exhaustive scan of non-increasing size vectors."""
+    """Independent oracle: exhaustive scan of non-increasing size vectors.
+
+    Vectors are visited in ascending lexicographic order. Each one's score
+    is its part values added left to right from int 0, carried down the
+    recursion; the last part is forced to the vertices left.
+    """
     if n > _ENUM_MAX_N or k > _ENUM_MAX_K:
         raise ScaleLimitError(
             f"enumeration oracle limited to n <= {_ENUM_MAX_N}, k <= {_ENUM_MAX_K}"
@@ -148,17 +154,26 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         raise ValueError("need at least one part")
     vals, den = _part_values(n, f)
     tol = FLOAT_TIE_TOL if den is None else 0
-    best = None
-    second = None
-    best_vec = None
-    for vec in _nonincreasing_vectors(k, n, n):
-        v = sum(vals[t] for t in vec)
-        if best is None or v > best:
-            second = best
-            best = v
-            best_vec = vec
-        elif second is None or v > second:
-            second = v
+    best = second = best_vec = None
+    vec: list[int] = []
+
+    def scan(j: int, m: int, cap: int, total) -> None:
+        """Fill j more parts with m vertices, each at most cap."""
+        nonlocal best, second, best_vec
+        if j == 1:
+            if m <= cap:
+                v = total + vals[m]
+                if best is None or v > best:
+                    second, best, best_vec = best, v, (*vec, m)
+                elif second is None or v > second:
+                    second = v
+            return
+        for t in range(-(-m // j), min(cap, m) + 1):  # from ceil(m / j)
+            vec.append(t)
+            scan(j - 1, m - t, t, total + vals[t])
+            vec.pop()
+
+    scan(k, n, n, 0)
     ties = second is not None and (best - second) <= tol
     return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)

@@ -4,12 +4,26 @@ Everything here deliberately avoids the library's search machinery:
 containment is tested by trying every injective vertex map, coloring by
 trying every color map, and the forbidden-free maximum by scoring every
 labeled graph. The norm graph is built by field-element subtraction and
-K_{a,b}-freeness by scanning every a-subset.
+K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
+two references, the full-table DP and the generator enumeration; each
+adds the same part values in the same order as the routine it checks, so
+float results must agree bit for bit.
 """
 
+import math
 from itertools import combinations, permutations, product
+from operator import add
 
-from dwturan import FiniteField, Graph, e_f, norm
+from dwturan import (
+    FiniteField,
+    Graph,
+    ObjectiveValue,
+    PartitionOptimum,
+    PartSizes,
+    e_f,
+    norm,
+)
+from dwturan.weights import tabulate
 
 
 def naive_contains(G: Graph, F: Graph) -> bool:
@@ -105,3 +119,81 @@ def join(H: Graph, K: Graph) -> Graph:
     edges = H.edges() + [(H.n + u, H.n + v) for u, v in K.edges()]
     edges += [(u, H.n + v) for u in range(H.n) for v in range(K.n)]
     return Graph(H.n + K.n, edges)
+
+
+def _part_values(n: int, f):
+    """value[t] = t * f(n - t) for t in 0..n, in tabulate's units."""
+    table, den = tabulate(f, range(n))
+    return [0] + [t * table[n - t] for t in range(1, n + 1)], den
+
+
+def full_table_ex_prime(n: int, k: int, f) -> PartitionOptimum:
+    """The partition DP with every row 1..k filled and min_max up to k.
+
+    best[j][m] = max over t of best[j-1][m-t] + t*f(n-t), for every j and
+    m; the witness descends through the table, taking at each level the
+    smallest leading part whose remainder has an optimal filling with
+    largest part at most t.
+    """
+    vals, den = _part_values(n, f)
+    neg = -math.inf
+    prev = [0.0 if den is None else 0] + [neg] * n
+    rows = [prev]
+    for _j in range(k):
+        prev = [max(map(add, prev[m::-1], vals)) for m in range(n + 1)]
+        rows.append(prev)
+    tol = 1e-9 if den is None else 0
+
+    def leaders(j: int, m: int):
+        target = rows[j][m]
+        for t in range(-(-m // j), m + 1):
+            p = rows[j - 1][m - t]
+            if p != neg and abs((p + vals[t]) - target) <= tol:
+                mm = min_max[j - 1][m - t]
+                if mm is not None and mm <= t:
+                    yield t
+
+    min_max = [[0] + [None] * n]
+    for j in range(1, k + 1):
+        min_max.append([next(leaders(j, m), None) for m in range(n + 1)])
+
+    witness = []
+    ties = False
+    j, m = k, n
+    while j > 0:
+        found = leaders(j, m)
+        t_star = next(found)
+        ties = ties or next(found, None) is not None
+        witness.append(t_star)
+        j, m = j - 1, m - t_star
+    return PartitionOptimum(value=ObjectiveValue.scaled(rows[k][n], den),
+                            witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
+
+
+def _nonincreasing_vectors(k: int, m: int, cap: int):
+    """Non-increasing k-vectors of non-negative ints summing to m, entries
+    <= cap, in ascending lexicographic order."""
+    if k == 0:
+        if m == 0:
+            yield ()
+        return
+    for t in range(-(-m // k), min(cap, m) + 1):
+        for rest in _nonincreasing_vectors(k - 1, m - t, t):
+            yield (t,) + rest
+
+
+def generator_ex_prime(n: int, k: int, f) -> PartitionOptimum:
+    """Every non-increasing k-vector from a chain of generators, each
+    scored by sum() over its part values."""
+    vals, den = _part_values(n, f)
+    tol = 1e-9 if den is None else 0
+    best = second = best_vec = None
+    for vec in _nonincreasing_vectors(k, n, n):
+        v = sum(vals[t] for t in vec)
+        if best is None or v > best:
+            second, best, best_vec = best, v, vec
+        elif second is None or v > second:
+            second = v
+    ties = second is not None and (best - second) <= tol
+    return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
+                            witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)

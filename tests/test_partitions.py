@@ -19,7 +19,27 @@ from dwturan import (
     power,
     turan_chain_check,
 )
-from oracles import random_step_weight
+from oracles import full_table_ex_prime, generator_ex_prime, random_step_weight
+
+# integer, scaled-rational and float weights, monotone and not
+REFERENCE_WEIGHTS = [
+    "pow:mu=2",
+    "half",
+    "step:0:0;3:1;50:2;200:5",
+    "log:floor=0",
+    "staircase:c=0.5,seeds=9;100,base=1",
+    "pow:mu=0.5",
+    "pow:mu=1.5",
+    "step:0:3;2:1",
+    "pow:mu=1",
+    "staircase:c=0.5,seeds=100,base=1",
+]
+
+
+def _bits(res):
+    """Value (exact, or the float's hex), witness and ties_flag."""
+    value = res.value.exact if res.value.is_exact else res.value.approx.hex()
+    return value, tuple(res.witness), res.ties_flag
 
 
 class TestMultipartiteValue:
@@ -112,7 +132,49 @@ class TestExPrime:
         assert res.value.exact == via_graph.exact == 101
 
 
+class TestAgainstFullTable:
+    """The DP fills only the entries it reads; the reference fills them all."""
+
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
+    def test_bit_identical(self, weight):
+        f = parse_weight(weight)
+        for n in [*range(42), 57, 101, 150]:
+            for k in range(1, 7):
+                assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), (n, k)
+
+    # a largest-part bound t >= ceil(m/j) on every row regroups these sums
+    @pytest.mark.parametrize("n,k,bits", [
+        (5, 3, "0x1.71f7b3a6b9187p+2"),
+        (5, 4, "0x1.96ca77c922cf9p+2"),
+        (13, 3, "0x1.bf999e2324e34p+4"),
+    ])
+    def test_frozen_float_bits(self, n, k, bits):
+        f = parse_weight("log:floor=0")
+        assert ex_prime(n, k, f).value.approx.hex() == bits
+        assert ex_prime_enumerated(n, k, f).value.approx.hex() == bits
+
+
 class TestEnumeratedOracle:
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
+    def test_bit_identical_to_generators(self, weight):
+        f = parse_weight(weight)
+        for n in range(61):
+            for k in range(1, 6):
+                assert _bits(ex_prime_enumerated(n, k, f)) == _bits(generator_ex_prime(n, k, f)), (n, k)
+
+    @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=1.5", "pow:mu=0.5"])
+    def test_float_value_is_left_to_right_sum(self, weight):
+        f = parse_weight(weight)
+        for n in range(1, 41):
+            for k in range(1, 6):
+                res = ex_prime_enumerated(n, k, f)
+                assert not res.value.is_exact
+                total = 0
+                for t in res.witness:
+                    if t:
+                        total += t * f(n - t)
+                assert res.value.approx.hex() == float(total).hex(), (n, k)
+
     def test_agrees_on_erratum_instance(self):
         assert ex_prime_enumerated(4, 2, power(4)).value.exact == 84
 
