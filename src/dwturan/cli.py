@@ -1,5 +1,8 @@
 """Command-line frontend. Thin dispatch; all computation lives in the modules.
 
+Each command imports the modules it calls when it runs, so a process loads
+only the layers its command uses.
+
 Reports are JSON (or CSV) on stdout, byte-identical across runs with the
 same configuration, and always embed the fully resolved configuration.
 Exit codes: 0 success, 1 a library-guaranteed invariant failed at runtime,
@@ -9,43 +12,17 @@ Exit codes: 0 success, 1 a library-guaranteed invariant failed at runtime,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import re
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import InvariantViolation
-from .graphs import (
-    Graph,
-    blowup_k3,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    graph6_decode,
-    graph6_encode,
-    path_graph,
-)
-from .majorize import erdos_majorizer, verify_majorization
-from .normgraphs import (
-    CounterexampleSpec,
-    counterexample_graph,
-    gap_report,
-    join_contains_blowup,
-    kab_free_check,
-    norm_graph,
-)
-from .partitions import ex_prime
-from .search import DEFAULT_LIMIT, ex_exact, ratio_table
-from .weights import (
-    check_log_continuity,
-    growth_rows,
-    is_nondecreasing,
-    parse_weight,
-)
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 _SHORTHAND = re.compile(
     r"^(?:K(?P<r>\d+)|C(?P<cyc>\d+)|P(?P<path>\d+)|K(?P<a>\d+),(?P<b>\d+)|K3s:(?P<s>\d+))$"
@@ -54,6 +31,15 @@ _SHORTHAND = re.compile(
 
 def parse_graph_spec(text: str) -> Graph:
     """Named shorthand (K4, C5, P4, K2,3, K3s:2) first, then graph6."""
+    from .graphs import (
+        blowup_k3,
+        complete_bipartite,
+        complete_graph,
+        cycle_graph,
+        graph6_decode,
+        path_graph,
+    )
+
     m = _SHORTHAND.match(text)
     if m:
         if m.group("r"):
@@ -81,7 +67,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _default_workers() -> int:
     env = os.environ.get("DWTURAN_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"DWTURAN_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -104,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbidden", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=None)
 
     p = sub.add_parser("exprime", help="maximize over complete k-partite graphs")
     p.add_argument("--n", type=int, required=True)
@@ -116,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--forbidden", required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=None)
 
     p = sub.add_parser("majorize", help="degree-dominating multipartite graph")
     p.add_argument("--graph", required=True)
@@ -143,6 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> dict:
+    from .graphs import graph6_encode
+    from .search import DEFAULT_LIMIT, ex_exact
+    from .weights import parse_weight
+
+    if args.limit is None:
+        args.limit = DEFAULT_LIMIT
     F = parse_graph_spec(args.forbidden)
     f = parse_weight(args.f)
     res = ex_exact(args.n, F, f, limit=args.limit, workers=args.workers)
@@ -155,6 +151,9 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_exprime(args) -> dict:
+    from .partitions import ex_prime
+    from .weights import parse_weight
+
     f = parse_weight(args.f)
     res = ex_prime(args.n, args.k, f)
     return {
@@ -165,6 +164,11 @@ def _cmd_exprime(args) -> dict:
 
 
 def _cmd_ratio(args) -> dict:
+    from .search import DEFAULT_LIMIT, ratio_table
+    from .weights import parse_weight
+
+    if args.limit is None:
+        args.limit = DEFAULT_LIMIT
     F = parse_graph_spec(args.forbidden)
     f = parse_weight(args.f)
     rows = ratio_table((args.nmin, args.nmax), F, f,
@@ -183,6 +187,9 @@ def _cmd_ratio(args) -> dict:
 
 
 def _cmd_majorize(args) -> dict:
+    from .graphs import graph6_encode
+    from .majorize import erdos_majorizer, verify_majorization
+
     G = parse_graph_spec(args.graph)
     res = erdos_majorizer(G, args.r)
     dominated = verify_majorization(G, res)
@@ -196,6 +203,8 @@ def _cmd_majorize(args) -> dict:
 
 
 def _cmd_normgraph(args) -> dict:
+    from .normgraphs import kab_free_check, norm_graph
+
     G = norm_graph(args.q, args.t)
     checks = {}
     t = args.t
@@ -211,6 +220,14 @@ def _cmd_normgraph(args) -> dict:
 
 
 def _cmd_counterexample(args) -> dict:
+    from .normgraphs import (
+        CounterexampleSpec,
+        counterexample_graph,
+        gap_report,
+        join_contains_blowup,
+    )
+    from .weights import parse_weight
+
     f = parse_weight(args.f)
     spec = CounterexampleSpec(q=args.q, t=args.t, s=args.s, f=f)
     # runs the K_{s,s} gate on the side graph and raises ConstructionRefused
@@ -235,6 +252,8 @@ def _cmd_counterexample(args) -> dict:
 
 
 def _cmd_checkf(args) -> dict:
+    from .weights import check_log_continuity, growth_rows, is_nondecreasing, parse_weight
+
     f = parse_weight(args.f)
     lo, hi = _parse_range(args.scan_range)
     result: dict = {"nondecreasing": is_nondecreasing(f, (lo, hi))}
@@ -266,6 +285,9 @@ _DISPATCH = {
 }
 
 def _to_csv(command: str, result: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "ratio":
@@ -324,11 +346,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = cfg.get("out")
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        # an unwritable report path is bad configuration, not an invariant
+        print(json.dumps({"error": str(exc), "kind": "input"}, sort_keys=True),
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -25,7 +25,6 @@ the same value-then-bitstring comparison.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -199,6 +198,10 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
         depth = min(M, max(2, math.ceil(math.log2(4 * workers))))
         prefixes = [tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
                     for p in range(1 << depth)]
+        # imported here: it pulls in multiprocessing, which a serial run
+        # would otherwise load for nothing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_search_tree, repeat(n), repeat(F), repeat(f),
                                     prefixes))

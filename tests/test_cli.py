@@ -1,11 +1,15 @@
 """CLI: report structure, schema validation, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import dwturan
 from dwturan import cli, complete_graph, cycle_graph, graph6_encode
 from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
@@ -109,7 +113,6 @@ class TestCommands:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(normgraphs, name, counted)
-            monkeypatch.setattr(cli, name, counted)
         hosts = []
         exists_in = SubgraphMatcher.exists_in
 
@@ -191,12 +194,12 @@ class TestConfigEmbedding:
         assert cfg["format"] == "json"
 
     def test_workers_env(self, monkeypatch):
-        from dwturan import search
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("exprime started a process pool")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("DWTURAN_WORKERS", "3")
         code, report = cli.run(["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"])
         assert code == 0
@@ -255,6 +258,26 @@ class TestExitCodes:
                                 "--f", "pow:mu=1"])
         assert code == 2
         assert report["error"] == "worker count must be >= 1"
+
+    def test_worker_env_not_a_number(self, monkeypatch):
+        monkeypatch.setenv("DWTURAN_WORKERS", "abc")
+        code, report = cli.run(["exprime", "--n", "4", "--k", "2",
+                                "--f", "pow:mu=1"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert "DWTURAN_WORKERS" in report["error"] and "'abc'" in report["error"]
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        argv = ["--workers", "1", "--out", str(target), "exprime", "--n", "4",
+                "--k", "2", "--f", "pow:mu=1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["kind"] == "input"
+        assert str(target) in report["error"]
+        assert not target.exists()
 
     def test_gate_refuses_343_vertex_side(self):
         # the K_{3,3} gate answers within the scan budget and refuses
@@ -328,3 +351,62 @@ class TestDeterminism:
         assert cli.main(argv) == 0
         data = json.loads(target.read_text())
         assert data["result"]["value"] == 84
+
+
+# runs cli.main in a fresh interpreter and reports what it left in sys.modules
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from dwturan import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({
+    "code": code,
+    "layers": sorted(m for m in sys.modules if m.startswith("dwturan.")),
+    "pool": "concurrent.futures" in sys.modules,
+}))
+"""
+_SRC = os.path.dirname(os.path.dirname(dwturan.__file__))
+
+
+def _fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestImportFootprint:
+    """A command loads only the layers it runs, and the pool module only for a pool."""
+
+    @pytest.mark.parametrize("argv, layers, pool", [
+        (["checkf", "--f", "pow:mu=1", "--range", "1:5"], {"weights"}, False),
+        (["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"],
+         {"weights", "graphs", "partitions"}, False),
+        (["normgraph", "--q", "3", "--t", "2"], {"weights", "graphs", "normgraphs"}, False),
+        (["counterexample", "--q", "3", "--t", "2", "--s", "3",
+          "--f", "staircase:c=0.5,seeds=9,base=1"],
+         {"weights", "graphs", "normgraphs"}, False),
+        (["majorize", "--graph", "Dhc", "--r", "3"],
+         {"weights", "graphs", "partitions", "majorize"}, False),
+        (["exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
+         {"weights", "graphs", "partitions", "search"}, False),
+        (["ratio", "--nmin", "3", "--nmax", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
+         {"weights", "graphs", "partitions", "search"}, False),
+        (["--workers", "2", "exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
+         {"weights", "graphs", "partitions", "search"}, True),
+    ], ids=["checkf", "exprime", "normgraph", "counterexample", "majorize", "exact",
+            "ratio", "exact-pool"])
+    def test_command_loads_its_layers(self, argv, layers, pool):
+        if argv[0] != "--workers":
+            argv = ["--workers", "1"] + argv
+        seen = _fresh_python("-c", _FOOTPRINT, *argv)
+        assert seen["code"] == 0
+        assert seen["layers"] == sorted(
+            {"dwturan.cli", "dwturan.errors"} | {f"dwturan.{m}" for m in layers})
+        assert seen["pool"] is pool
+
+    def test_package_import_loads_no_layer(self):
+        seen = _fresh_python("-c", "import dwturan, json, sys; print(json.dumps("
+                             "[m for m in sys.modules if m.startswith('dwturan')]))")
+        assert seen == ["dwturan"]
