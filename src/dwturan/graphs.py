@@ -196,6 +196,11 @@ class ObjectiveValue:
         a, b = self._cmp_key(other)
         return a <= b
 
+    def __sub__(self, other: "ObjectiveValue"):
+        """The difference, exact when both sides are exact, else in float."""
+        a, b = self._cmp_key(other)
+        return a - b
+
     def __gt__(self, other: "ObjectiveValue") -> bool:
         return not self <= other
 

@@ -37,7 +37,7 @@ from .graphs import (
     complete_multipartite,
     e_f,
 )
-from .weights import WeightFunction, tabulate
+from .weights import WeightFunction, float_slack, tabulate
 
 _FIELD_MAX_P = 100
 _FIELD_MAX_T = 4
@@ -343,10 +343,10 @@ def counterexample_graph(spec: CounterexampleSpec) -> Graph:
             f"the assembly gate requires K_{{{spec.s},{spec.s}}}-freeness"
         )
     N = side.n
-    edges = list(side.edges())
-    edges += [(N + u, N + v) for u, v in side.edges()]
-    edges += [(u, N + v) for u in range(N) for v in range(N)]
-    return Graph(2 * N, edges)
+    full = (1 << N) - 1
+    # row u: its side neighbors and all of the other copy; row N + u alike
+    adj = [row | full << N for row in side.adj] + [row << N | full for row in side.adj]
+    return Graph._from_adj(2 * N, adj)
 
 
 def join_contains_blowup(side: Graph, m: int, *,
@@ -413,12 +413,14 @@ def gap_report(spec: CounterexampleSpec, G: Graph) -> GapReport:
     the bipartite bound.
 
     exceeds = True certifies that no bipartite graph of the same order
-    reaches the construction's value under this weight.
+    reaches the construction's value under this weight; in float mode the
+    value must clear the bound by more than weights.float_slack.
     """
     if G.n != 2 * spec.side_size:
         raise ValueError(f"graph on {G.n} vertices is not the construction "
                          f"on 2 * {spec.side_size} vertices")
     value = e_f(G, spec.f)
     bound = bipartite_upper_bound(spec.side_size, spec.f)
+    slack = float_slack(*tabulate(spec.f, range(G.n)), G.n)
     return GapReport(side_size=spec.side_size, construction_value=value,
-                     bipartite_bound=bound, exceeds=value > bound)
+                     bipartite_bound=bound, exceeds=value - bound > slack)

@@ -15,7 +15,8 @@ last bits of float-mode values.
 
 Arithmetic runs in exact integers (weights.tabulate scales f(0..n-1) to a
 common denominator) whenever the weight is rational at every degree used;
-otherwise floats with an absolute near-tie tolerance of 1e-9.
+otherwise in floats, where sums count as tied when they are equal up to
+rounding, within weights.float_slack of each other.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from typing import Optional
 
 from .errors import InvariantViolation, ScaleLimitError
 from .graphs import ObjectiveValue, PartSizes, turan_part_sizes
-from .weights import WeightFunction, tabulate
-
-FLOAT_TIE_TOL = 1e-9
+from .weights import WeightFunction, float_slack, tabulate
 
 _ENUM_MAX_N = 200
 _ENUM_MAX_K = 5
@@ -40,9 +39,10 @@ class PartitionOptimum:
     """Optimal value and the realizing part-size vector.
 
     The witness is the lexicographically smallest non-increasing optimal
-    vector, always of length k (zero parts included). ties_flag reports
-    whether another vector came within tolerance of optimal (exact ties in
-    exact mode, 1e-9 near-ties in float mode).
+    vector, always of length k (zero parts included); in float mode,
+    optimal means tied with the optimum up to rounding. ties_flag reports
+    whether another vector ties with it too: exactly in exact mode, up to
+    rounding (weights.float_slack) in float mode.
     """
 
     value: ObjectiveValue
@@ -100,9 +100,8 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         rows.append([max(map(add, prev[m::-1], vals)) for m in range(n + 1)])
     opt = max(map(add, rows[k - 1][n::-1], vals))
 
-    # float mode matches within the tie tolerance because regrouped float
-    # sums of the same parts can differ in the last bits
-    tol = FLOAT_TIE_TOL if den is None else 0
+    # regrouped float sums of the same parts can differ in the last bits
+    tol = float_slack(vals, den, k)
 
     def leaders(j: int, m: int, target):
         """Ascending t that lead an optimal non-increasing filling of j parts
@@ -153,7 +152,7 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     if k < 1:
         raise ValueError("need at least one part")
     vals, den = _part_values(n, f)
-    tol = FLOAT_TIE_TOL if den is None else 0
+    tol = float_slack(vals, den, k)
     best = second = best_vec = None
     vec: list[int] = []
 
@@ -188,7 +187,8 @@ class ChainCheckReport:
     Two floor terms are reported because the min degree of the balanced
     (r-1)-partite graph is floor(n(r-2)/(r-1)); the alternative floor
     n(r-1)/r corresponds to r balanced parts and need not bound the
-    (r-1)-part score from below.
+    (r-1)-part score from below. In float mode the first three
+    comparisons hold up to rounding (weights.float_slack).
     """
 
     n: int
@@ -223,6 +223,7 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
     term_r = times_n(n * (r - 1) // r)
     term_rm1 = times_n(n * (r - 2) // (r - 1))
     gamma_term = gamma1 * n * f(n)
+    slack = float_slack(*tabulate(f, range(n)), n)
     return ChainCheckReport(
         n=n, r=r, gamma1=gamma1,
         optimum=opt.value,
@@ -230,9 +231,9 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
         floor_term_r=term_r,
         floor_term_rm1=term_rm1,
         gamma_term=gamma_term,
-        holds_first=opt.value >= balanced,
-        holds_middle_r=balanced >= term_r,
-        holds_middle_rm1=balanced >= term_rm1,
+        holds_first=balanced - opt.value <= slack,
+        holds_middle_r=term_r - balanced <= slack,
+        holds_middle_rm1=term_rm1 - balanced <= slack,
         holds_tail_r=term_r.approx >= gamma_term,
         holds_tail_rm1=term_rm1.approx >= gamma_term,
     )

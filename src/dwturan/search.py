@@ -8,9 +8,9 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
 
   * bound: each vertex can finish with degree at most its cap, current
     degree plus undecided slots, so the weight sum of the caps bounds every
-    leaf below; subtrees strictly under the incumbent are cut. Including a
-    slot leaves every cap as it is, so the sum is recomputed only when a
-    slot is excluded.
+    leaf below; subtrees under the incumbent by more than rounding
+    (weights.float_slack) are cut. Including a slot leaves every cap as it
+    is, so the sum is recomputed only when a slot is excluded.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
 from .errors import InvariantViolation, ScaleLimitError
@@ -40,10 +39,9 @@ from .graphs import (
     e_f,
 )
 from .partitions import ex_prime
-from .weights import WeightFunction, is_nondecreasing, tabulate
+from .weights import WeightFunction, float_slack, is_nondecreasing, tabulate
 
 DEFAULT_LIMIT = 8
-_FLOAT_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                  prefix: tuple[int, ...] = ()):
     """Run the pruned enumeration below one prefix of slot decisions.
 
-    Returns (best value or None, best bitstring, nodes, den): values are
-    sums of weights.tabulate(f, 0..n-1), integers over den, or floats when
+    Returns (best value or None, best bitstring, nodes): values are sums
+    of weights.tabulate(f, 0..n-1), integers over its den, or floats when
     den is None. The bitstring int has slot 0 at the highest bit so that
     integer order equals lexicographic order on slot decisions.
     """
@@ -73,7 +71,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     M = len(slots)
     table, den = tabulate(f, range(n))
     monotone = n <= 1 or is_nondecreasing(f, (0, n - 1))
-    prune_margin = _FLOAT_PRUNE_MARGIN if den is None else 0
+    slack = float_slack(table, den, n)
     # a leaf's value depends on its degree multiset alone, so isomorphic
     # leaves tie exactly and the bitstring decides between them
     leaf_sum = math.fsum if den is None else sum
@@ -88,6 +86,8 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     nodes = 0
     best = None
     best_bits = 0
+    # bounds below this cannot tie the incumbent, even up to rounding
+    cutoff = -math.inf
 
     def leaf_is_maximal() -> bool:
         for u, v in slots:
@@ -110,9 +110,9 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # exclude child sums it afresh in vertex order, since an incremental
     # update would round differently in float mode and move prune decisions.
     def rec(i: int, bits: int, bound):
-        nonlocal nodes, best, best_bits
+        nonlocal nodes, best, best_bits, cutoff
         nodes += 1
-        if monotone and best is not None and bound < best - prune_margin:
+        if bound < cutoff:
             return
         if i == M:
             if monotone and not leaf_is_maximal():
@@ -121,6 +121,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             if best is None or value > best or (value == best and bits < best_bits):
                 best = value
                 best_bits = bits
+                cutoff = best - slack if monotone else -math.inf
             return
         u, v = slots[i]
         adj[u] |= 1 << v
@@ -156,7 +157,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             cap[v] -= 1
     else:
         rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
-    return best, best_bits, nodes, den
+    return best, best_bits, nodes
 
 
 def _bits_to_graph(n: int, bits: int) -> Graph:
@@ -210,7 +211,7 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     best = None
     best_bits = 0
     nodes = 0
-    for value, bits, sub_nodes, den in results:
+    for value, bits, sub_nodes in results:
         nodes += sub_nodes
         if value is not None and (best is None or value > best
                                   or (value == best and bits < best_bits)):
@@ -223,15 +224,11 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     witness = _bits_to_graph(n, best_bits)
     if contains_subgraph(witness, F):
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
+    # e_f decides exactness on the witness degrees alone, so it may return
+    # the exact total where the search summed floats
     value = e_f(witness, f)
-    if den is None:
-        # e_f decides exactness on the witness degrees alone, so it may
-        # return the exact total where the search summed floats
-        reproduced = math.isclose(value.approx, best, rel_tol=1e-12, abs_tol=1e-12)
-    else:
-        # witness degrees lie in 0..n-1, where f was exact
-        reproduced = value.exact == Fraction(best, den)
-    if not reproduced:
+    table, den = tabulate(f, range(n))
+    if abs(value - ObjectiveValue.scaled(best, den)) > float_slack(table, den, n):
         raise InvariantViolation("witness does not reproduce the optimal value")
     return SearchResult(value=value, witness=witness, nodes_explored=nodes,
                         n=n, forbidden=F, f=f)
@@ -242,18 +239,17 @@ def verify_theorem1(n: int, r: int, f: WeightFunction, *,
     """Does the unrestricted optimum equal the complete multipartite optimum?
 
     Compares the exhaustive K_r-free maximum against the best complete
-    (r-1)-partite value, exactly whenever the weight evaluates exactly.
+    (r-1)-partite value, exactly whenever the weight evaluates exactly and
+    up to rounding (weights.float_slack) otherwise.
     """
     if r < 3:
         raise ValueError("need r >= 3")
-    if not is_nondecreasing(f, (0, max(n, 1))):
+    table, den = tabulate(f, range(max(n, 1) + 1))
+    if any(a > b for a, b in zip(table, table[1:])):
         raise ValueError("equality is only guaranteed for non-decreasing weights")
     full = ex_exact(n, complete_graph(r), f, limit=limit, workers=workers)
     multi = ex_prime(n, r - 1, f)
-    a, b = full.value, multi.value
-    if a.is_exact and b.is_exact:
-        return a.exact == b.exact
-    return math.isclose(a.approx, b.approx, rel_tol=1e-9, abs_tol=1e-9)
+    return abs(full.value - multi.value) <= float_slack(table, den, n)
 
 
 @dataclass(frozen=True)
@@ -268,8 +264,9 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
                 limit: int = DEFAULT_LIMIT, workers: int = 1) -> list[RatioRow]:
     """Rows (n, unrestricted optimum, multipartite optimum, ratio).
 
-    Requires a non-bipartite forbidden graph; every ratio must come out
-    >= 1 because multipartite graphs are a subfamily of the F-free graphs.
+    Requires a non-bipartite forbidden graph. Multipartite graphs are a
+    subfamily of the F-free graphs, so every ratio is >= 1; in float mode
+    only up to rounding, and a ratio may read 0.9999999999999999.
     """
     chi = chromatic_number(F)
     if chi < 3:
@@ -282,7 +279,7 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
     for n in range(lo, hi + 1):
         full = ex_exact(n, F, f, limit=limit, workers=workers)
         multi = ex_prime(n, chi - 1, f)
-        if full.value < multi.value:
+        if multi.value - full.value > float_slack(*tabulate(f, range(n)), n):
             raise InvariantViolation(
                 f"multipartite optimum exceeded the unrestricted optimum at n={n}"
             )

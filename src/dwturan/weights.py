@@ -11,8 +11,9 @@ Every family evaluates in float; families whose values are rational also
 evaluate exactly (as Fractions), queried per point via ``exact``.
 ``tabulate`` is the one place that turns a weight into numbers: exact
 integers over a common denominator when every requested point is rational,
-floats otherwise. The predicate checkers are finite-range scanners: they
-certify the scanned range and nothing beyond it.
+floats otherwise; ``float_slack`` is the one rule for comparing two totals
+of them. The predicate checkers are finite-range scanners: they certify
+the scanned range and nothing beyond it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .errors import ScaleLimitError
+
+MAX_EXPONENT = 1000  # exact mode computes n ** mu as an integer
 
 
 class WeightFunction:
@@ -51,8 +56,10 @@ class PowerWeight(WeightFunction):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("exponent must be non-negative")
+        if not math.isfinite(self.mu) or self.mu < 0:
+            raise ValueError(f"pow parameter mu must be finite and non-negative, got {self.mu}")
+        if self.mu > MAX_EXPONENT:
+            raise ScaleLimitError(f"pow parameter mu={self.mu:g} above limit {MAX_EXPONENT}")
 
     def __call__(self, n: int) -> float:
         return float(n) ** self.mu
@@ -92,6 +99,8 @@ class LogWeight(WeightFunction):
     floor_at_zero: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.floor_at_zero):
+            raise ValueError(f"log parameter floor must be finite, got {self.floor_at_zero}")
         if self.floor_at_zero > 0:
             raise ValueError("value at 0 must be <= 0 to keep the family non-decreasing")
 
@@ -271,6 +280,19 @@ def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list, Optional[i
         exact.append(x)
     den = math.lcm(*(x.denominator for x in exact))
     return [x.numerator * (den // x.denominator) for x in exact], den
+
+
+def float_slack(values: Sequence, den: Optional[int], terms: int) -> float:
+    """Widest gap rounding can open between two sums of one total: 0 in
+    exact mode, else 2 * terms**2 * eps * max|v| for sums in any order of
+    at most ``terms`` values, or of products t * v with counts t adding up
+    to at most ``terms``. Recursive summation of m terms is off by at most
+    (m - 1) * u * sum|x|, u = eps / 2 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", section 4.2).
+    """
+    if den is not None:
+        return 0
+    return 2 * terms * terms * math.ulp(1.0) * max(map(abs, values), default=0)
 
 
 # ---------------------------------------------------------------------------

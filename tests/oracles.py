@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's search machinery:
 containment is tested by trying every injective vertex map, coloring by
 trying every color map, and the forbidden-free maximum by scoring every
-labeled graph. The norm graph is built by field-element subtraction and
-K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
+labeled graph; the witness oracle also reads off the least optimal
+maximal edge bitstring. The norm graph is built by field-element
+subtraction and K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
 two references, the full-table DP and the generator enumeration; each
 adds the same part values in the same order as the routine it checks, so
-float results must agree bit for bit.
+float results must agree bit for bit. Float ties are judged by the
+library's one rounding rule, weights.float_slack, as the routines do.
 """
 
 import math
@@ -23,7 +25,7 @@ from dwturan import (
     e_f,
     norm,
 )
-from dwturan.weights import tabulate
+from dwturan.weights import float_slack, tabulate
 
 
 def naive_contains(G: Graph, F: Graph) -> bool:
@@ -74,6 +76,33 @@ def naive_ex_exact(n: int, F: Graph, f):
         if best is None or value > best:
             best = value
     return best
+
+
+def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
+    """Optimum and witness as ex_exact defines them, for non-decreasing f.
+
+    Slots are the pairs (u, v), u < v, in row-major order, and slot 0 is
+    the most significant bit of a graph's bitstring. Every bitstring is
+    tested against every copy of F in K_n (as an edge mask), the maximal
+    F-free ones are scored with e_f, and the least bitstring among the
+    optimal ones is returned. 2^15 bitstrings at n = 6.
+    """
+    pairs = list(combinations(range(n), 2))
+    M = len(pairs)
+    slot_bit = {pair: 1 << (M - 1 - i) for i, pair in enumerate(pairs)}
+    copies = set()
+    for images in permutations(range(n), F.n):
+        copies.add(sum(slot_bit[tuple(sorted((images[u], images[v])))]
+                       for u, v in F.edges()))
+    free = [not any(bits & c == c for c in copies) for bits in range(1 << M)]
+    best = best_bits = None
+    for bits in range(1 << M):
+        if not free[bits] or any(free[bits | b] for b in slot_bit.values() if not bits & b):
+            continue
+        value = e_f(Graph(n, [p for p in pairs if bits & slot_bit[p]]), f)
+        if best is None or value > best:
+            best, best_bits = value, bits
+    return best, Graph(n, [p for p in pairs if best_bits & slot_bit[p]])
 
 
 def random_step_weight(rng, max_jump=130, max_level=60):
@@ -142,7 +171,7 @@ def full_table_ex_prime(n: int, k: int, f) -> PartitionOptimum:
     for _j in range(k):
         prev = [max(map(add, prev[m::-1], vals)) for m in range(n + 1)]
         rows.append(prev)
-    tol = 1e-9 if den is None else 0
+    tol = float_slack(vals, den, k)
 
     def leaders(j: int, m: int):
         target = rows[j][m]
@@ -186,7 +215,7 @@ def generator_ex_prime(n: int, k: int, f) -> PartitionOptimum:
     """Every non-increasing k-vector from a chain of generators, each
     scored by sum() over its part values."""
     vals, den = _part_values(n, f)
-    tol = 1e-9 if den is None else 0
+    tol = float_slack(vals, den, k)
     best = second = best_vec = None
     for vec in _nonincreasing_vectors(k, n, n):
         v = sum(vals[t] for t in vec)

@@ -174,6 +174,20 @@ class TestCommands:
         assert cli.main(argv) == 0
         assert '"value": 101,' in capsys.readouterr().out
 
+    def test_exprime_float_totals_past_1e7(self):
+        # the witness descent matches regrouped sums up to rounding, which
+        # at totals past 1e7 is more than any fixed 1e-9
+        code, report = run_json(["exprime", "--n", "56", "--k", "3", "--f", "pow:mu=3.3"])
+        assert code == 0
+        assert report["result"]["witness"] == [19, 19, 18]
+
+    def test_ratio_float_row_at_one(self):
+        # the two K5 optima tie up to rounding and print one ulp apart
+        code, report = run_json(["ratio", "--nmin", "5", "--nmax", "5",
+                                 "--forbidden", "K5", "--f", "pow:mu=1.7"])
+        assert code == 0
+        assert report["result"]["rows"][0]["ratio"] == pytest.approx(1.0, abs=1e-15)
+
     def test_checkf_log_continuity(self, schema):
         code, report = run_json(
             ["checkf", "--f", "pow:mu=2", "--range", "1:1000",
@@ -225,6 +239,19 @@ class TestExitCodes:
             ["exprime", "--n", "4", "--k", "2", "--f", "pow:nu=1"])
         assert code == 2
         assert report["kind"] == "input"
+
+    @pytest.mark.parametrize("argv", [
+        ["exprime", "--n", "5", "--k", "2", "--f", "pow:mu=1e300"],
+        ["exprime", "--n", "5", "--k", "2", "--f", "pow:mu=nan"],
+        ["exprime", "--n", "5", "--k", "2", "--f", "log:floor=nan"],
+        ["exact", "--n", "4", "--forbidden", "K3", "--f", "log:floor=nan"],
+        ["exprime", "--n", "5", "--k", "2", "--f", "log:floor=-inf"],
+    ])
+    def test_weight_parameter_not_finite_or_too_large(self, argv):
+        code, report = run_json(argv)
+        assert code == 2
+        assert report["kind"] == "input"
+        assert ("mu" if "pow" in argv[-1] else "floor") in report["error"]
 
     def test_malformed_graph6(self):
         code, report = run_json(

@@ -13,6 +13,8 @@ from dwturan import (
     e_f,
     empty_graph,
     erdos_majorizer,
+    log_family,
+    parse_weight,
     power,
     random_kr_free_graph,
     theorem1_chain,
@@ -135,6 +137,23 @@ class TestChain:
         rep = theorem1_chain(empty_graph(4), 3, power(3))
         assert rep.value_graph.exact == 0
         assert rep.holds_first and rep.holds_second
+
+    def test_float_turan_graph_reaches_optimum(self):
+        # e_f sums 21 degrees, the DP two parts: equal up to rounding
+        from dwturan import turan_graph
+
+        rep = theorem1_chain(turan_graph(2, 21), 3, log_family())
+        assert rep.holds_first and rep.holds_second
+
+    def test_float_turan_graphs(self):
+        from dwturan import turan_graph
+
+        for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=2.5"):
+            f = parse_weight(weight)
+            for r in (3, 4, 5):
+                for n in range(1, 40):
+                    rep = theorem1_chain(turan_graph(r - 1, n), r, f)
+                    assert rep.holds_first and rep.holds_second, (weight, r, n)
 
     def test_random_instances(self):
         rng = random.Random(5)

@@ -270,6 +270,12 @@ class TestCounterexample:
             assert not join_contains_blowup(side, s + 2, kss_free=s)
             assert not join_contains_blowup(side, s + 2)
 
+    @pytest.mark.parametrize("q,s", [(3, 3), (13, 4)])
+    def test_assembly_is_the_join(self, q, s):
+        spec = CounterexampleSpec(q=q, t=2, s=s, f=_toy_staircase())
+        side = norm_graph(q, 2)
+        assert counterexample_graph(spec) == join(side, side)
+
     def test_refuses_s_two(self):
         # the GF(9) norm graph contains a K_{2,2}, so the s=2 gate fails
         spec = CounterexampleSpec(q=3, t=2, s=2, f=_toy_staircase())

@@ -7,6 +7,7 @@ import pytest
 
 from dwturan import (
     PartSizes,
+    log_family,
     ScaleLimitError,
     StepWeight,
     complete_multipartite,
@@ -19,6 +20,7 @@ from dwturan import (
     power,
     turan_chain_check,
 )
+from dwturan.weights import float_slack, tabulate
 from oracles import full_table_ex_prime, generator_ex_prime, random_step_weight
 
 # integer, scaled-rational and float weights, monotone and not
@@ -154,6 +156,28 @@ class TestAgainstFullTable:
         assert ex_prime_enumerated(n, k, f).value.approx.hex() == bits
 
 
+class TestLargeFloatTotals:
+    """Totals past 1e7, where one ulp exceeds any fixed tie tolerance of 1e-9."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_bit_identical_to_references(self, k):
+        f = parse_weight("pow:mu=3.3")
+        for n in range(50, 121):
+            assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), (n, k)
+        for n in (50, 56, 83, 120) if k == 5 else range(50, 121, 3):
+            assert _bits(ex_prime_enumerated(n, k, f)) == _bits(generator_ex_prime(n, k, f)), (n, k)
+
+    def test_routines_agree_up_to_rounding(self):
+        # the DP and the enumeration add the parts in different orders
+        f = parse_weight("pow:mu=3.3")
+        a = ex_prime(50, 3, f)
+        b = ex_prime_enumerated(50, 3, f)
+        assert a.value.approx != b.value.approx
+        vals, den = tabulate(f, range(50))
+        assert abs(a.value - b.value) <= float_slack(vals, den, 50)
+        assert a.witness == b.witness and a.ties_flag == b.ties_flag
+
+
 class TestEnumeratedOracle:
     @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
     def test_bit_identical_to_generators(self, weight):
@@ -256,6 +280,21 @@ class TestChainCheck:
                 rep = turan_chain_check(n, 3, power(mu), 0.1)
                 assert rep.holds_first
                 assert rep.holds_middle_rm1
+
+    def test_float_balanced_split_at_its_own_floor(self):
+        # 33 + 33 + 33: every vertex has degree 66, so the balanced value
+        # is n * f(66); 3 * (33 * ln 66) and 99 * ln 66 round apart
+        rep = turan_chain_check(99, 4, log_family(), 0.1)
+        assert rep.balanced_value.approx != rep.floor_term_rm1.approx
+        assert rep.holds_first and rep.holds_middle_rm1
+
+    def test_float_min_degree_reading_holds(self):
+        for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=1.5"):
+            f = parse_weight(weight)
+            for r in (3, 4, 5):
+                for n in range(3, 120, 4):
+                    rep = turan_chain_check(n, r, f, 0.1)
+                    assert rep.holds_first and rep.holds_middle_rm1, (weight, r, n)
 
     def test_other_reading_can_fail(self):
         failures = sum(

@@ -20,7 +20,7 @@ from dwturan import (
     ratio_table,
     verify_theorem1,
 )
-from oracles import naive_ex_exact
+from oracles import naive_ex_exact, naive_ex_exact_witness
 
 
 class TestExExact:
@@ -126,6 +126,27 @@ class TestExExact:
         assert ex_exact(1, complete_graph(3), power(1.5)).value.approx == 0.0
 
 
+class TestWitnessOracle:
+    """Value and least optimal maximal bitstring, against full enumeration."""
+
+    def test_float_totals_near_1e15(self):
+        # the totals reach 4e14, where one ulp is more than a 1e-9 margin
+        f = power(20.5)
+        res = ex_exact(6, complete_graph(4), f)
+        value, witness = naive_ex_exact_witness(6, complete_graph(4), f)
+        assert res.value == value
+        assert res.witness == witness
+
+    @pytest.mark.parametrize("F", [complete_graph(3), complete_graph(4), cycle_graph(4),
+                                   cycle_graph(5)])
+    @pytest.mark.parametrize("weight", ["pow:mu=2", "half", "log:floor=0", "pow:mu=12.5"])
+    def test_agrees(self, F, weight):
+        f = parse_weight(weight)
+        for n in range(1, 6):
+            res = ex_exact(n, F, f)
+            assert (res.value, res.witness) == naive_ex_exact_witness(n, F, f), n
+
+
 class TestFrozenPatternValues:
     """Values, witnesses and node counts that the incremental matcher decides.
 
@@ -226,6 +247,12 @@ class TestRatioTable:
     def test_rejects_bipartite_forbidden(self):
         with pytest.raises(ValueError, match="non-bipartite"):
             ratio_table((3, 5), complete_bipartite(2, 2), power(1))
+
+    def test_float_optima_tied_up_to_rounding(self):
+        # ex and ex' of K5 at n = 5 are the same total, summed two ways
+        rows = ratio_table((5, 5), complete_graph(5), power(1.7))
+        assert rows[0].ex_value.approx != rows[0].ex_prime_value.approx
+        assert rows[0].ratio == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_order_row(self):
         rows = ratio_table((0, 1), complete_graph(3), power(1))

@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from dwturan import (
+    ScaleLimitError,
     StaircaseParams,
     StepWeight,
     WeightFunction,
@@ -19,7 +21,13 @@ from dwturan import (
     power,
     staircase,
 )
-from dwturan.weights import growth_bound_profile, growth_rows, tabulate
+from dwturan.weights import (
+    MAX_EXPONENT,
+    float_slack,
+    growth_bound_profile,
+    growth_rows,
+    tabulate,
+)
 
 
 class _Pow2(WeightFunction):
@@ -51,6 +59,19 @@ class TestFamilies:
         with pytest.raises(ValueError):
             power(-1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_power_rejects_non_finite(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            power(mu)
+
+    def test_power_exponent_limit(self):
+        # exact mode would compute n ** mu as an integer
+        assert power(MAX_EXPONENT).exact(2) == 2 ** MAX_EXPONENT
+        with pytest.raises(ScaleLimitError, match="mu="):
+            power(MAX_EXPONENT + 1)
+        with pytest.raises(ScaleLimitError):
+            parse_weight("pow:mu=1e300")
+
     def test_half(self):
         assert half().exact(5) == Fraction(5, 2)
 
@@ -67,6 +88,11 @@ class TestFamilies:
     def test_log_rejects_positive_floor(self):
         with pytest.raises(ValueError):
             log_family(0.5)
+
+    @pytest.mark.parametrize("text", ["log:floor=nan", "log:floor=-inf", "log:floor=inf"])
+    def test_log_rejects_non_finite_floor(self, text):
+        with pytest.raises(ValueError, match="floor must be finite"):
+            parse_weight(text)
 
     def test_step_weight(self):
         f = StepWeight([0, 5, 9], [1, 3, 7])
@@ -108,6 +134,27 @@ class TestTabulate:
         else:
             assert all(type(v) is int for v in vals)
             assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
+
+
+class TestFloatSlack:
+    def test_zero_in_exact_mode(self):
+        vals, den = tabulate(power(2), range(50))
+        assert float_slack(vals, den, 50) == 0
+
+    def test_formula_in_float_mode(self):
+        vals, den = tabulate(power(2.5), range(10))
+        assert den is None
+        assert float_slack(vals, den, 10) == 2 * 100 * 2.0 ** -52 * 9 ** 2.5
+        assert float_slack([], None, 3) == 0
+        assert float_slack([-4.0, 1.0], None, 1) == 2 * 2.0 ** -52 * 4
+
+    def test_bounds_reordered_sums(self):
+        # these eight values, summed in every order, land on several floats
+        vals, den = tabulate(power(3.3), range(120))
+        terms = [vals[d] for d in (12, 23, 80, 92, 110, 37, 15, 95)]
+        sums = {sum(order) for order in permutations(terms)}
+        assert len(sums) > 1
+        assert max(sums) - min(sums) <= float_slack(vals, den, len(terms))
 
 
 class TestStaircase:
