@@ -87,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--out", default=None, help="write the report to a file")
     top.add_argument("--workers", "--threads", type=int, default=None,
-                     help="worker processes (default: DWTURAN_WORKERS or all cores)")
+                     help="worker processes (default: DWTURAN_WORKERS or all cores); "
+                          "at most min(workers, usable CPUs) run, and the search "
+                          "split, so the node count, follows the workers alone")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="maximize sum f(deg) over forbidden-free graphs")

@@ -99,7 +99,8 @@ class ChainReport:
 
 def theorem1_chain(G: Graph, r: int, f: WeightFunction) -> ChainReport:
     """Evaluate e_f(G) <= e_f(H) <= multipartite optimum for K_r-free G."""
-    table, den = tabulate(f, range(max(G.n, 1) + 1))
+    # only degrees 0..n-1 occur, so f beyond n-1 is never evaluated
+    table, den = tabulate(f, range(max(G.n, 1)))
     if any(x > y for x, y in zip(table, table[1:])):
         raise ValueError("the chain requires a non-decreasing weight")
     res = erdos_majorizer(G, r)

@@ -18,13 +18,15 @@ Among evaluated optimal leaves the reported witness is the one whose edge
 bitstring (fixed slot order) is lexicographically smallest; with the
 maximality rule active that means smallest among maximal witnesses. Results
 are independent of the worker count: a run partitions the tree by its
-first few slot decisions (none when serial) and reduces the subtrees with
-the same value-then-bitstring comparison.
+first few slot decisions (none for one worker) and reduces the subtrees
+with the same value-then-bitstring comparison, whichever processes
+searched them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -167,18 +169,29 @@ def _bits_to_graph(n: int, bits: int) -> Graph:
     return Graph(n, edges)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ex_exact(n: int, F: Graph, f: WeightFunction, *,
              limit: int = DEFAULT_LIMIT, workers: int = 1) -> SearchResult:
     """Exact maximum of the weighted degree sum over F-free graphs of order n.
 
     Refuses orders above the limit (the tree has up to 2**C(n,2) leaves).
-    One worker searches the whole tree, the subtree below the empty prefix,
-    in this process. With workers > 1 the tree is split on its first
-    ceil(log2(4 * workers)) slot decisions (at least 2, at most C(n,2)) and
-    a process pool searches one subtree per prefix. The subtree results
-    are reduced once, by value and then least bitstring, so value and
-    witness do not depend on the worker count; the node count does, since
-    subtrees do not share their incumbents.
+    One worker searches the whole tree, the subtree below the empty prefix.
+    With workers > 1 the tree is split on its first ceil(log2(4 * workers))
+    slot decisions (at least 2, at most C(n,2)), one subtree per prefix.
+    At most min(workers, usable CPUs) processes search the subtrees: a
+    process pool when that is more than one, else this process, in prefix
+    order. Usable CPUs are the process's affinity set, or os.cpu_count()
+    where the OS keeps none. The subtree results are reduced once, by
+    value and then least bitstring, so value and witness do not depend on
+    the worker count. The node count does, since subtrees do not share
+    their incumbents; it follows the split, so the worker count alone,
+    never the number of CPUs.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -195,19 +208,21 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
         )
 
     M = n * (n - 1) // 2
-    if workers > 1 and M > 2:
-        depth = min(M, max(2, math.ceil(math.log2(4 * workers))))
-        prefixes = [tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
-                    for p in range(1 << depth)]
-        # imported here: it pulls in multiprocessing, which a serial run
-        # would otherwise load for nothing
+    depth = (min(M, max(2, math.ceil(math.log2(4 * workers))))
+             if workers > 1 and M > 2 else 0)
+    prefixes = [tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
+                for p in range(1 << depth)]
+    searches = (repeat(n), repeat(F), repeat(f), prefixes)
+    procs = min(workers, _usable_cpus()) if depth else 1
+    if procs > 1:
+        # imported here: it pulls in multiprocessing, which a run on one
+        # CPU would otherwise load for nothing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_search_tree, repeat(n), repeat(F), repeat(f),
-                                    prefixes))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            results = list(pool.map(_search_tree, *searches))
     else:
-        results = [_search_tree(n, F, f)]
+        results = map(_search_tree, *searches)
     best = None
     best_bits = 0
     nodes = 0
@@ -244,7 +259,8 @@ def verify_theorem1(n: int, r: int, f: WeightFunction, *,
     """
     if r < 3:
         raise ValueError("need r >= 3")
-    table, den = tabulate(f, range(max(n, 1) + 1))
+    # only degrees 0..n-1 occur, so f beyond n-1 is never evaluated
+    table, den = tabulate(f, range(max(n, 1)))
     if any(a > b for a, b in zip(table, table[1:])):
         raise ValueError("equality is only guaranteed for non-decreasing weights")
     full = ex_exact(n, complete_graph(r), f, limit=limit, workers=workers)

@@ -49,6 +49,11 @@ class WeightFunction:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
 
+def _spec_number(x: float) -> str:
+    """A float parameter as parse_weight reads it back: int if integral, else repr."""
+    return str(int(x)) if x == int(x) else repr(x)
+
+
 @dataclass(frozen=True, repr=False)
 class PowerWeight(WeightFunction):
     """x -> x**mu with the convention 0**0 = 1, so mu = 0 counts vertices."""
@@ -70,8 +75,7 @@ class PowerWeight(WeightFunction):
         return Fraction(n ** int(self.mu))
 
     def spec_string(self) -> str:
-        mu = self.mu
-        return f"pow:mu={int(mu) if mu == int(mu) else mu}"
+        return f"pow:mu={_spec_number(self.mu)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -110,7 +114,7 @@ class LogWeight(WeightFunction):
         return math.log(n)
 
     def spec_string(self) -> str:
-        return f"log:floor={self.floor_at_zero:g}"
+        return f"log:floor={_spec_number(self.floor_at_zero)}"
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,7 @@ class StaircaseWeight(WeightFunction):
         base = self.params.base
         base_str = str(int(base)) if base.denominator == 1 else f"{base.numerator}/{base.denominator}"
         seeds = ";".join(str(s) for s in self.params.seeds)
-        return f"staircase:c={self.params.c:g},seeds={seeds},base={base_str}"
+        return f"staircase:c={_spec_number(self.params.c)},seeds={seeds},base={base_str}"
 
 
 @dataclass(frozen=True, repr=False)

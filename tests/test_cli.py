@@ -380,19 +380,38 @@ class TestDeterminism:
         assert data["result"]["value"] == 84
 
 
-# runs cli.main in a fresh interpreter and reports what it left in sys.modules
+# runs cli.main in a fresh interpreter, pinned to the CPUs listed in its
+# first argument (JSON; null leaves it unpinned), and reports its stdout and
+# what it left in sys.modules
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+cpus = json.loads(sys.argv[1])
+if cpus is not None:
+    os.sched_setaffinity(0, cpus)
 from dwturan import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[2:])
 print(json.dumps({
     "code": code,
     "layers": sorted(m for m in sys.modules if m.startswith("dwturan.")),
     "pool": "concurrent.futures" in sys.modules,
+    "stdout": out.getvalue(),
 }))
 """
 _SRC = os.path.dirname(os.path.dirname(dwturan.__file__))
+
+
+def _pin_cpus(count):
+    """The first count CPUs this process may run on; skips the test if fewer."""
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(usable) < count:
+        pytest.skip(f"needs {count} usable CPUs to pin a child to")
+    return usable[:count]
+
+
+_EXACT_TWO_WORKERS = ["--workers", "2", "exact", "--n", "4", "--forbidden", "K3",
+                      "--f", "pow:mu=1"]
 
 
 def _fresh_python(*args):
@@ -404,34 +423,46 @@ def _fresh_python(*args):
 
 
 class TestImportFootprint:
-    """A command loads only the layers it runs, and the pool module only for a pool."""
+    """A command loads only the layers it runs, and the pool module only for a
+    pool, which needs more than one usable CPU. Children that can start a pool
+    pin their own CPUs, so the runner's affinity does not decide the outcome."""
 
-    @pytest.mark.parametrize("argv, layers, pool", [
-        (["checkf", "--f", "pow:mu=1", "--range", "1:5"], {"weights"}, False),
+    @pytest.mark.parametrize("argv, layers, pool, cpus", [
+        (["checkf", "--f", "pow:mu=1", "--range", "1:5"], {"weights"}, False, None),
         (["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions"}, False),
-        (["normgraph", "--q", "3", "--t", "2"], {"weights", "graphs", "normgraphs"}, False),
+         {"weights", "graphs", "partitions"}, False, None),
+        (["normgraph", "--q", "3", "--t", "2"], {"weights", "graphs", "normgraphs"},
+         False, None),
         (["counterexample", "--q", "3", "--t", "2", "--s", "3",
           "--f", "staircase:c=0.5,seeds=9,base=1"],
-         {"weights", "graphs", "normgraphs"}, False),
+         {"weights", "graphs", "normgraphs"}, False, None),
         (["majorize", "--graph", "Dhc", "--r", "3"],
-         {"weights", "graphs", "partitions", "majorize"}, False),
+         {"weights", "graphs", "partitions", "majorize"}, False, None),
         (["exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions", "search"}, False),
+         {"weights", "graphs", "partitions", "search"}, False, None),
         (["ratio", "--nmin", "3", "--nmax", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions", "search"}, False),
-        (["--workers", "2", "exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions", "search"}, True),
+         {"weights", "graphs", "partitions", "search"}, False, None),
+        (_EXACT_TWO_WORKERS, {"weights", "graphs", "partitions", "search"}, True, 2),
+        (_EXACT_TWO_WORKERS, {"weights", "graphs", "partitions", "search"}, False, 1),
     ], ids=["checkf", "exprime", "normgraph", "counterexample", "majorize", "exact",
-            "ratio", "exact-pool"])
-    def test_command_loads_its_layers(self, argv, layers, pool):
+            "ratio", "exact-pool", "exact-one-cpu"])
+    def test_command_loads_its_layers(self, argv, layers, pool, cpus):
         if argv[0] != "--workers":
             argv = ["--workers", "1"] + argv
-        seen = _fresh_python("-c", _FOOTPRINT, *argv)
+        pin = None if cpus is None else _pin_cpus(cpus)
+        seen = _fresh_python("-c", _FOOTPRINT, json.dumps(pin), *argv)
         assert seen["code"] == 0
         assert seen["layers"] == sorted(
             {"dwturan.cli", "dwturan.errors"} | {f"dwturan.{m}" for m in layers})
         assert seen["pool"] is pool
+
+    def test_one_cpu_prints_the_pool_report(self):
+        pooled = _fresh_python("-c", _FOOTPRINT, json.dumps(_pin_cpus(2)),
+                               *_EXACT_TWO_WORKERS)
+        alone = _fresh_python("-c", _FOOTPRINT, json.dumps(_pin_cpus(1)),
+                              *_EXACT_TWO_WORKERS)
+        assert (pooled["pool"], alone["pool"]) == (True, False)
+        assert alone["stdout"] == pooled["stdout"]
 
     def test_package_import_loads_no_layer(self):
         seen = _fresh_python("-c", "import dwturan, json, sys; print(json.dumps("

@@ -155,6 +155,14 @@ class TestChain:
                     rep = theorem1_chain(turan_graph(r - 1, n), r, f)
                     assert rep.holds_first and rep.holds_second, (weight, r, n)
 
+    def test_weight_checked_on_occurring_degrees_only(self):
+        # f drops only at 4, a degree no vertex of a 4-vertex graph has
+        from dwturan import StepWeight
+
+        rep = theorem1_chain(cycle_graph(4), 3, StepWeight([0, 4], [1, 0]))
+        assert rep.value_graph.exact == rep.value_optimum.exact == 4
+        assert rep.holds_first and rep.holds_second
+
     def test_random_instances(self):
         rng = random.Random(5)
         for _ in range(40):

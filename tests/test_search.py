@@ -1,5 +1,8 @@
 """Exhaustive search: frozen values, naive-oracle agreement, determinism."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from dwturan import (
@@ -202,15 +205,42 @@ class TestFrozenCliqueValues:
         assert graph6_encode(res.witness) == witness
         assert res.nodes_explored == nodes
 
-    @pytest.mark.parametrize("workers,nodes", [(1, 408), (2, 515)])
-    def test_pool_prefixes(self, workers, nodes):
+    @pytest.mark.parametrize("workers,nodes,one_cpu", [
+        (1, 408, False), (2, 515, False), (2, 515, True),
+    ], ids=["1-408", "2-515", "2-515-one-cpu"])
+    def test_pool_prefixes(self, monkeypatch, workers, nodes, one_cpu):
         # two workers split the tree on its first three slots, so the
-        # subtrees start from prefix decisions that exclude slots
+        # subtrees start from prefix decisions that exclude slots; the
+        # split follows the worker count alone, so one CPU searches the
+        # same subtrees in this process
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
         res = ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"),
                        workers=workers)
         assert res.value.exact == 12
         assert graph6_encode(res.witness) == "DFw"
         assert res.nodes_explored == nodes
+
+    @pytest.mark.parametrize("cpu_count,pool", [(None, False), (1, False), (2, True)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count, pool):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+        if pool:
+            with pytest.raises(_PoolStarted):
+                ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"), workers=2)
+        else:
+            res = ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"), workers=2)
+            assert res.nodes_explored == 515
+
+
+class _PoolStarted(Exception):
+    pass
+
+
+def _refuse_pool(*args, **kwargs):
+    raise _PoolStarted
 
 
 class TestVerifyTheorem1:
@@ -222,6 +252,10 @@ class TestVerifyTheorem1:
     def test_common_value_seven_four(self):
         # the balanced 3-partite graph on 7 vertices has 16 edges
         assert ex_prime(7, 3, power(1)).value.exact == 32
+
+    def test_weight_checked_on_occurring_degrees_only(self):
+        # f drops only at 4, a degree no vertex of a 4-vertex graph has
+        assert verify_theorem1(4, 3, StepWeight([0, 4], [1, 0]))
 
     def test_rejects_non_monotone(self):
         class Dip(WeightFunction):

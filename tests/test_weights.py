@@ -314,9 +314,11 @@ class TestParser:
         assert f.exact(2 * 5000 + 100) == 8
 
     def test_round_trip_spec_string(self):
-        for text in ("pow:mu=2", "half", "staircase:c=0.5,seeds=9;200,base=1"):
+        for text in ("pow:mu=2", "half", "staircase:c=0.5,seeds=9;200,base=1",
+                     "log:floor=-0.123456789", "staircase:c=0.512345678,seeds=9,base=1"):
             f = parse_weight(text)
             again = parse_weight(f.spec_string())
+            assert again == f
             assert all(f(n) == again(n) for n in range(0, 50))
 
     @pytest.mark.parametrize("bad", [
