@@ -169,6 +169,8 @@ def _cmd_ratio(args) -> dict:
     from .search import DEFAULT_LIMIT, ratio_table
     from .weights import parse_weight
 
+    if args.nmin > args.nmax:
+        raise ValueError(f"empty range: --nmin {args.nmin} is above --nmax {args.nmax}")
     if args.limit is None:
         args.limit = DEFAULT_LIMIT
     F = parse_graph_spec(args.forbidden)

@@ -356,11 +356,17 @@ class SubgraphMatcher:
     call, by the same anchored search with F as its own host; Aut(F) itself
     is never listed.
 
-    A complete pattern K_k (k >= 2) goes to ``creates_clique`` instead, which
-    is faster than the anchored search on it; ``exists_using_edge`` is the
-    one question the labeled search asks, whatever the pattern. ``exists_in``
-    stays generic for every pattern, so re-checking a witness of a clique
-    search runs a different algorithm from the one that pruned it.
+    Three shapes leave the anchored search in ``exists_using_edge``; each
+    kernel is faster than it on its shape. A complete pattern K_k (k >= 2)
+    goes to ``creates_clique``. A connected non-complete pattern of maximum
+    degree at most 2 on k >= 3 vertices is a cycle C_k when it has k edges
+    and a path P_k otherwise; both go to one bitset walk, ``_walk_from``.
+    C_k through (a, b) is a walk of k - 2 vertices from b that ends in N(a);
+    P_k through (a, b) hangs the k - 2 other vertices off b and a, each split
+    once. The shape is read off the pattern alone. ``exists_using_edge`` is
+    the one question the labeled search asks, whatever the pattern.
+    ``exists_in`` stays generic for every pattern, so re-checking a witness
+    of a kernel search runs a different algorithm from the one that pruned it.
     """
 
     def __init__(self, F: Graph):
@@ -387,7 +393,13 @@ class SubgraphMatcher:
         self._twins = twins
         self.twin_prev = self._twin_prev(())
         self._anchors = None
-        self._clique = k >= 2 and F.num_edges == k * (k - 1) // 2
+        m = F.num_edges
+        if k >= 2 and m == k * (k - 1) // 2:
+            self._shape = "clique"
+        elif k >= 3 and max(F.degrees) <= 2 and _is_connected(F):
+            self._shape = "cycle" if m == k else "path"
+        else:
+            self._shape = None
 
     def _twin_prev(self, anchored) -> list[int]:
         """Per position, its nearest earlier twin position outside anchored, or -1."""
@@ -412,11 +424,16 @@ class SubgraphMatcher:
         forbidden-subgraph checks where the host just gained that edge.
         """
         k = self.pattern.n
-        if self._clique:
+        shape = self._shape
+        if shape == "clique":
             # looked up in the module at call time, so perfbench/tracing.py counts it
             return creates_clique(adj, a, b, k)
         if k > n:
             return False
+        if shape == "cycle":
+            return _walk_from(adj, b, k - 2, 1 << a | 1 << b, adj[a])
+        if shape == "path":
+            return _path_through(adj, a, b, k - 2, 1 << a | 1 << b)
         if self._anchors is None:
             self._anchors = self._edge_orbit_anchors()
         for ix, iy, twin_prev in self._anchors:
@@ -492,8 +509,51 @@ class SubgraphMatcher:
         return False
 
 
+def _is_connected(G: Graph) -> bool:
+    """Does a breadth-first sweep from vertex 0 reach every vertex?"""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= G.adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << G.n) - 1
+
+
+def _walk_from(adj: Sequence[int], v: int, left: int, used: int, target: int) -> bool:
+    """Is there a simple path of left >= 1 more vertices from v, outside used,
+    whose last vertex is in target? used must hold v."""
+    cand = adj[v] & ~used
+    if left == 1:
+        return bool(cand & target)
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if _walk_from(adj, low.bit_length() - 1, left - 1, used | low, target):
+            return True
+    return False
+
+
+def _path_through(adj: Sequence[int], a: int, y: int, left: int, used: int) -> bool:
+    """Can left more vertices outside used extend the path from a to y at both
+    ends? b's side, ending in y, grows one vertex per call, and at each length
+    a's side takes the rest, so every split is tried once."""
+    if left == 0 or _walk_from(adj, a, left, used, -1):
+        return True
+    cand = adj[y] & ~used
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if _path_through(adj, a, low.bit_length() - 1, left - 1, used | low):
+            return True
+    return False
+
+
 def contains_subgraph(G: Graph, F: Graph) -> bool:
     """True iff some injective map V(F) -> V(G) sends edges of F to edges of G."""
+    if F.n > G.n:
+        return False
     return SubgraphMatcher(F).exists_in(G)
 
 

@@ -78,8 +78,13 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # leaves tie exactly and the bitstring decides between them
     leaf_sum = math.fsum if den is None else sum
 
-    # called with the new edge already present in adj
-    creates_forbidden = SubgraphMatcher(F).exists_using_edge
+    # called with the new edge already present in adj; a pattern larger than
+    # the host fits nowhere, so it needs no matcher
+    if F.n > n:
+        def creates_forbidden(adj, deg, n, u, v):
+            return False
+    else:
+        creates_forbidden = SubgraphMatcher(F).exists_using_edge
 
     adj = [0] * n
     deg = [0] * n

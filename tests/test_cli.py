@@ -265,6 +265,14 @@ class TestExitCodes:
         assert code == 2
         assert "non-bipartite" in report["error"]
 
+    def test_empty_ratio_range(self):
+        code, report = run_json(
+            ["ratio", "--nmin", "6", "--nmax", "4", "--forbidden", "C5",
+             "--f", "pow:mu=2"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert "--nmin 6" in report["error"] and "--nmax 4" in report["error"]
+
     def test_over_limit(self):
         code, report = run_json(
             ["exact", "--n", "12", "--forbidden", "K3", "--f", "half"])

@@ -27,6 +27,7 @@ from dwturan import (
     power,
     turan_graph,
 )
+import dwturan.graphs as core
 from dwturan.cli import parse_graph_spec
 from dwturan.graphs import SubgraphMatcher
 from oracles import (
@@ -229,8 +230,11 @@ class TestIncrementalContainment:
 
 CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
 # K1,4: four false twins around one centre. D~w: K5 minus an edge, a class
-# of three true twins that holds both ends of an anchored edge.
-ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w"]
+# of three true twins that holds both ends of an anchored edge. C6, P3 and
+# P6 widen the path-and-cycle kernel's cover; C` (2K2) and DgC (P3 + K2)
+# have maximum degree 2 but are disconnected, so they stay anchored.
+KERNEL_PATTERNS = ["C4", "C5", "C6", "P3", "P4", "P5", "P6"]
+ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC"]
 
 
 class TestEdgeAnchoredOracle:
@@ -268,6 +272,45 @@ class TestEdgeAnchoredOracle:
     @pytest.mark.parametrize("spec", ORACLE_PATTERNS)
     def test_petersen_host(self, spec):
         self._check_every_edge(SubgraphMatcher(parse_graph_spec(spec)), petersen_graph())
+
+
+def _refuse(*args):
+    raise AssertionError("pattern reached the wrong kernel")
+
+
+class TestKernelDispatch:
+    """Which algorithm exists_using_edge runs, read off the pattern's shape."""
+
+    @staticmethod
+    def _ask_every_edge(matcher, G):
+        return [matcher.exists_using_edge(G.adj, G.degrees, G.n, u, v)
+                for a, b in G.edges() for u, v in ((a, b), (b, a))]
+
+    @pytest.mark.parametrize("spec", KERNEL_PATTERNS)
+    def test_paths_and_cycles_skip_the_anchored_search(self, monkeypatch, spec):
+        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
+        monkeypatch.setattr(core, "creates_clique", _refuse)
+        assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
+                                        complete_graph(6)))
+
+    @pytest.mark.parametrize("spec", ["C`", "DgC"])
+    def test_disconnected_degree_two_patterns_stay_anchored(self, monkeypatch, spec):
+        monkeypatch.setattr(core, "_walk_from", _refuse)
+        monkeypatch.setattr(core, "_path_through", _refuse)
+        monkeypatch.setattr(core, "creates_clique", _refuse)
+        assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
+                                        complete_graph(6)))
+
+    def test_triangle_goes_to_the_clique_kernel(self, monkeypatch):
+        calls = []
+        clique = core.creates_clique
+        monkeypatch.setattr(core, "creates_clique",
+                            lambda *args: calls.append(args[1:]) or clique(*args))
+        monkeypatch.setattr(core, "_walk_from", _refuse)
+        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
+        G = complete_graph(4)
+        assert all(self._ask_every_edge(SubgraphMatcher(cycle_graph(3)), G))
+        assert calls == [(u, v, 3) for a, b in G.edges() for u, v in ((a, b), (b, a))]
 
 
 class TestChromaticNumber:

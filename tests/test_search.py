@@ -19,6 +19,7 @@ from dwturan import (
     graph6_encode,
     ex_prime,
     parse_weight,
+    path_graph,
     power,
     ratio_table,
     verify_theorem1,
@@ -69,6 +70,22 @@ class TestExExact:
 
         res = ex_exact(3, empty_graph(4), power(1))
         assert res.witness == complete_graph(3)
+
+    @pytest.mark.parametrize("F", [complete_graph(6), cycle_graph(5),
+                                   complete_bipartite(3, 3)],
+                             ids=["K6", "C5", "K3,3"])
+    def test_forbidden_larger_than_host_builds_no_matcher(self, monkeypatch, F):
+        import dwturan.graphs
+        import dwturan.search
+
+        def refuse(pattern):
+            raise AssertionError("matcher built for a pattern larger than the host")
+
+        monkeypatch.setattr(dwturan.graphs, "SubgraphMatcher", refuse)
+        monkeypatch.setattr(dwturan.search, "SubgraphMatcher", refuse)
+        res = ex_exact(4, F, power(1))
+        assert res.value == e_f(complete_graph(4), power(1))
+        assert res.witness == complete_graph(4)
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_naive_oracle_triangle(self, n):
@@ -160,6 +177,8 @@ class TestFrozenPatternValues:
     @pytest.mark.parametrize("F,n,value,witness,nodes", [
         (cycle_graph(4), 7, 60, "F@QFw", 158553),
         (cycle_graph(5), 7, 92, "F?B~w", 96284),
+        (path_graph(4), 7, 42, "F??Fw", 8154),
+        (path_graph(5), 7, 48, "F??Nw", 31310),
     ])
     def test_seven_vertices(self, F, n, value, witness, nodes):
         self._check(F, n, value, witness, nodes)
