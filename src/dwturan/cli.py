@@ -19,6 +19,7 @@ import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
+from . import _usable_cpus
 from .errors import InvariantViolation
 
 if TYPE_CHECKING:
@@ -61,6 +62,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo_i, hi_i = int(lo), int(hi)
     if lo_i > hi_i:
         raise ValueError(f"empty range {text!r}")
+    if lo_i < 0:
+        raise ValueError(f"range {text!r} starts below 0; weights take degrees >= 0")
     return lo_i, hi_i
 
 
@@ -72,7 +75,7 @@ def _default_workers() -> int:
         except ValueError:
             raise ValueError(
                 f"DWTURAN_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _histogram(G: Graph) -> dict[str, int]:
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--out", default=None, help="write the report to a file")
     top.add_argument("--workers", "--threads", type=int, default=None,
-                     help="worker processes (default: DWTURAN_WORKERS or all cores); "
+                     help="worker processes (default: DWTURAN_WORKERS or the usable CPUs); "
                           "at most min(workers, usable CPUs) run, and the search "
                           "split, so the node count, follows the workers alone")
     sub = top.add_subparsers(dest="command", required=True)

@@ -47,23 +47,20 @@ def erdos_majorizer(G: Graph, r: int) -> MajorizerResult:
     if mask_has_clique(G.adj, (1 << G.n) - 1, r):
         raise ValueError(f"graph contains a clique of size {r}")
 
-    def build(vertices: list[int], sub: Graph, depth: int) -> list[list[int]]:
-        # vertices[i] is the original label of sub's vertex i
-        if depth == 2:
-            return [list(vertices)]
-        if not vertices:
-            return [[] for _ in range(depth - 1)]
-        x = max(range(sub.n), key=lambda v: (sub.degrees[v], -v))
-        gamma = sub.neighbors(x)
-        rest_mask = ((1 << sub.n) - 1) & ~sub.adj[x]
-        first = [vertices[v] for v in _bits(rest_mask)]
-        inner = build([vertices[v] for v in gamma],
-                      sub.induced_subgraph(gamma), depth - 1)
-        return [first] + inner
+    adj = G.adj
 
-    classes = build(list(range(G.n)), G, r)
+    def build(mask: int, depth: int) -> list[list[int]]:
+        # classes of the subgraph of G induced on the vertex mask
+        if depth == 2:
+            return [list(_bits(mask))]
+        if not mask:
+            return [[] for _ in range(depth - 1)]
+        x = max(_bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), -v))
+        return [list(_bits(mask & ~adj[x]))] + build(mask & adj[x], depth - 1)
+
+    classes = build((1 << G.n) - 1, r)
     H = multipartite_on_classes(G.n, classes)
-    return MajorizerResult(classes=tuple(tuple(sorted(c)) for c in classes), graph=H)
+    return MajorizerResult(classes=tuple(map(tuple, classes)), graph=H)
 
 
 def verify_majorization(G: Graph, res: MajorizerResult) -> bool:

@@ -26,10 +26,10 @@ searched them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import repeat
 
+from . import _usable_cpus
 from .errors import InvariantViolation, ScaleLimitError
 from .graphs import (
     Graph,
@@ -41,7 +41,7 @@ from .graphs import (
     e_f,
 )
 from .partitions import ex_prime
-from .weights import WeightFunction, float_slack, is_nondecreasing, tabulate
+from .weights import WeightFunction, float_slack, tabulate
 
 DEFAULT_LIMIT = 8
 
@@ -72,7 +72,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     slots = _slots(n)
     M = len(slots)
     table, den = tabulate(f, range(n))
-    monotone = n <= 1 or is_nondecreasing(f, (0, n - 1))
+    monotone = all(a <= b for a, b in zip(table, table[1:]))
     slack = float_slack(table, den, n)
     # a leaf's value depends on its degree multiset alone, so isomorphic
     # leaves tie exactly and the bitstring decides between them
@@ -172,13 +172,6 @@ def _bits_to_graph(n: int, bits: int) -> Graph:
     M = len(slots)
     edges = [slots[i] for i in range(M) if bits >> (M - 1 - i) & 1]
     return Graph(n, edges)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def ex_exact(n: int, F: Graph, f: WeightFunction, *,

@@ -7,18 +7,22 @@ into the log of the degree product), staircase functions that double across
 short windows and stay flat in between, and explicit non-decreasing step
 tables.
 
-Every family evaluates in float; families whose values are rational also
-evaluate exactly (as Fractions), queried per point via ``exact``.
-``tabulate`` is the one place that turns a weight into numbers: exact
-integers over a common denominator when every requested point is rational,
-floats otherwise; ``float_slack`` is the one rule for comparing two totals
-of them. The predicate checkers are finite-range scanners: they certify
-the scanned range and nothing beyond it.
+Each family is stated once. ``exact`` gives its value as a Fraction
+wherever that value is rational, and the float there is that Fraction
+rounded; a family keeps a float formula only for its irrational points
+(fractional powers, logarithms, staircase climbs). ``parse_weight`` is the
+one text form of a weight. ``tabulate`` is the one place that turns a
+weight into numbers: exact integers over a common denominator when every
+requested point is rational, floats otherwise; ``float_slack`` is the one
+rule for comparing two totals of them. The predicate checkers are
+finite-range scanners: they certify the scanned range and nothing beyond
+it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,30 +35,19 @@ MAX_EXPONENT = 1000  # exact mode computes n ** mu as an integer
 class WeightFunction:
     """Base class: a function on non-negative integers.
 
-    Subclasses implement ``__call__`` (float) and may implement ``exact``
-    returning a Fraction, or None at points with no rational value.
+    Subclasses implement ``exact``, a Fraction, or None at points with no
+    rational value; ``__call__`` is its float. A family with irrational
+    points overrides ``__call__`` with its float formula.
     """
 
     def __call__(self, n: int) -> float:
-        raise NotImplementedError
+        return float(self.exact(n))
 
     def exact(self, n: int) -> Optional[Fraction]:
         return None
 
-    def spec_string(self) -> str:
-        """Round-trippable description in the CLI mini-language."""
-        raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec_string()!r})"
-
-
-def _spec_number(x: float) -> str:
-    """A float parameter as parse_weight reads it back: int if integral, else repr."""
-    return str(int(x)) if x == int(x) else repr(x)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class PowerWeight(WeightFunction):
     """x -> x**mu with the convention 0**0 = 1, so mu = 0 counts vertices."""
 
@@ -67,32 +60,27 @@ class PowerWeight(WeightFunction):
             raise ScaleLimitError(f"pow parameter mu={self.mu:g} above limit {MAX_EXPONENT}")
 
     def __call__(self, n: int) -> float:
-        return float(n) ** self.mu
+        # float ** float can land an ulp off n**mu (9749.0**4), so an integer
+        # mu rounds the exact integer, as float(self.exact(n)) would
+        if self.mu != int(self.mu):
+            return float(n) ** self.mu
+        return float(n ** int(self.mu))
 
     def exact(self, n: int) -> Optional[Fraction]:
         if self.mu != int(self.mu):
             return None
         return Fraction(n ** int(self.mu))
 
-    def spec_string(self) -> str:
-        return f"pow:mu={_spec_number(self.mu)}"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class HalfWeight(WeightFunction):
     """x -> x/2; the weighted total of a graph equals its number of edges."""
-
-    def __call__(self, n: int) -> float:
-        return n / 2
 
     def exact(self, n: int) -> Optional[Fraction]:
         return Fraction(n, 2)
 
-    def spec_string(self) -> str:
-        return "half"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class LogWeight(WeightFunction):
     """x -> ln x for x >= 1, with a configurable value at 0.
 
@@ -112,9 +100,6 @@ class LogWeight(WeightFunction):
         if n == 0:
             return self.floor_at_zero
         return math.log(n)
-
-    def spec_string(self) -> str:
-        return f"log:floor={_spec_number(self.floor_at_zero)}"
 
 
 @dataclass(frozen=True)
@@ -159,7 +144,7 @@ def climb_steps(n_k: int, c: float) -> int:
     return math.floor(n_k ** c / 2)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class StaircaseWeight(WeightFunction):
     """Doubling staircase built from StaircaseParams.
 
@@ -171,7 +156,7 @@ class StaircaseWeight(WeightFunction):
     """
 
     params: StaircaseParams
-    _windows: tuple[tuple[int, int], ...] = field(init=False)
+    _windows: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_windows", tuple(self.params.windows()))
@@ -198,14 +183,8 @@ class StaircaseWeight(WeightFunction):
             return self.params.base * 2 ** done
         return None
 
-    def spec_string(self) -> str:
-        base = self.params.base
-        base_str = str(int(base)) if base.denominator == 1 else f"{base.numerator}/{base.denominator}"
-        seeds = ";".join(str(s) for s in self.params.seeds)
-        return f"staircase:c={_spec_number(self.params.c)},seeds={seeds},base={base_str}"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class StepWeight(WeightFunction):
     """Explicit right-continuous step table: value levels[i] on [jumps[i], jumps[i+1]).
 
@@ -226,24 +205,8 @@ class StepWeight(WeightFunction):
         if any(a >= b for a, b in zip(self.jumps, self.jumps[1:])):
             raise ValueError("jumps must strictly increase")
 
-    def _level(self, n: int) -> Fraction:
-        i = 0
-        for k, j in enumerate(self.jumps):
-            if j <= n:
-                i = k
-            else:
-                break
-        return self.levels[i]
-
-    def __call__(self, n: int) -> float:
-        return float(self._level(n))
-
     def exact(self, n: int) -> Optional[Fraction]:
-        return self._level(n)
-
-    def spec_string(self) -> str:
-        pairs = ";".join(f"{j}:{v}" for j, v in zip(self.jumps, self.levels))
-        return f"step:{pairs}"
+        return self.levels[bisect_right(self.jumps, n) - 1]
 
 
 def power(mu: float) -> WeightFunction:

@@ -220,6 +220,31 @@ class TestConfigEmbedding:
         assert report["config"]["workers"] == 3
         assert "out" not in report["config"]
 
+    @pytest.mark.parametrize("affinity,cpu_count,workers,nodes", [
+        ({0}, 2, 1, 408), ({0, 1}, 1, 2, 515), (None, 2, 2, 515), (None, None, 1, 408),
+    ], ids=["one-of-two", "two-pinned", "no-affinity", "no-count"])
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch, affinity,
+                                                 cpu_count, workers, nodes):
+        # no --workers and no DWTURAN_WORKERS: the affinity set, where the OS
+        # keeps one, decides, not the machine's core count
+        import concurrent.futures
+
+        monkeypatch.delenv("DWTURAN_WORKERS", raising=False)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        # the pool itself is not under test; its subtrees run here in order
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        code, report = cli.run(["exact", "--n", "5", "--forbidden", "K3",
+                                "--f", "pow:mu=1"])
+        assert code == 0
+        assert report["config"]["workers"] == workers
+        assert report["result"]["nodes"] == nodes
+        assert report["result"]["witness_graph6"] == "DFw"
+
     def test_threads_alias(self):
         code, report = cli.run(
             ["--threads", "2", "exact", "--n", "4", "--forbidden", "K3",
@@ -227,6 +252,22 @@ class TestConfigEmbedding:
         assert code == 0
         assert report["config"]["workers"] == 2
         assert report["result"]["value"] == 8
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestExitCodes:
@@ -272,6 +313,13 @@ class TestExitCodes:
         assert code == 2
         assert report["kind"] == "input"
         assert "--nmin 6" in report["error"] and "--nmax 4" in report["error"]
+
+    def test_negative_scan_range(self):
+        # weights take degrees; a step table has no level below its first jump
+        code, report = run_json(["checkf", "--f", "step:0:1;5:3", "--range=-3:6"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert "'-3:6'" in report["error"] and "below 0" in report["error"]
 
     def test_over_limit(self):
         code, report = run_json(

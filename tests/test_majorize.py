@@ -73,6 +73,25 @@ class TestConstruction:
             assert g.n - len(first) == max_deg >= g.degrees[v]
 
 
+class TestFrozenClasses:
+    """Classes on seeded graphs, recorded before the construction moved to
+    vertex masks: the maximum-degree tie-break (smallest label) and the
+    class order must not drift."""
+
+    @pytest.mark.parametrize("seed,n,r,p,classes", [
+        (1, 10, 3, 0.3, ((0, 1, 2, 5, 6, 7, 8, 9), (3, 4))),
+        (2, 12, 4, 0.5, ((0, 1, 2, 3, 7), (4, 5, 8, 11), (6, 9, 10))),
+        (3, 14, 5, 0.6, ((0, 3, 5, 13), (7, 9, 12), (1, 2, 4, 8), (6, 10, 11))),
+        (4, 9, 3, 0.8, ((0, 1, 5, 6, 7), (2, 3, 4, 8))),
+        (5, 16, 4, 0.2, ((0, 1, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15), (2, 3, 9, 10), ())),
+    ])
+    def test_seeded(self, seed, n, r, p, classes):
+        g = random_kr_free_graph(n, r, p, random.Random(seed))
+        res = erdos_majorizer(g, r)
+        assert res.classes == classes
+        assert verify_majorization(g, res)
+
+
 class TestVerification:
     def test_rejects_non_dominating(self):
         claim = MajorizerResult(classes=((0, 1, 2),), graph=empty_graph(3))
