@@ -20,10 +20,13 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from . import _usable_cpus
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ScaleLimitError
 
 if TYPE_CHECKING:
     from .graphs import Graph
+
+# the most degrees one checkf call evaluates the weight at
+CHECKF_MAX_POINTS = 100_000
 
 _SHORTHAND = re.compile(
     r"^(?:K(?P<r>\d+)|C(?P<cyc>\d+)|P(?P<path>\d+)|K(?P<a>\d+),(?P<b>\d+)|K3s:(?P<s>\d+))$"
@@ -263,6 +266,17 @@ def _cmd_checkf(args) -> dict:
 
     f = parse_weight(args.f)
     lo, hi = _parse_range(args.scan_range)
+    if (args.eps is None) != (args.delta is None):
+        raise ValueError("log-continuity check needs both --eps and --delta")
+    # the log-continuity scan reads f up to (1 + delta) * hi; a delta that is
+    # not finite and positive is refused by check_log_continuity itself
+    top = hi
+    if args.delta is not None and math.isfinite(args.delta) and args.delta > 0:
+        top = (1 + args.delta) * hi
+    if top - lo + 1 > CHECKF_MAX_POINTS:
+        stretch = "" if top == hi else f" with --delta {args.delta}"
+        raise ScaleLimitError(f"checkf evaluates f at no more than {CHECKF_MAX_POINTS} "
+                              f"degrees; --range {args.scan_range}{stretch} needs more")
     result: dict = {"nondecreasing": is_nondecreasing(f, (lo, hi))}
     if args.growth_c is not None:
         rows = [{"n": n, "ratio": ratio, "bound": bound, "ok": ok}
@@ -270,8 +284,6 @@ def _cmd_checkf(args) -> dict:
         first = next((row["n"] for row in rows if not row["ok"]), None)
         result["growth"] = {"c": args.growth_c, "ok": first is None,
                             "first_violation": first, "rows": rows}
-    if (args.eps is None) != (args.delta is None):
-        raise ValueError("log-continuity check needs both --eps and --delta")
     if args.eps is not None:
         result["log_continuity"] = {
             "eps": args.eps,

@@ -11,11 +11,11 @@ injective map preserving edges), not induced containment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .errors import Record
 from .weights import tabulate
 
 
@@ -147,15 +147,17 @@ class PartSizes:
         return f"PartSizes{self.sizes}"
 
 
-@dataclass(frozen=True)
-class ObjectiveValue:
+class ObjectiveValue(Record):
     """A weighted-degree total, carried in float and, when possible, exactly.
 
     Comparisons use the exact values whenever both sides have them.
     """
 
-    approx: float
-    exact: Optional[Fraction] = None
+    __slots__ = ("approx", "exact")
+
+    def __init__(self, approx: float, exact: Optional[Fraction] = None):
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def of(cls, exact) -> "ObjectiveValue":

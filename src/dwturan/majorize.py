@@ -12,8 +12,8 @@ the neighborhood gain the whole first class and recurse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from .errors import Record
 from .graphs import (
     Graph,
     ObjectiveValue,
@@ -27,11 +27,11 @@ from .partitions import ex_prime
 from .weights import WeightFunction, float_slack, tabulate
 
 
-@dataclass(frozen=True)
-class MajorizerResult:
+class MajorizerResult(Record):
     """Partition into at most r-1 classes (empty classes kept, fixed arity)
     and the complete multipartite graph it realizes on the original labels."""
 
+    __slots__ = ("classes", "graph")
     classes: tuple[tuple[int, ...], ...]
     graph: Graph
 
@@ -82,11 +82,12 @@ def verify_majorization(G: Graph, res: MajorizerResult) -> bool:
     return all(H.degrees[v] >= G.degrees[v] for v in range(G.n))
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """The two comparisons linking a clique-free graph, its majorizer, and
     the multipartite optimum of the same order."""
 
+    __slots__ = ("value_graph", "value_majorized", "value_optimum", "holds_first",
+                 "holds_second")
     value_graph: ObjectiveValue
     value_majorized: ObjectiveValue
     value_optimum: ObjectiveValue

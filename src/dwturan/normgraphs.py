@@ -26,10 +26,9 @@ have s; those x are ruled out without a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvariantViolation, ScaleLimitError
+from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import (
     Graph,
     ObjectiveValue,
@@ -146,12 +145,14 @@ class FiniteField:
         return f"FiniteField(p={self.p}, t={self.t})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """Polynomial residue; arithmetic reduces modulo the field's modulus."""
 
-    field: FiniteField
-    coeffs: tuple[int, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _check(self, other: "FieldElement"):
         if self.field != other.field:
@@ -203,6 +204,14 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.field == other.field
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}"
@@ -314,11 +323,11 @@ class ConstructionRefused(ValueError):
     """The side graph failed the freeness gate required by the assembly."""
 
 
-@dataclass(frozen=True)
-class CounterexampleSpec:
+class CounterexampleSpec(Record):
     """Parameters of the two-sided graph: side fields GF(q^t), forbidden
     blow-up class size s, and the weight the gap is measured against."""
 
+    __slots__ = ("q", "t", "s", "f")
     q: int
     t: int
     s: int
@@ -398,10 +407,10 @@ def bipartite_upper_bound(n_k: int, f: WeightFunction) -> ObjectiveValue:
     return ObjectiveValue.scaled(n_k * hi + n_k * lo, den)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Record):
     """Weighted value of the construction against the bipartite ceiling."""
 
+    __slots__ = ("side_size", "construction_value", "bipartite_bound", "exceeds")
     side_size: int
     construction_value: ObjectiveValue
     bipartite_bound: ObjectiveValue

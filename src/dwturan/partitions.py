@@ -22,11 +22,10 @@ rounding, within weights.float_slack of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-from .errors import InvariantViolation, ScaleLimitError
+from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import ObjectiveValue, PartSizes, turan_part_sizes
 from .weights import WeightFunction, float_slack, tabulate
 
@@ -34,8 +33,7 @@ _ENUM_MAX_N = 200
 _ENUM_MAX_K = 5
 
 
-@dataclass(frozen=True)
-class PartitionOptimum:
+class PartitionOptimum(Record):
     """Optimal value and the realizing part-size vector.
 
     The witness is the lexicographically smallest non-increasing optimal
@@ -45,12 +43,14 @@ class PartitionOptimum:
     rounding (weights.float_slack) in float mode.
     """
 
+    __slots__ = ("value", "witness", "n", "k", "f", "ties_flag")
+    _defaults = {"ties_flag": False}
     value: ObjectiveValue
     witness: PartSizes
     n: int
     k: int
     f: WeightFunction
-    ties_flag: bool = False
+    ties_flag: bool
 
 
 def _part_values(n: int, f: WeightFunction):
@@ -178,8 +178,7 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)
 
 
-@dataclass(frozen=True)
-class ChainCheckReport:
+class ChainCheckReport(Record):
     """Numeric evaluation of the lower-bound chain under a balanced split.
 
     The chain compares, at order n with r-1 parts:
@@ -191,6 +190,9 @@ class ChainCheckReport:
     comparisons hold up to rounding (weights.float_slack).
     """
 
+    __slots__ = ("n", "r", "gamma1", "optimum", "balanced_value", "floor_term_r",
+                 "floor_term_rm1", "gamma_term", "holds_first", "holds_middle_r",
+                 "holds_middle_rm1", "holds_tail_r", "holds_tail_rm1")
     n: int
     r: int
     gamma1: float

@@ -26,11 +26,10 @@ searched them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 
 from . import _usable_cpus
-from .errors import InvariantViolation, ScaleLimitError
+from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import (
     Graph,
     ObjectiveValue,
@@ -46,8 +45,8 @@ from .weights import WeightFunction, float_slack, tabulate
 DEFAULT_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
+    __slots__ = ("value", "witness", "nodes_explored", "n", "forbidden", "f")
     value: ObjectiveValue
     witness: Graph
     nodes_explored: int
@@ -266,8 +265,8 @@ def verify_theorem1(n: int, r: int, f: WeightFunction, *,
     return abs(full.value - multi.value) <= float_slack(table, den, n)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(Record):
+    __slots__ = ("n", "ex_value", "ex_prime_value", "ratio")
     n: int
     ex_value: ObjectiveValue
     ex_prime_value: ObjectiveValue

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ScaleLimitError
+from .errors import Record, ScaleLimitError
 
 MAX_EXPONENT = 1000  # exact mode computes n ** mu as an integer
 
@@ -47,17 +47,17 @@ class WeightFunction:
         return None
 
 
-@dataclass(frozen=True)
-class PowerWeight(WeightFunction):
+class PowerWeight(WeightFunction, Record):
     """x -> x**mu with the convention 0**0 = 1, so mu = 0 counts vertices."""
 
-    mu: float
+    __slots__ = ("mu",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.mu) or self.mu < 0:
-            raise ValueError(f"pow parameter mu must be finite and non-negative, got {self.mu}")
-        if self.mu > MAX_EXPONENT:
-            raise ScaleLimitError(f"pow parameter mu={self.mu:g} above limit {MAX_EXPONENT}")
+    def __init__(self, mu: float):
+        if not math.isfinite(mu) or mu < 0:
+            raise ValueError(f"pow parameter mu must be finite and non-negative, got {mu}")
+        if mu > MAX_EXPONENT:
+            raise ScaleLimitError(f"pow parameter mu={mu:g} above limit {MAX_EXPONENT}")
+        object.__setattr__(self, "mu", mu)
 
     def __call__(self, n: int) -> float:
         # float ** float can land an ulp off n**mu (9749.0**4), so an integer
@@ -72,29 +72,30 @@ class PowerWeight(WeightFunction):
         return Fraction(n ** int(self.mu))
 
 
-@dataclass(frozen=True)
-class HalfWeight(WeightFunction):
+class HalfWeight(WeightFunction, Record):
     """x -> x/2; the weighted total of a graph equals its number of edges."""
+
+    __slots__ = ()
 
     def exact(self, n: int) -> Optional[Fraction]:
         return Fraction(n, 2)
 
 
-@dataclass(frozen=True)
-class LogWeight(WeightFunction):
+class LogWeight(WeightFunction, Record):
     """x -> ln x for x >= 1, with a configurable value at 0.
 
     Keeping the zero value <= 0 preserves monotonicity. Summing this weight
     over a graph with minimum degree >= 1 gives ln of the degree product.
     """
 
-    floor_at_zero: float = 0.0
+    __slots__ = ("floor_at_zero",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.floor_at_zero):
-            raise ValueError(f"log parameter floor must be finite, got {self.floor_at_zero}")
-        if self.floor_at_zero > 0:
+    def __init__(self, floor_at_zero: float = 0.0):
+        if not math.isfinite(floor_at_zero):
+            raise ValueError(f"log parameter floor must be finite, got {floor_at_zero}")
+        if floor_at_zero > 0:
             raise ValueError("value at 0 must be <= 0 to keep the family non-decreasing")
+        object.__setattr__(self, "floor_at_zero", floor_at_zero)
 
     def __call__(self, n: int) -> float:
         if n == 0:
@@ -102,8 +103,7 @@ class LogWeight(WeightFunction):
         return math.log(n)
 
 
-@dataclass(frozen=True)
-class StaircaseParams:
+class StaircaseParams(Record):
     """Parameters of a doubling staircase.
 
     Around each seed n_k the function climbs by the factor 2**(1/m_k) for
@@ -112,9 +112,10 @@ class StaircaseParams:
     after a climb reaches at least 2*n_k before the next climb starts.
     """
 
+    __slots__ = ("c", "seeds", "base")
     c: float
     seeds: tuple[int, ...]
-    base: Fraction = Fraction(1)
+    base: Fraction
 
     def __init__(self, c: float, seeds: Sequence[int], base=1):
         object.__setattr__(self, "c", float(c))
@@ -144,8 +145,7 @@ def climb_steps(n_k: int, c: float) -> int:
     return math.floor(n_k ** c / 2)
 
 
-@dataclass(frozen=True)
-class StaircaseWeight(WeightFunction):
+class StaircaseWeight(WeightFunction, Record):
     """Doubling staircase built from StaircaseParams.
 
     f(n+1) = 2**(1/m_k) * f(n) for n in [n_k, n_k + m_k), f(n+1) = f(n)
@@ -155,11 +155,13 @@ class StaircaseWeight(WeightFunction):
     irrational and evaluate in float only.
     """
 
-    params: StaircaseParams
-    _windows: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    # _windows caches params.windows(); it is no field of its own
+    __slots__ = ("params", "_windows")
+    _fields = ("params",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_windows", tuple(self.params.windows()))
+    def __init__(self, params: StaircaseParams):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_windows", tuple(params.windows()))
 
     def _locate(self, n: int) -> tuple[int, int, int]:
         """(completed climbs, step offset, steps of current climb) at n."""
@@ -184,14 +186,14 @@ class StaircaseWeight(WeightFunction):
         return None
 
 
-@dataclass(frozen=True)
-class StepWeight(WeightFunction):
+class StepWeight(WeightFunction, Record):
     """Explicit right-continuous step table: value levels[i] on [jumps[i], jumps[i+1]).
 
     jumps must start at 0 and strictly increase; levels are arbitrary
     rationals, so a non-decreasing table gives a non-decreasing weight.
     """
 
+    __slots__ = ("jumps", "levels")
     jumps: tuple[int, ...]
     levels: tuple[Fraction, ...]
 
@@ -277,25 +279,34 @@ def check_log_continuity(f: WeightFunction, eps: float, delta: float,
                          rng: tuple[int, int]) -> bool:
     """Scan: f(m) <= (1+eps) f(n) for all n in [lo, hi], n <= m <= (1+delta) n.
 
-    For a verified non-decreasing f only the largest m per n needs testing;
-    otherwise every m in the stretch window is scanned.
+    Each n is tested against the largest f(m) in its window, which a
+    sliding-window maximum keeps: both ends of the window move right as n
+    grows, so each point of [lo, (1+delta) hi] enters the window once, and
+    the scan takes linear time whether or not f is monotone.
     """
-    if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
+    _require_positive("eps", eps)
+    _require_positive("delta", delta)
     lo, hi = rng
-    top = math.floor((1 + delta) * hi)
-    monotone = is_nondecreasing(f, (lo, top))
+    window: deque = deque()  # (m, f(m)) in the window, values decreasing
+    m = lo  # the next point to enter the window
     for n in range(lo, hi + 1):
         m_max = math.floor((1 + delta) * n)
-        bound = (1 + eps) * f(n)
-        if monotone:
-            if f(m_max) > bound:
-                return False
-        else:
-            for m in range(n, m_max + 1):
-                if f(m) > bound:
-                    return False
+        while m <= m_max:
+            value = f(m)
+            while window and window[-1][1] <= value:
+                window.pop()
+            window.append((m, value))
+            m += 1
+        while window[0][0] < n:
+            window.popleft()
+        if window[0][1] > (1 + eps) * f(n):
+            return False
     return True
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def growth_rows(f: WeightFunction, c: float, rng: tuple[int, int]):
@@ -304,8 +315,7 @@ def growth_rows(f: WeightFunction, c: float, rng: tuple[int, int]):
     The scan starts at max(lo, 1); every growth verdict is read off these
     rows, in the ratio form they carry.
     """
-    if c <= 0:
-        raise ValueError("exponent c must be positive")
+    _require_positive("exponent c", c)
     lo, hi = rng
     lo = max(lo, 1)
     prev = f(lo)

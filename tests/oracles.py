@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's search machinery:
 containment is tested by trying every injective vertex map, coloring by
 trying every color map, and the forbidden-free maximum by scoring every
-labeled graph; the witness oracle also reads off the least optimal
-maximal edge bitstring. The norm graph is built by field-element
+labeled graph; the witness oracles also read off the least optimal
+maximal edge bitstring, the log oracle by integer degree products, so
+that its ties are exact. The norm graph is built by field-element
 subtraction and K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
 two references, the full-table DP and the generator enumeration; each
 adds the same part values in the same order as the routine it checks, so
@@ -78,14 +79,14 @@ def naive_ex_exact(n: int, F: Graph, f):
     return best
 
 
-def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
-    """Optimum and witness as ex_exact defines them, for non-decreasing f.
+def _maximal_free_edge_sets(n: int, F: Graph):
+    """Edge lists of the maximal F-free labeled graphs of order n, in
+    ascending order of their bitstrings.
 
     Slots are the pairs (u, v), u < v, in row-major order, and slot 0 is
     the most significant bit of a graph's bitstring. Every bitstring is
-    tested against every copy of F in K_n (as an edge mask), the maximal
-    F-free ones are scored with e_f, and the least bitstring among the
-    optimal ones is returned. 2^15 bitstrings at n = 6.
+    tested against every copy of F in K_n (as an edge mask). 2^15
+    bitstrings at n = 6.
     """
     pairs = list(combinations(range(n), 2))
     M = len(pairs)
@@ -95,14 +96,43 @@ def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
         copies.add(sum(slot_bit[tuple(sorted((images[u], images[v])))]
                        for u, v in F.edges()))
     free = [not any(bits & c == c for c in copies) for bits in range(1 << M)]
-    best = best_bits = None
     for bits in range(1 << M):
-        if not free[bits] or any(free[bits | b] for b in slot_bit.values() if not bits & b):
-            continue
-        value = e_f(Graph(n, [p for p in pairs if bits & slot_bit[p]]), f)
+        if free[bits] and not any(free[bits | b] for b in slot_bit.values()
+                                  if not bits & b):
+            yield [p for p in pairs if bits & slot_bit[p]]
+
+
+def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
+    """Optimum and witness as ex_exact defines them, for non-decreasing f:
+    the maximal F-free graphs are scored with e_f, and the least bitstring
+    among the optimal ones is returned."""
+    best = best_edges = None
+    for edges in _maximal_free_edge_sets(n, F):
+        value = e_f(Graph(n, edges), f)
         if best is None or value > best:
-            best, best_bits = value, bits
-    return best, Graph(n, [p for p in pairs if best_bits & slot_bit[p]])
+            best, best_edges = value, edges
+    return best, Graph(n, best_edges)
+
+
+def naive_log_witness(n: int, F: Graph) -> tuple[int, Graph]:
+    """Optimum and witness of ex_exact under log:floor=0, in integers.
+
+    That weight scores a graph by ln of the product of max(d, 1) over its
+    degrees, so two graphs tie exactly when those integer products are
+    equal, whatever their float sums of logs say. Returns the largest
+    product over the maximal F-free graphs and the least bitstring that
+    attains it, with no float and no library code beyond Graph.
+    """
+    best = best_edges = None
+    for edges in _maximal_free_edge_sets(n, F):
+        degrees = [0] * n
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        product = math.prod(max(d, 1) for d in degrees)
+        if best is None or product > best:
+            best, best_edges = product, edges
+    return best, Graph(n, best_edges)
 
 
 def random_step_weight(rng, max_jump=130, max_level=60):

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import dwturan
-from dwturan import cli, complete_graph, cycle_graph, graph6_encode
+from dwturan import cli, complete_graph, cycle_graph, graph6_encode, weights
 from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
 
@@ -377,6 +377,44 @@ class TestExitCodes:
         assert code == 2
         assert "K_{2,2}" in report["error"]
 
+    @pytest.mark.parametrize("extra, name", [
+        (["--growth-c", "nan"], "exponent c"),
+        (["--growth-c", "inf"], "exponent c"),
+        (["--eps", "nan", "--delta", "nan"], "eps"),
+        (["--eps", "1", "--delta", "nan"], "delta"),
+        (["--eps", "inf", "--delta", "0.5"], "eps"),
+        (["--eps", "1", "--delta", "inf"], "delta"),
+    ])
+    def test_checkf_parameter_not_finite(self, extra, name):
+        # a NaN or infinite parameter would print as NaN or Infinity, which
+        # is not JSON
+        code, report = run_json(["checkf", "--f", "pow:mu=2", "--range", "1:4"] + extra)
+        assert code == 2
+        assert report["kind"] == "input"
+        assert report["error"].startswith(f"{name} must be finite and positive")
+
+    @pytest.mark.parametrize("scan", [
+        ["--range", "1:100000000000"],
+        ["--range", f"0:{cli.CHECKF_MAX_POINTS}"],
+        ["--range", "1:60000", "--eps", "1", "--delta", "1"],
+        ["--range", "1:4", "--eps", "1", "--delta", "1e300"],
+    ])
+    def test_checkf_range_over_budget(self, monkeypatch, scan):
+        def no_scan(*args):
+            raise AssertionError("scanned before the budget check")
+
+        monkeypatch.setattr(weights, "is_nondecreasing", no_scan)
+        code, report = run_json(["checkf", "--f", "pow:mu=2"] + scan)
+        assert code == 2
+        assert report["kind"] == "input"
+        assert f"no more than {cli.CHECKF_MAX_POINTS} degrees" in report["error"]
+
+    def test_checkf_range_at_budget(self):
+        code, report = run_json(["checkf", "--f", "pow:mu=2", "--range",
+                                 f"1:{cli.CHECKF_MAX_POINTS}"])
+        assert code == 0
+        assert report["result"]["nondecreasing"] is True
+
     def test_growth_scan_rejects_zero_weight(self):
         code, report = run_json(
             ["checkf", "--f", "step:0:0;5:1", "--range", "1:10",
@@ -452,6 +490,8 @@ print(json.dumps({
     "code": code,
     "layers": sorted(m for m in sys.modules if m.startswith("dwturan.")),
     "pool": "concurrent.futures" in sys.modules,
+    # dataclasses imports inspect, which imports ast, dis and tokenize
+    "slow_imports": [m for m in ("dataclasses", "inspect") if m in sys.modules],
     "stdout": out.getvalue(),
 }))
 """
@@ -511,6 +551,7 @@ class TestImportFootprint:
         assert seen["layers"] == sorted(
             {"dwturan.cli", "dwturan.errors"} | {f"dwturan.{m}" for m in layers})
         assert seen["pool"] is pool
+        assert seen["slow_imports"] == []
 
     def test_one_cpu_prints_the_pool_report(self):
         pooled = _fresh_python("-c", _FOOTPRINT, json.dumps(_pin_cpus(2)),
@@ -524,3 +565,8 @@ class TestImportFootprint:
         seen = _fresh_python("-c", "import dwturan, json, sys; print(json.dumps("
                              "[m for m in sys.modules if m.startswith('dwturan')]))")
         assert seen == ["dwturan"]
+
+    def test_package_import_loads_neither_dataclasses_nor_inspect(self):
+        seen = _fresh_python("-c", "import dwturan, json, sys; print(json.dumps("
+                             "[m for m in ('dataclasses', 'inspect') if m in sys.modules]))")
+        assert seen == []

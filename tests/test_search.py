@@ -1,6 +1,7 @@
 """Exhaustive search: frozen values, naive-oracle agreement, determinism."""
 
 import concurrent.futures
+import math
 import os
 
 import pytest
@@ -24,7 +25,9 @@ from dwturan import (
     ratio_table,
     verify_theorem1,
 )
-from oracles import naive_ex_exact, naive_ex_exact_witness
+from dwturan.cli import parse_graph_spec
+from oracles import naive_ex_exact, naive_ex_exact_witness, naive_log_witness
+from test_graphs import CLI_SHORTHANDS
 
 
 class TestExExact:
@@ -165,6 +168,25 @@ class TestWitnessOracle:
         for n in range(1, 6):
             res = ex_exact(n, F, f)
             assert (res.value, res.witness) == naive_ex_exact_witness(n, F, f), n
+
+
+class TestLogTieOracle:
+    """log:floor=0 scores a graph by ln of its degree product (degree 0
+    counted as 1). Float sums of logs can split equal products by an ulp,
+    so the witness is checked against an oracle that compares the integer
+    products themselves."""
+
+    @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
+    def test_agrees_with_integer_products(self, shorthand):
+        F = parse_graph_spec(shorthand)
+        f = parse_weight("log:floor=0")
+        for n in range(1, 7):
+            res = ex_exact(n, F, f)
+            product, witness = naive_log_witness(n, F)
+            assert res.witness == witness, n
+            assert math.prod(max(d, 1) for d in res.witness.degrees) == product, n
+            assert res.value.approx == math.fsum(math.log(max(d, 1))
+                                                 for d in witness.degrees), n
 
 
 class TestFrozenPatternValues:

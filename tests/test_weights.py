@@ -1,6 +1,7 @@
 """Weight families, the staircase construction, and the predicate scanners."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -294,6 +295,39 @@ class TestLogContinuity:
         delta = (1 + eps) ** (1 / mu) - 1
         assert check_log_continuity(power(mu), eps, delta, (1, 100_000))
 
+    @pytest.mark.parametrize("eps, delta, name", [
+        (math.nan, 0.5, "eps"), (math.inf, 0.5, "eps"), (0.0, 0.5, "eps"),
+        (1.0, math.nan, "delta"), (1.0, math.inf, "delta"), (1.0, -0.5, "delta"),
+    ])
+    def test_rejects_parameters_not_finite_and_positive(self, eps, delta, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            check_log_continuity(power(2), eps, delta, (1, 10))
+
+    def test_window_maximum_matches_every_m(self):
+        # the sliding maximum against a scan of every m of every window
+        rng = random.Random(7)
+        for _ in range(200):
+            jumps = [0] + sorted(rng.sample(range(1, 40), rng.randrange(0, 6)))
+            f = StepWeight(jumps, [rng.randrange(0, 6) for _ in jumps])
+            eps, delta = rng.choice([0.2, 1.0, 3.0]), rng.choice([0.1, 0.5, 2.0])
+            lo, hi = rng.randrange(0, 10), rng.randrange(10, 40)
+            every_m = all(f(m) <= (1 + eps) * f(n) for n in range(lo, hi + 1)
+                          for m in range(n, math.floor((1 + delta) * n) + 1))
+            assert check_log_continuity(f, eps, delta, (lo, hi)) is every_m
+
+    def test_evaluates_each_point_at_most_twice(self):
+        # f alternates 1, 2 and passes at eps = 1, so every window is read;
+        # a scan of every m per window would evaluate f about 500 000 times
+        calls = []
+
+        class Alternating(WeightFunction):
+            def __call__(self, n):
+                calls.append(n)
+                return 1.0 + n % 2
+
+        assert check_log_continuity(Alternating(), 1.0, 1.0, (1, 1000))
+        assert len(calls) <= 2000 + 1000
+
 
 class TestGrowthBound:
     def test_exponential_fails(self):
@@ -330,6 +364,13 @@ class TestGrowthBound:
         rows = list(growth_rows(f, 0.5, (1, 300)))
         first = next(n for n, _ratio, _bound, ok in rows if not ok)
         assert growth_bound_profile(f, 0.5, (1, 300)) == (False, first) == (False, 9)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_exponent_not_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="^exponent c must be finite and positive"):
+            list(growth_rows(power(2), c, (1, 4)))
+        with pytest.raises(ValueError, match="^exponent c must be finite and positive"):
+            check_growth_bound(power(2), c, (1, 4))
 
     def test_no_seed_passes_at_own_exponent(self):
         for c in (0.3, 0.5, 0.7):
