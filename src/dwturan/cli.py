@@ -277,10 +277,13 @@ def _cmd_checkf(args) -> dict:
         stretch = "" if top == hi else f" with --delta {args.delta}"
         raise ScaleLimitError(f"checkf evaluates f at no more than {CHECKF_MAX_POINTS} "
                               f"degrees; --range {args.scan_range}{stretch} needs more")
+    # asked for before the monotonicity scan, so a bad exponent is refused first
+    growth = (None if args.growth_c is None
+              else growth_rows(f, args.growth_c, (lo, hi)))
     result: dict = {"nondecreasing": is_nondecreasing(f, (lo, hi))}
-    if args.growth_c is not None:
+    if growth is not None:
         rows = [{"n": n, "ratio": ratio, "bound": bound, "ok": ok}
-                for n, ratio, bound, ok in growth_rows(f, args.growth_c, (lo, hi))]
+                for n, ratio, bound, ok in growth]
         first = next((row["n"] for row in rows if not row["ok"]), None)
         result["growth"] = {"c": args.growth_c, "ok": first is None,
                             "first_violation": first, "rows": rows}

@@ -332,10 +332,12 @@ class SubgraphMatcher:
 
     Pattern vertices are assigned in descending-degree order (ties by index).
     A candidate must have enough host degree and be a common neighbor of the
-    images of its already-assigned pattern neighbors. Interchangeable pattern
-    vertices (equal neighborhoods, as twins) are forced onto ascending host
-    images, which removes the factorial blow-up on blow-up patterns without
-    losing any copy.
+    images of its already-assigned pattern neighbors. A host is given by its
+    adjacency bitmask rows, ``exists_using_edge(adj, n, a, b)``, and host
+    degrees are read off the rows. Interchangeable pattern vertices (equal
+    neighborhoods, as twins) are forced onto ascending host images, which
+    removes the factorial blow-up on blow-up patterns without losing any
+    copy.
 
     The twin order only looks backward: each position keeps its nearest
     earlier twin and must take a larger image than that twin's. Positions
@@ -415,15 +417,15 @@ class SubgraphMatcher:
         k = self.pattern.n
         if k > host.n:
             return False
-        return self._search(host.adj, host.degrees, host.n, [-1] * k, 0, 0,
-                            self.twin_prev)
+        return self._search(host.adj, host.n, [-1] * k, 0, 0, self.twin_prev)
 
-    def exists_using_edge(self, adj: Sequence[int], degs: Sequence[int],
-                          n: int, a: int, b: int) -> bool:
+    def exists_using_edge(self, adj: Sequence[int], n: int, a: int, b: int) -> bool:
         """Is there a copy whose image covers the host edge (a, b)?
 
-        Sound only when (a, b) is an edge of the host; used for incremental
-        forbidden-subgraph checks where the host just gained that edge.
+        adj holds the host's rows as bitmasks over its n vertices; degrees
+        are read off the rows. Sound only when (a, b) is an edge of the host;
+        used for incremental forbidden-subgraph checks where the host just
+        gained that edge.
         """
         k = self.pattern.n
         shape = self._shape
@@ -438,13 +440,15 @@ class SubgraphMatcher:
             return _path_through(adj, a, b, k - 2, 1 << a | 1 << b)
         if self._anchors is None:
             self._anchors = self._edge_orbit_anchors()
+        deg_a = adj[a].bit_count()
+        deg_b = adj[b].bit_count()
         for ix, iy, twin_prev in self._anchors:
-            if degs[a] < self.deg[ix] or degs[b] < self.deg[iy]:
+            if deg_a < self.deg[ix] or deg_b < self.deg[iy]:
                 continue
             assigned = [-1] * k
             assigned[ix] = a
             assigned[iy] = b
-            if self._search(adj, degs, n, assigned, 1 << a | 1 << b, 0, twin_prev):
+            if self._search(adj, n, assigned, 1 << a | 1 << b, 0, twin_prev):
                 return True
         return False
 
@@ -467,8 +471,7 @@ class SubgraphMatcher:
             assigned = [-1] * k
             assigned[ix] = u
             assigned[iy] = v
-            return self._search(F.adj, F.degrees, k, assigned, 1 << u | 1 << v, 0,
-                                twin_prev)
+            return self._search(F.adj, k, assigned, 1 << u | 1 << v, 0, twin_prev)
 
         anchors = []
         for ix in range(k):
@@ -479,9 +482,8 @@ class SubgraphMatcher:
                 anchors.append((ix, iy, self._twin_prev((ix, iy))))
         return anchors
 
-    def _search(self, adj: Sequence[int], degs: Sequence[int], n: int,
-                assigned: list[int], used: int, i: int,
-                twin_prev: list[int]) -> bool:
+    def _search(self, adj: Sequence[int], n: int, assigned: list[int], used: int,
+                i: int, twin_prev: list[int]) -> bool:
         k = len(assigned)
         while i < k and assigned[i] >= 0:
             i += 1
@@ -501,10 +503,10 @@ class SubgraphMatcher:
             low = cand & -cand
             cand ^= low
             h = low.bit_length() - 1
-            if degs[h] < need:
+            if adj[h].bit_count() < need:
                 continue
             assigned[i] = h
-            if self._search(adj, degs, n, assigned, used | low, i + 1, twin_prev):
+            if self._search(adj, n, assigned, used | low, i + 1, twin_prev):
                 assigned[i] = -1
                 return True
             assigned[i] = -1

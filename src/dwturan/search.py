@@ -10,7 +10,12 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
     degree plus undecided slots, so the weight sum of the caps bounds every
     leaf below; subtrees under the incumbent by more than rounding
     (weights.float_slack) are cut. Including a slot leaves every cap as it
-    is, so the sum is recomputed only when a slot is excluded.
+    is, so the bound moves only when a slot is excluded: in exact mode by
+    the table differences at the two lowered caps, in O(1); in float mode
+    by a fresh sum in vertex order, since an incremental float update would
+    round differently and move prune decisions. A node is counted when its
+    parent reaches it, and entered only when its bound is not below the
+    cutoff, so a child pruned on its bound costs a count but no call.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
@@ -76,18 +81,22 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # a leaf's value depends on its degree multiset alone, so isomorphic
     # leaves tie exactly and the bitstring decides between them
     leaf_sum = math.fsum if den is None else sum
+    # exact mode, where the table holds ints: a cap that falls to c moves
+    # the bound by drop[c]
+    drop = None if den is None else [a - b for a, b in zip(table, table[1:])]
 
     # called with the new edge already present in adj; a pattern larger than
     # the host fits nowhere, so it needs no matcher
     if F.n > n:
-        def creates_forbidden(adj, deg, n, u, v):
+        def creates_forbidden(adj, n, u, v):
             return False
     else:
         creates_forbidden = SubgraphMatcher(F).exists_using_edge
 
+    # per slot: its ends, their bits in a row, and its bit in the bitstring
+    plan = [(u, v, 1 << u, 1 << v, 1 << (M - 1 - i)) for i, (u, v) in enumerate(slots)]
     adj = [0] * n
-    deg = [0] * n
-    # cap[x] = deg[x] + undecided slots at x
+    # cap[x] = degree of x + undecided slots at x
     cap = [n - 1] * n
     nodes = 0
     best = None
@@ -96,72 +105,69 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     cutoff = -math.inf
 
     def leaf_is_maximal() -> bool:
-        for u, v in slots:
-            if adj[u] >> v & 1:
+        for u, v, bu, bv, _bit in plan:
+            if adj[u] & bv:
                 continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            creates = creates_forbidden(adj, deg, n, u, v)
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            deg[u] -= 1
-            deg[v] -= 1
+            adj[u] |= bv
+            adj[v] |= bu
+            creates = creates_forbidden(adj, n, u, v)
+            adj[u] ^= bv
+            adj[v] ^= bu
             if not creates:
                 return False
         return True
 
-    # bound is the weight sum over cap. The include child inherits it; the
-    # exclude child sums it afresh in vertex order, since an incremental
-    # update would round differently in float mode and move prune decisions.
+    # bound is the weight sum over cap: the include child inherits it, the
+    # exclude child adds two drops (exact) or re-sums in vertex order (float).
+    # Each child is counted where it is reached and entered only if its bound
+    # is not below the cutoff; the include child's bound passed at this node
+    # and only a leaf raises the cutoff, so it is entered untested.
     def rec(i: int, bits: int, bound):
         nonlocal nodes, best, best_bits, cutoff
-        nodes += 1
-        if bound < cutoff:
-            return
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
-            value = leaf_sum([table[d] for d in deg])
+            value = leaf_sum([table[row.bit_count()] for row in adj])
             if best is None or value > best or (value == best and bits < best_bits):
                 best = value
                 best_bits = bits
                 cutoff = best - slack if monotone else -math.inf
             return
-        u, v = slots[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        if not creates_forbidden(adj, deg, n, u, v):
-            rec(i + 1, bits | (1 << (M - 1 - i)), bound)
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        deg[u] -= 1
-        deg[v] -= 1
+        u, v, bu, bv, bit = plan[i]
+        adj[u] |= bv
+        adj[v] |= bu
+        if not creates_forbidden(adj, n, u, v):
+            nodes += 1
+            rec(i + 1, bits | bit, bound)
+        adj[u] ^= bv
+        adj[v] ^= bu
         cap[u] -= 1
         cap[v] -= 1
-        rec(i + 1, bits, sum(map(table.__getitem__, cap)))
+        if drop is None:
+            bound = sum(map(table.__getitem__, cap))
+        else:
+            bound += drop[cap[u]] + drop[cap[v]]
+        nodes += 1
+        if not bound < cutoff:
+            rec(i + 1, bits, bound)
         cap[u] += 1
         cap[v] += 1
 
-    # apply the prefix decisions, bailing out if they already force a copy
+    # apply the prefix decisions, bailing out if they already force a copy;
+    # the root is counted like any child, and no leaf has set a cutoff yet
     bits0 = 0
-    for i, decision in enumerate(prefix):
-        u, v = slots[i]
+    for decision, (u, v, bu, bv, bit) in zip(prefix, plan):
         if decision:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            if creates_forbidden(adj, deg, n, u, v):
+            adj[u] |= bv
+            adj[v] |= bu
+            if creates_forbidden(adj, n, u, v):
                 break
-            bits0 |= 1 << (M - 1 - i)
+            bits0 |= bit
         else:
             cap[u] -= 1
             cap[v] -= 1
     else:
+        nodes += 1
         rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
     return best, best_bits, nodes
 

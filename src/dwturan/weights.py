@@ -313,11 +313,15 @@ def growth_rows(f: WeightFunction, c: float, rng: tuple[int, int]):
     """Yield (n, f(n+1)/f(n), 1 + n**(-c), ratio <= bound) for n in [lo, hi].
 
     The scan starts at max(lo, 1); every growth verdict is read off these
-    rows, in the ratio form they carry.
+    rows, in the ratio form they carry. The exponent is checked on the call,
+    before any row is asked for; the rows themselves come lazily.
     """
     _require_positive("exponent c", c)
     lo, hi = rng
-    lo = max(lo, 1)
+    return _growth_rows(f, c, max(lo, 1), hi)
+
+
+def _growth_rows(f: WeightFunction, c: float, lo: int, hi: int):
     prev = f(lo)
     for n in range(lo, hi + 1):
         if prev <= 0:

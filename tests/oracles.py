@@ -11,6 +11,9 @@ two references, the full-table DP and the generator enumeration; each
 adds the same part values in the same order as the routine it checks, so
 float results must agree bit for bit. Float ties are judged by the
 library's one rounding rule, weights.float_slack, as the routines do.
+The labeled search has a reference of its own walk, reference_search_tree:
+it shares the matcher and the weight table with the library and keeps the
+plainest form of every node, so it checks the tree and not containment.
 """
 
 import math
@@ -26,6 +29,7 @@ from dwturan import (
     e_f,
     norm,
 )
+from dwturan.graphs import SubgraphMatcher
 from dwturan.weights import float_slack, tabulate
 
 
@@ -112,6 +116,102 @@ def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
         if best is None or value > best:
             best, best_edges = value, edges
     return best, Graph(n, best_edges)
+
+
+def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
+    """search._search_tree in its plainest form: (best, bits, nodes).
+
+    Every node is counted on entry and checks its bound there; the
+    exclude child sums the weights of the caps afresh, in vertex order;
+    a deg list follows adj and the leaf scores it. The library's search
+    must walk the same tree in the same order, so all three outputs,
+    the node count too, are compared exactly.
+    """
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    M = len(slots)
+    table, den = tabulate(f, range(n))
+    monotone = all(a <= b for a, b in zip(table, table[1:]))
+    slack = float_slack(table, den, n)
+    leaf_sum = math.fsum if den is None else sum
+    if F.n > n:
+        def creates_forbidden(adj, n, u, v):
+            return False
+    else:
+        creates_forbidden = SubgraphMatcher(F).exists_using_edge
+
+    adj = [0] * n
+    deg = [0] * n
+    cap = [n - 1] * n
+    nodes = 0
+    best = None
+    best_bits = 0
+    cutoff = -math.inf
+
+    def leaf_is_maximal() -> bool:
+        for u, v in slots:
+            if adj[u] >> v & 1:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            creates = creates_forbidden(adj, n, u, v)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            deg[u] -= 1
+            deg[v] -= 1
+            if not creates:
+                return False
+        return True
+
+    def rec(i: int, bits: int, bound):
+        nonlocal nodes, best, best_bits, cutoff
+        nodes += 1
+        if bound < cutoff:
+            return
+        if i == M:
+            if monotone and not leaf_is_maximal():
+                return
+            value = leaf_sum([table[d] for d in deg])
+            if best is None or value > best or (value == best and bits < best_bits):
+                best = value
+                best_bits = bits
+                cutoff = best - slack if monotone else -math.inf
+            return
+        u, v = slots[i]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+        if not creates_forbidden(adj, n, u, v):
+            rec(i + 1, bits | (1 << (M - 1 - i)), bound)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        deg[u] -= 1
+        deg[v] -= 1
+        cap[u] -= 1
+        cap[v] -= 1
+        rec(i + 1, bits, sum(map(table.__getitem__, cap)))
+        cap[u] += 1
+        cap[v] += 1
+
+    bits0 = 0
+    for i, decision in enumerate(prefix):
+        u, v = slots[i]
+        if decision:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            if creates_forbidden(adj, n, u, v):
+                break
+            bits0 |= 1 << (M - 1 - i)
+        else:
+            cap[u] -= 1
+            cap[v] -= 1
+    else:
+        rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
+    return best, best_bits, nodes
 
 
 def naive_log_witness(n: int, F: Graph) -> tuple[int, Graph]:

@@ -409,6 +409,16 @@ class TestExitCodes:
         assert report["kind"] == "input"
         assert f"no more than {cli.CHECKF_MAX_POINTS} degrees" in report["error"]
 
+    def test_checkf_bad_exponent_refused_before_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before the exponent check")
+
+        monkeypatch.setattr(weights, "is_nondecreasing", no_scan)
+        code, report = run_json(["checkf", "--f", "pow:mu=2", "--range", "1:4",
+                                 "--growth-c", "nan"])
+        assert code == 2
+        assert report["error"].startswith("exponent c must be finite and positive")
+
     def test_checkf_range_at_budget(self):
         code, report = run_json(["checkf", "--f", "pow:mu=2", "--range",
                                  f"1:{cli.CHECKF_MAX_POINTS}"])

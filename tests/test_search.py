@@ -26,7 +26,13 @@ from dwturan import (
     verify_theorem1,
 )
 from dwturan.cli import parse_graph_spec
-from oracles import naive_ex_exact, naive_ex_exact_witness, naive_log_witness
+from dwturan.search import _search_tree
+from oracles import (
+    naive_ex_exact,
+    naive_ex_exact_witness,
+    naive_log_witness,
+    reference_search_tree,
+)
 from test_graphs import CLI_SHORTHANDS
 
 
@@ -189,6 +195,36 @@ class TestLogTieOracle:
                                                  for d in witness.degrees), n
 
 
+REFERENCE_WEIGHTS = ["pow:mu=2", "half", "pow:mu=0", "step:0:0;3:1;5:3",
+                     "log:floor=0", "pow:mu=0.5"]
+
+
+class TestReferenceSearch:
+    """The search against its plainest form, oracles.reference_search_tree:
+    same best value, same bitstring and same node count, so the cheaper
+    nodes walk the same tree in the same order and prune the same
+    subtrees, in the int, scaled-Fraction and float modes."""
+
+    @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
+    def test_whole_tree(self, shorthand):
+        F = parse_graph_spec(shorthand)
+        for weight in REFERENCE_WEIGHTS:
+            f = parse_weight(weight)
+            for n in range(7):
+                assert _search_tree(n, F, f) == reference_search_tree(n, F, f), \
+                    (weight, n)
+
+    @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
+    def test_every_three_slot_prefix(self, shorthand):
+        F = parse_graph_spec(shorthand)
+        for weight in REFERENCE_WEIGHTS:
+            f = parse_weight(weight)
+            for p in range(8):
+                prefix = (p >> 2 & 1, p >> 1 & 1, p & 1)
+                assert (_search_tree(5, F, f, prefix)
+                        == reference_search_tree(5, F, f, prefix)), (weight, prefix)
+
+
 class TestFrozenPatternValues:
     """Values, witnesses and node counts that the incremental matcher decides.
 
@@ -213,9 +249,21 @@ class TestFrozenPatternValues:
     def test_eight_vertices(self, F, n, value, witness, nodes):
         self._check(F, n, value, witness, nodes)
 
+    @pytest.mark.parametrize("spec,n,weight,value,witness,nodes", [
+        ("C5", 7, "step:0:0;3:1;5:3", 9, "FJaNw", 79997),
+        ("K3s:2", 7, "pow:mu=2", 172, "FK~~w", 21155),
+        ("K2,3", 6, "half", 10, "ELrw", 8190),
+    ], ids=["C5-step", "K3s:2-anchored", "K2,3-half"])
+    def test_other_weights_and_anchored_patterns(self, spec, n, weight, value,
+                                                 witness, nodes):
+        # K3s:2 and K2,3 go through the anchored search, whose degree
+        # filters read the host's rows
+        self._check(parse_graph_spec(spec), n, value, witness, nodes,
+                    parse_weight(weight))
+
     @staticmethod
-    def _check(F, n, value, witness, nodes):
-        res = ex_exact(n, F, power(2))
+    def _check(F, n, value, witness, nodes, f=power(2)):
+        res = ex_exact(n, F, f)
         assert res.value.exact == value
         assert graph6_encode(res.witness) == witness
         assert res.nodes_explored == nodes
@@ -236,6 +284,11 @@ class TestFrozenCliqueValues:
         (4, 6, "half", 12, "E]~o", 2164),
         (3, 7, "log:floor=0", 8.55333223803211, "F?~v_", 23029),
         (4, 7, "log:floor=0", 10.596634733096073, "FFz~o", 18302),
+        # a step table is flat between jumps, so some exclusions leave the
+        # exact bound as it is
+        (3, 7, "step:0:0;3:1;5:3", 7, "F?~v_", 63891),
+        (4, 6, "pow:mu=0", 6, "E?~w", 57787),
+        (3, 7, "pow:mu=0.5", 12.928203230275509, "F?~v_", 25659),
     ])
     def test_one_worker(self, r, n, weight, value, witness, nodes):
         res = ex_exact(n, complete_graph(r), parse_weight(weight))

@@ -1,14 +1,17 @@
 """perfbench/tracing.py patches dwturan by attribute name and must undo it.
 
 A renamed or deleted attribute would break the traced benchmark run, and a
-wrapper left behind would slow every later call; both show up here.
+wrapper left behind would slow every later call; both show up here. The
+traced matcher counts of two searches are pinned as well.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from dwturan import complete_graph
+import pytest
+
+from dwturan import blowup_k3, complete_graph, ex_exact, parse_weight
 from dwturan.graphs import SubgraphMatcher
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -47,9 +50,29 @@ def test_install_then_uninstall_restores_every_attribute():
         tracer.enabled = True
         # a clique pattern reaches the clique kernel through the matcher
         K3 = complete_graph(3)
-        assert SubgraphMatcher(K3).exists_using_edge(K3.adj, K3.degrees, 3, 0, 1)
+        assert SubgraphMatcher(K3).exists_using_edge(K3.adj, 3, 0, 1)
         assert tracer.calls["graphs.matcher.exists_using_edge"] == 1
         assert tracer.calls["graphs.creates_clique"] == 1
     finally:
         tracer.uninstall()
     assert _changed(before, tracing) == []
+
+
+@pytest.mark.parametrize("n,F,matcher_calls,clique_calls", [
+    (7, complete_graph(3), 35051, 35051),
+    (6, blowup_k3(2), 520, 0),
+], ids=["K3", "K3s:2"])
+def test_one_matcher_question_per_include_decision(n, F, matcher_calls, clique_calls):
+    # the search asks the matcher once per include decision and once per
+    # open slot of a leaf's maximality check, through exists_using_edge
+    # alone, and the clique kernel answers each question for a clique
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        ex_exact(n, F, parse_weight("pow:mu=2"))
+        assert tracer.calls["graphs.matcher.exists_using_edge"] == matcher_calls
+        assert tracer.calls["graphs.creates_clique"] == clique_calls
+    finally:
+        tracer.uninstall()

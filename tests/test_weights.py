@@ -372,6 +372,11 @@ class TestGrowthBound:
         with pytest.raises(ValueError, match="^exponent c must be finite and positive"):
             check_growth_bound(power(2), c, (1, 4))
 
+    def test_exponent_checked_on_the_call(self):
+        # no row is asked for: the refusal may not wait for the first next()
+        with pytest.raises(ValueError, match="^exponent c must be finite and positive"):
+            growth_rows(power(2), math.nan, (1, 4))
+
     def test_no_seed_passes_at_own_exponent(self):
         for c in (0.3, 0.5, 0.7):
             assert least_growth_seed(c, 200_000) is None
