@@ -262,17 +262,24 @@ def _cmd_counterexample(args) -> dict:
 
 
 def _cmd_checkf(args) -> dict:
-    from .weights import check_log_continuity, growth_rows, is_nondecreasing, parse_weight
+    from .weights import (
+        _require_positive,
+        check_log_continuity,
+        growth_rows,
+        is_nondecreasing,
+        parse_weight,
+    )
 
     f = parse_weight(args.f)
     lo, hi = _parse_range(args.scan_range)
     if (args.eps is None) != (args.delta is None):
         raise ValueError("log-continuity check needs both --eps and --delta")
-    # the log-continuity scan reads f up to (1 + delta) * hi; a delta that is
-    # not finite and positive is refused by check_log_continuity itself
-    top = hi
-    if args.delta is not None and math.isfinite(args.delta) and args.delta > 0:
-        top = (1 + args.delta) * hi
+    # checked before any scan, and before the budget reads delta
+    if args.eps is not None:
+        _require_positive("eps", args.eps)
+        _require_positive("delta", args.delta)
+    # the log-continuity scan reads f up to (1 + delta) * hi
+    top = hi if args.delta is None else (1 + args.delta) * hi
     if top - lo + 1 > CHECKF_MAX_POINTS:
         stretch = "" if top == hi else f" with --delta {args.delta}"
         raise ScaleLimitError(f"checkf evaluates f at no more than {CHECKF_MAX_POINTS} "

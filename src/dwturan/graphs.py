@@ -108,19 +108,20 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-class PartSizes:
+class PartSizes(Record):
     """Multiset of part sizes of a complete multipartite graph.
 
     Stored canonically in non-increasing order; zero-size parts are kept.
     """
 
     __slots__ = ("sizes",)
+    sizes: tuple[int, ...]
 
     def __init__(self, sizes: Iterable[int]):
         tup = tuple(sorted((int(s) for s in sizes), reverse=True))
         if any(s < 0 for s in tup):
             raise ValueError("part sizes must be non-negative")
-        self.sizes = tup
+        object.__setattr__(self, "sizes", tup)
 
     @property
     def total(self) -> int:
@@ -134,17 +135,6 @@ class PartSizes:
 
     def __getitem__(self, i):
         return self.sizes[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PartSizes):
-            return self.sizes == other.sizes
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.sizes)
-
-    def __repr__(self) -> str:
-        return f"PartSizes{self.sizes}"
 
 
 class ObjectiveValue(Record):

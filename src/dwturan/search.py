@@ -20,12 +20,15 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
     leaves that still accept an edge are not evaluated.
 
 Among evaluated optimal leaves the reported witness is the one whose edge
-bitstring (fixed slot order) is lexicographically smallest; with the
-maximality rule active that means smallest among maximal witnesses. Results
-are independent of the worker count: a run partitions the tree by its
-first few slot decisions (none for one worker) and reduces the subtrees
-with the same value-then-bitstring comparison, whichever processes
-searched them.
+bitstring (slot 0 first, one bit per slot) is lexicographically smallest;
+with the maximality rule active that means smallest among maximal
+witnesses. No bitstring is kept: include-first order meets the leaves in
+descending bitstring order, so the last optimal leaf met is the least, and
+a leaf of equal value replaces the incumbent. Results are independent of
+the worker count: a run partitions the tree by its first few slot
+decisions (none for one worker), whose subtrees in ascending prefix order
+hold ascending bitstrings, so reducing them in that order keeps the first
+best value, whichever processes searched them.
 """
 
 from __future__ import annotations
@@ -60,26 +63,24 @@ class SearchResult(Record):
     f: WeightFunction
 
 
-def _slots(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def _search_tree(n: int, F: Graph, f: WeightFunction,
                  prefix: tuple[int, ...] = ()):
     """Run the pruned enumeration below one prefix of slot decisions.
 
-    Returns (best value or None, best bitstring, nodes): values are sums
-    of weights.tabulate(f, 0..n-1), integers over its den, or floats when
-    den is None. The bitstring int has slot 0 at the highest bit so that
-    integer order equals lexicographic order on slot decisions.
+    Returns (best value or None, adjacency rows of the best leaf, nodes):
+    values are sums of weights.tabulate(f, 0..n-1), integers over its den,
+    or floats when den is None. Include-first order meets the leaves in
+    descending bitstring order, so a leaf that ties the incumbent has the
+    smaller bitstring and replaces it; the rows kept are those of the
+    least optimal bitstring.
     """
-    slots = _slots(n)
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
     table, den = tabulate(f, range(n))
     monotone = all(a <= b for a, b in zip(table, table[1:]))
     slack = float_slack(table, den, n)
     # a leaf's value depends on its degree multiset alone, so isomorphic
-    # leaves tie exactly and the bitstring decides between them
+    # leaves tie exactly and the visit order decides between them
     leaf_sum = math.fsum if den is None else sum
     # exact mode, where the table holds ints: a cap that falls to c moves
     # the bound by drop[c]
@@ -93,19 +94,19 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     else:
         creates_forbidden = SubgraphMatcher(F).exists_using_edge
 
-    # per slot: its ends, their bits in a row, and its bit in the bitstring
-    plan = [(u, v, 1 << u, 1 << v, 1 << (M - 1 - i)) for i, (u, v) in enumerate(slots)]
+    # per slot: its ends and their bits in a row
+    plan = [(u, v, 1 << u, 1 << v) for u, v in slots]
     adj = [0] * n
     # cap[x] = degree of x + undecided slots at x
     cap = [n - 1] * n
     nodes = 0
     best = None
-    best_bits = 0
+    best_rows = None
     # bounds below this cannot tie the incumbent, even up to rounding
     cutoff = -math.inf
 
     def leaf_is_maximal() -> bool:
-        for u, v, bu, bv, _bit in plan:
+        for u, v, bu, bv in plan:
             if adj[u] & bv:
                 continue
             adj[u] |= bv
@@ -122,23 +123,24 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # Each child is counted where it is reached and entered only if its bound
     # is not below the cutoff; the include child's bound passed at this node
     # and only a leaf raises the cutoff, so it is entered untested.
-    def rec(i: int, bits: int, bound):
-        nonlocal nodes, best, best_bits, cutoff
+    def rec(i: int, bound):
+        nonlocal nodes, best, best_rows, cutoff
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
             value = leaf_sum([table[row.bit_count()] for row in adj])
-            if best is None or value > best or (value == best and bits < best_bits):
+            # >=: this leaf's bitstring is below every one met before it
+            if best is None or value >= best:
                 best = value
-                best_bits = bits
+                best_rows = adj[:]
                 cutoff = best - slack if monotone else -math.inf
             return
-        u, v, bu, bv, bit = plan[i]
+        u, v, bu, bv = plan[i]
         adj[u] |= bv
         adj[v] |= bu
         if not creates_forbidden(adj, n, u, v):
             nodes += 1
-            rec(i + 1, bits | bit, bound)
+            rec(i + 1, bound)
         adj[u] ^= bv
         adj[v] ^= bu
         cap[u] -= 1
@@ -149,34 +151,25 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             bound += drop[cap[u]] + drop[cap[v]]
         nodes += 1
         if not bound < cutoff:
-            rec(i + 1, bits, bound)
+            rec(i + 1, bound)
         cap[u] += 1
         cap[v] += 1
 
     # apply the prefix decisions, bailing out if they already force a copy;
     # the root is counted like any child, and no leaf has set a cutoff yet
-    bits0 = 0
-    for decision, (u, v, bu, bv, bit) in zip(prefix, plan):
+    for decision, (u, v, bu, bv) in zip(prefix, plan):
         if decision:
             adj[u] |= bv
             adj[v] |= bu
             if creates_forbidden(adj, n, u, v):
                 break
-            bits0 |= bit
         else:
             cap[u] -= 1
             cap[v] -= 1
     else:
         nodes += 1
-        rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
-    return best, best_bits, nodes
-
-
-def _bits_to_graph(n: int, bits: int) -> Graph:
-    slots = _slots(n)
-    M = len(slots)
-    edges = [slots[i] for i in range(M) if bits >> (M - 1 - i) & 1]
-    return Graph(n, edges)
+        rec(len(prefix), sum(map(table.__getitem__, cap)))
+    return best, best_rows, nodes
 
 
 def ex_exact(n: int, F: Graph, f: WeightFunction, *,
@@ -190,11 +183,12 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     At most min(workers, usable CPUs) processes search the subtrees: a
     process pool when that is more than one, else this process, in prefix
     order. Usable CPUs are the process's affinity set, or os.cpu_count()
-    where the OS keeps none. The subtree results are reduced once, by
-    value and then least bitstring, so value and witness do not depend on
-    the worker count. The node count does, since subtrees do not share
-    their incumbents; it follows the split, so the worker count alone,
-    never the number of CPUs.
+    where the OS keeps none. Every bitstring below prefix p is smaller than
+    every one below p + 1, so the subtree results, reduced once in prefix
+    order keeping the first best value, give the least optimal bitstring:
+    value and witness do not depend on the worker count. The node count
+    does, since subtrees do not share their incumbents; it follows the
+    split, so the worker count alone, never the number of CPUs.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -222,24 +216,25 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
         # CPU would otherwise load for nothing
         from concurrent.futures import ProcessPoolExecutor
 
+        # pool.map keeps prefix order, which the reduce below relies on
         with ProcessPoolExecutor(max_workers=procs) as pool:
             results = list(pool.map(_search_tree, *searches))
     else:
         results = map(_search_tree, *searches)
     best = None
-    best_bits = 0
+    best_rows = None
     nodes = 0
-    for value, bits, sub_nodes in results:
+    # strict >: an equal value from a later prefix has a larger bitstring
+    for value, rows, sub_nodes in results:
         nodes += sub_nodes
-        if value is not None and (best is None or value > best
-                                  or (value == best and bits < best_bits)):
+        if value is not None and (best is None or value > best):
             best = value
-            best_bits = bits
+            best_rows = rows
 
     if best is None:
         raise InvariantViolation("search evaluated no leaf; this cannot happen")
 
-    witness = _bits_to_graph(n, best_bits)
+    witness = Graph._from_adj(n, best_rows)
     if contains_subgraph(witness, F):
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
     # e_f decides exactness on the witness degrees alone, so it may return

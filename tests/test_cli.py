@@ -385,9 +385,13 @@ class TestExitCodes:
         (["--eps", "inf", "--delta", "0.5"], "eps"),
         (["--eps", "1", "--delta", "inf"], "delta"),
     ])
-    def test_checkf_parameter_not_finite(self, extra, name):
+    def test_checkf_parameter_not_finite(self, monkeypatch, extra, name):
         # a NaN or infinite parameter would print as NaN or Infinity, which
-        # is not JSON
+        # is not JSON; it is refused before any scan
+        def no_scan(*args):
+            raise AssertionError("scanned before the parameter check")
+
+        monkeypatch.setattr(weights, "is_nondecreasing", no_scan)
         code, report = run_json(["checkf", "--f", "pow:mu=2", "--range", "1:4"] + extra)
         assert code == 2
         assert report["kind"] == "input"

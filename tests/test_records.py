@@ -52,6 +52,7 @@ RECORDS = [
     (StaircaseWeight, ["params"], [StaircaseParams(0.5, [9])],
      [StaircaseParams(0.5, [9, 200])]),
     (ObjectiveValue, ["approx", "exact"], [1.0, Fraction(1)], [2.0, Fraction(2)]),
+    (PartSizes, ["sizes"], [(3, 1)], [(4, 1)]),
     (PartitionOptimum, ["value", "witness", "n", "k", "f", "ties_flag"],
      [_V(84), PartSizes([3, 1]), 4, 2, _F, True],
      [_V(85), PartSizes([3, 1]), 4, 2, _F, True]),

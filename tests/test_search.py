@@ -133,6 +133,18 @@ class TestExExact:
         par = ex_exact(5, complete_graph(3), power(2), workers=2)
         assert seq.value == par.value
         assert seq.witness == par.witness
+        # under pow:mu=0 every maximal graph ties, so only the reduce's
+        # choice among equal subtree values decides the witness
+        for weight in ["pow:mu=0", "step:0:0;3:1;5:3"]:
+            f = parse_weight(weight)
+            for shorthand in ["C4", "K3s:2"]:
+                F = parse_graph_spec(shorthand)
+                for n in (5, 6):
+                    seq = ex_exact(n, F, f, workers=1)
+                    for workers in (2, 8):
+                        par = ex_exact(n, F, f, workers=workers)
+                        assert par.value == seq.value, (weight, shorthand, n, workers)
+                        assert par.witness == seq.witness, (weight, shorthand, n, workers)
 
     def test_float_weight_path(self):
         res = ex_exact(5, complete_graph(3), power(1.5))
@@ -199,11 +211,26 @@ REFERENCE_WEIGHTS = ["pow:mu=2", "half", "pow:mu=0", "step:0:0;3:1;5:3",
                      "log:floor=0", "pow:mu=0.5"]
 
 
+def _reference_rows(n, F, f, prefix=()):
+    """reference_search_tree with its best bitstring decoded to adjacency rows."""
+    best, bits, nodes = reference_search_tree(n, F, f, prefix)
+    if best is None:
+        return best, None, nodes
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [0] * n
+    for i, (u, v) in enumerate(slots):
+        if bits >> (len(slots) - 1 - i) & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return best, rows, nodes
+
+
 class TestReferenceSearch:
     """The search against its plainest form, oracles.reference_search_tree:
-    same best value, same bitstring and same node count, so the cheaper
-    nodes walk the same tree in the same order and prune the same
-    subtrees, in the int, scaled-Fraction and float modes."""
+    same best value, same witness (the reference's least bitstring, decoded
+    to rows) and same node count, so the cheaper nodes walk the same tree
+    in the same order and prune the same subtrees, in the int,
+    scaled-Fraction and float modes."""
 
     @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
     def test_whole_tree(self, shorthand):
@@ -211,8 +238,7 @@ class TestReferenceSearch:
         for weight in REFERENCE_WEIGHTS:
             f = parse_weight(weight)
             for n in range(7):
-                assert _search_tree(n, F, f) == reference_search_tree(n, F, f), \
-                    (weight, n)
+                assert _search_tree(n, F, f) == _reference_rows(n, F, f), (weight, n)
 
     @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
     def test_every_three_slot_prefix(self, shorthand):
@@ -222,7 +248,7 @@ class TestReferenceSearch:
             for p in range(8):
                 prefix = (p >> 2 & 1, p >> 1 & 1, p & 1)
                 assert (_search_tree(5, F, f, prefix)
-                        == reference_search_tree(5, F, f, prefix)), (weight, prefix)
+                        == _reference_rows(5, F, f, prefix)), (weight, prefix)
 
 
 class TestFrozenPatternValues:
