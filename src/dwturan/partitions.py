@@ -7,11 +7,13 @@ vectors with a fixed number of parts (zero parts allowed, so k parts
 subsume fewer) by dynamic programming; an exhaustive enumerator over
 non-increasing vectors serves as an independent cross-check.
 
-The DP fills only the entries its result reads: rows 1..k-1 of the table
-(row 1 in closed form) and row k at m = n, and the witness table min_max
-for j < k. Each row still scans every size of its last part: bounding it
-by the largest part t >= ceil(m/j) would regroup float sums and move the
-last bits of float-mode values.
+The DP fills only the cells its result reads. With k > n it runs on n
+parts (at most n parts are non-empty) and pads the witness with zeros. In
+exact mode each row j scans only a largest last part t >= ceil(m/j) and
+stops at m = n*j/k, the most vertices a descent leaves for j parts. In
+float mode every row stays full: a largest-part bound regroups the sums
+of rows 3 and up and moves the last bits of float values. Row 2 still
+scans only t >= ceil(m/2), since its two orders add the same two floats.
 
 Arithmetic runs in exact integers (weights.tabulate scales f(0..n-1) to a
 common denominator) whenever the weight is rational at every degree used;
@@ -76,29 +78,41 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
 
     DP over (parts used, vertices placed): best[j][m] = max over the size t
     of the j-th part of best[j-1][m-t] + t*f(n-t). Only what the result
-    reads is filled: row 1 is vals[m] (t = m is the one term reaching row
-    0's finite entry), rows 2..k-1 in full, at O(n^2) evaluations each, and
-    row k at m = n only. The witness is rebuilt by descending through the
-    table, taking at each level the smallest feasible maximal part, which
-    yields the lexicographically smallest non-increasing optimal vector.
-
-    Every row scans every size t of its last part. Restricting row j to a
-    largest part t >= ceil(m/j) would be exact on integers, but in float
-    mode it regroups the sums and moves last bits of reported values.
+    reads is filled. Parts past n add only zeros, so the table has
+    kk = min(k, max(n, 1)) levels and the witness gets k - kk zero parts.
+    Rows 1..kk-1 are filled, and row kk at m = n only:
+      * exact mode: row j scans t >= ceil(m/j) only, as integer sums do not
+        depend on order and so may put the largest part last; a descent
+        then never leaves more than n*j/kk vertices for j parts, so row j
+        stops at m = n*j//kk;
+      * float mode: rows 1 and 2 scan t >= ceil(m/j) too, as their two
+        orders add the same floats; rows 3 and up scan every t and every m,
+        because regrouping their sums moves the last bits of the values.
+    The witness is rebuilt by descending through the table, taking at each
+    level the smallest feasible maximal part, which yields the
+    lexicographically smallest non-increasing optimal vector.
     """
     if k < 1:
         raise ValueError("need at least one part")
     if n < 0:
         raise ValueError("order must be non-negative")
     vals, den = _part_values(n, f)
+    exact = den is not None
+    kk = min(k, max(n, 1))
     neg = -math.inf
-    row0 = [0.0 if den is None else 0] + [neg] * n
-    rows = [row0, [row0[0] + v for v in vals]]
-    for _j in range(2, k):
-        prev = rows[-1]
-        # prev[m::-1][t] = prev[m - t]; zip stops at t = m
-        rows.append([max(map(add, prev[m::-1], vals)) for m in range(n + 1)])
-    opt = max(map(add, rows[k - 1][n::-1], vals))
+    rows = [[0 if exact else 0.0] + [neg] * n]
+
+    def cell(j: int, m: int):
+        """best[j][m] from row j-1, over t from ceil(m/j) where that bound
+        leaves every sum's bits alone, else from 0."""
+        lo = -(-m // j) if exact or j <= 2 else 0
+        # pairs rows[j-1][m - t] with vals[t] for t = lo..m
+        return max(map(add, rows[j - 1][m - lo::-1], vals[lo:m + 1]))
+
+    for j in range(1, kk):
+        top = n * j // kk if exact else n
+        rows.append([cell(j, m) for m in range(top + 1)])
+    opt = cell(kk, n)
 
     # regrouped float sums of the same parts can differ in the last bits
     tol = float_slack(vals, den, k)
@@ -114,16 +128,16 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
                 if mm is not None and mm <= t:
                     yield t
 
-    # min_max[j][m]: smallest possible largest part over optimal fillings;
-    # the descent reads it for j < k only
+    # min_max[j][m]: smallest possible largest part over optimal fillings,
+    # over the m of row j; the descent reads it for j < kk only
     min_max: list[list[Optional[int]]] = [[0] + [None] * n]
-    for j in range(1, k):
+    for j in range(1, kk):
         min_max.append([next(leaders(j, m, target), None)
                          for m, target in enumerate(rows[j])])
 
     witness: list[int] = []
     ties = False
-    j, m, target = k, n, opt
+    j, m, target = kk, n, opt
     while j > 0:
         found = leaders(j, m, target)
         t_star = next(found, None)
@@ -134,6 +148,7 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         j, m = j - 1, m - t_star
         target = rows[j][m]
 
+    witness += [0] * (k - kk)
     return PartitionOptimum(value=ObjectiveValue.scaled(opt, den),
                             witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
 

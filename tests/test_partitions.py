@@ -35,6 +35,7 @@ REFERENCE_WEIGHTS = [
     "step:0:3;2:1",
     "pow:mu=1",
     "staircase:c=0.5,seeds=100,base=1",
+    "step:0:1/3;2:0;4:7/2;9:1",
 ]
 
 
@@ -141,10 +142,18 @@ class TestAgainstFullTable:
     def test_bit_identical(self, weight):
         f = parse_weight(weight)
         for n in [*range(42), 57, 101, 150]:
-            for k in range(1, 7):
+            for k in range(1, 9):
                 assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), (n, k)
 
-    # a largest-part bound t >= ceil(m/j) on every row regroups these sums
+    @pytest.mark.parametrize("weight", ["pow:mu=2", "log:floor=0"])
+    def test_parts_past_n_are_zero(self, weight):
+        f = parse_weight(weight)
+        value, witness, ties = _bits(ex_prime(5, 5, f))
+        many = ex_prime(5, 10**5, f)
+        assert many.k == 10**5
+        assert _bits(many) == (value, witness + (0,) * (10**5 - 5), ties)
+
+    # a largest-part bound t >= ceil(m/j) on rows 3 and up regroups these sums
     @pytest.mark.parametrize("n,k,bits", [
         (5, 3, "0x1.71f7b3a6b9187p+2"),
         (5, 4, "0x1.96ca77c922cf9p+2"),
