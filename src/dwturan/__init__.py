@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("InvariantViolation", "ScaleLimitError"), "errors"),
     **dict.fromkeys((
-        "Graph", "ObjectiveValue", "PartSizes", "blowup_k3", "chromatic_number",
+        "Graph", "PartSizes", "blowup_k3", "chromatic_number",
         "complete_bipartite", "complete_graph", "complete_multipartite",
         "contains_subgraph", "cycle_graph", "e_f", "empty_graph", "graph6_decode",
         "graph6_encode", "path_graph", "petersen_graph", "turan_graph",
@@ -45,9 +45,10 @@ _EXPORTS = {
         "RatioRow", "SearchResult", "ex_exact", "ratio_table", "verify_theorem1",
     ), "search"),
     **dict.fromkeys((
-        "StaircaseParams", "StaircaseWeight", "StepWeight", "WeightFunction",
-        "check_growth_bound", "check_log_continuity", "half", "is_nondecreasing",
-        "least_growth_seed", "log_family", "parse_weight", "power", "staircase",
+        "ObjectiveValue", "StaircaseParams", "StaircaseWeight", "StepWeight",
+        "WeightFunction", "check_growth_bound", "check_log_continuity", "half",
+        "is_nondecreasing", "least_growth_seed", "log_family", "parse_weight",
+        "power", "staircase",
     ), "weights"),
 }
 

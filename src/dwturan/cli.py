@@ -27,6 +27,8 @@ if TYPE_CHECKING:
 
 # the most degrees one checkf call evaluates the weight at
 CHECKF_MAX_POINTS = 100_000
+# the most parts one exprime call takes; its witness lists k part sizes
+EXPRIME_MAX_K = 100_000
 
 _SHORTHAND = re.compile(
     r"^(?:K(?P<r>\d+)|C(?P<cyc>\d+)|P(?P<path>\d+)|K(?P<a>\d+),(?P<b>\d+)|K3s:(?P<s>\d+))$"
@@ -159,6 +161,9 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_exprime(args) -> dict:
+    if args.k > EXPRIME_MAX_K:
+        raise ScaleLimitError(f"exprime takes no more than {EXPRIME_MAX_K} parts; "
+                              f"--k {args.k} asks for more")
     from .partitions import ex_prime
     from .weights import parse_weight
 

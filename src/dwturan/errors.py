@@ -14,14 +14,13 @@ class Record:
 
     A subclass lists its fields in ``__slots__``, in constructor order;
     ``_fields`` overrides that list where a slot holds a cached, derived
-    value, and ``_defaults`` gives values for trailing fields. Records
-    compare and hash by their fields, repr as ``Name(field=value, ...)``
-    and refuse assignment; an ``__init__`` of their own stores through
-    ``object.__setattr__``.
+    value. Every field is given on construction, by position or keyword.
+    Records compare and hash by their fields, repr as
+    ``Name(field=value, ...)`` and refuse assignment; an ``__init__`` of
+    their own stores through ``object.__setattr__``.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
@@ -34,13 +33,9 @@ class Record:
         for key, value in zip(fields, args):
             object.__setattr__(self, key, value)
         for key in fields[len(args):]:
-            if key in kwargs:
-                value = kwargs.pop(key)
-            elif key in self._defaults:
-                value = self._defaults[key]
-            else:
+            if key not in kwargs:
                 raise TypeError(f"{type(self).__name__}() is missing the argument {key!r}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, kwargs.pop(key))
         if kwargs:
             raise TypeError(f"{type(self).__name__}() got unexpected arguments "
                             f"{sorted(kwargs)}")

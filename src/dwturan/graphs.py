@@ -10,13 +10,11 @@ injective map preserving edges), not induced containment.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import Record
-from .weights import tabulate
+from .weights import ObjectiveValue, degree_sum
 
 
 def _bits(mask: int):
@@ -137,88 +135,9 @@ class PartSizes(Record):
         return self.sizes[i]
 
 
-class ObjectiveValue(Record):
-    """A weighted-degree total, carried in float and, when possible, exactly.
-
-    Comparisons use the exact values whenever both sides have them.
-    """
-
-    __slots__ = ("approx", "exact")
-
-    def __init__(self, approx: float, exact: Optional[Fraction] = None):
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "exact", exact)
-
-    @classmethod
-    def of(cls, exact) -> "ObjectiveValue":
-        frac = Fraction(exact)
-        return cls(approx=float(frac), exact=frac)
-
-    @classmethod
-    def approximate(cls, value: float) -> "ObjectiveValue":
-        return cls(approx=float(value), exact=None)
-
-    @classmethod
-    def scaled(cls, total, den: Optional[int]) -> "ObjectiveValue":
-        """Value of a total of ``weights.tabulate`` values with denominator den."""
-        if den is None:
-            return cls.approximate(total)
-        return cls.of(Fraction(total, den))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
-    def _cmp_key(self, other: "ObjectiveValue"):
-        if self.exact is not None and other.exact is not None:
-            return self.exact, other.exact
-        return self.approx, other.approx
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObjectiveValue):
-            return NotImplemented
-        a, b = self._cmp_key(other)
-        return a == b
-
-    def __lt__(self, other: "ObjectiveValue") -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other: "ObjectiveValue") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __sub__(self, other: "ObjectiveValue"):
-        """The difference, exact when both sides are exact, else in float."""
-        a, b = self._cmp_key(other)
-        return a - b
-
-    def __gt__(self, other: "ObjectiveValue") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "ObjectiveValue") -> bool:
-        return not self < other
-
-    def __hash__(self):
-        # equal values have equal approx: constructors set it to float(exact)
-        return hash(self.approx)
-
-    def as_json(self):
-        """int when exactly integral, else float."""
-        if self.exact is not None and self.exact.denominator == 1:
-            return int(self.exact)
-        return self.approx
-
-    def __repr__(self) -> str:
-        if self.exact is not None:
-            return f"ObjectiveValue({self.exact})"
-        return f"ObjectiveValue(~{self.approx})"
-
-
 def e_f(G: Graph, f) -> ObjectiveValue:
     """Sum of f over the degree sequence of G."""
-    vals, den = tabulate(f, G.degrees)
-    return ObjectiveValue.scaled(math.fsum(vals) if den is None else sum(vals), den)
+    return degree_sum(f, [(d, 1) for d in G.degrees])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import random
 from .errors import Record
 from .graphs import (
     Graph,
-    ObjectiveValue,
     creates_clique,
     e_f,
     mask_has_clique,
@@ -24,7 +23,7 @@ from .graphs import (
     _bits,
 )
 from .partitions import ex_prime
-from .weights import WeightFunction, float_slack, tabulate
+from .weights import ObjectiveValue, WeightFunction, float_slack, tabulate
 
 
 class MajorizerResult(Record):

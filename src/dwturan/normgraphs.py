@@ -31,12 +31,11 @@ from typing import Optional
 from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import (
     Graph,
-    ObjectiveValue,
     SubgraphMatcher,
     complete_multipartite,
     e_f,
 )
-from .weights import WeightFunction, float_slack, tabulate
+from .weights import ObjectiveValue, WeightFunction, degree_sum, float_slack, tabulate
 
 _FIELD_MAX_P = 100
 _FIELD_MAX_T = 4
@@ -401,10 +400,10 @@ def bipartite_upper_bound(n_k: int, f: WeightFunction) -> ObjectiveValue:
     In any bipartite graph on 2*n_k vertices, at least n_k vertices lie in
     a side of size <= n_k and therefore have degree <= n_k; the rest are
     capped by 2*n_k - 1. This bounds the weighted degree sum of every
-    bipartite graph of that order for non-decreasing f.
+    bipartite graph of that order for non-decreasing f. n_k must be at
+    least 1, as n_k = 0 would ask for f(-1).
     """
-    (hi, lo), den = tabulate(f, (2 * n_k - 1, n_k))
-    return ObjectiveValue.scaled(n_k * hi + n_k * lo, den)
+    return degree_sum(f, [(2 * n_k - 1, n_k), (n_k, n_k)])
 
 
 class GapReport(Record):

@@ -28,8 +28,8 @@ from operator import add
 from typing import Optional
 
 from .errors import InvariantViolation, Record, ScaleLimitError
-from .graphs import ObjectiveValue, PartSizes, turan_part_sizes
-from .weights import WeightFunction, float_slack, tabulate
+from .graphs import PartSizes, turan_part_sizes
+from .weights import ObjectiveValue, WeightFunction, degree_sum, float_slack, tabulate
 
 _ENUM_MAX_N = 200
 _ENUM_MAX_K = 5
@@ -46,7 +46,6 @@ class PartitionOptimum(Record):
     """
 
     __slots__ = ("value", "witness", "n", "k", "f", "ties_flag")
-    _defaults = {"ties_flag": False}
     value: ObjectiveValue
     witness: PartSizes
     n: int
@@ -59,18 +58,22 @@ def _part_values(n: int, f: WeightFunction):
     """(value, den): value[t] = t * f(n - t) for t in 0..n, from tabulate.
 
     A zero part contributes 0 regardless of f(n), so value[0] = 0 and only
-    f(0..n-1) is evaluated; den is None in float mode.
+    f(0..n-1) is evaluated; den is None in float mode. The DP and the
+    enumeration oracle add these part products rather than score degree
+    multisets with weights.degree_sum: in float mode a product and its
+    grouping fix the last bits of the optimum, and those bits are frozen
+    (test_frozen_float_bits, perfbench/pins.json).
     """
     table, den = tabulate(f, range(n))
     return [0] + [t * table[n - t] for t in range(1, n + 1)], den
 
 
 def multipartite_value(parts, f: WeightFunction) -> ObjectiveValue:
-    """Score of the complete multipartite graph with the given part sizes."""
+    """Score of the complete multipartite graph with the given part sizes:
+    the t vertices of a part of size t have degree n - t."""
     sizes = [t for t in parts if t]
     n = sum(sizes)
-    table, den = tabulate(f, [n - t for t in sizes])
-    return ObjectiveValue.scaled(sum(t * x for t, x in zip(sizes, table)), den)
+    return degree_sum(f, [(n - t, t) for t in sizes])
 
 
 def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
@@ -232,13 +235,8 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
         raise ValueError("gamma1 must be positive")
     opt = ex_prime(n, r - 1, f)
     balanced = multipartite_value(turan_part_sizes(r - 1, n), f)
-
-    def times_n(d: int) -> ObjectiveValue:
-        (x,), den = tabulate(f, (d,))
-        return ObjectiveValue.scaled(n * x, den)
-
-    term_r = times_n(n * (r - 1) // r)
-    term_rm1 = times_n(n * (r - 2) // (r - 1))
+    term_r = degree_sum(f, [(n * (r - 1) // r, n)])
+    term_rm1 = degree_sum(f, [(n * (r - 2) // (r - 1), n)])
     gamma_term = gamma1 * n * f(n)
     slack = float_slack(*tabulate(f, range(n)), n)
     return ChainCheckReport(

@@ -40,7 +40,6 @@ from . import _usable_cpus
 from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import (
     Graph,
-    ObjectiveValue,
     SubgraphMatcher,
     chromatic_number,
     complete_graph,
@@ -48,7 +47,7 @@ from .graphs import (
     e_f,
 )
 from .partitions import ex_prime
-from .weights import WeightFunction, float_slack, tabulate
+from .weights import ObjectiveValue, WeightFunction, float_slack, tabulate
 
 DEFAULT_LIMIT = 8
 
@@ -80,7 +79,8 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     monotone = all(a <= b for a, b in zip(table, table[1:]))
     slack = float_slack(table, den, n)
     # a leaf's value depends on its degree multiset alone, so isomorphic
-    # leaves tie exactly and the visit order decides between them
+    # leaves tie exactly and the visit order decides between them; it is
+    # weights.degree_sum's rule, inlined so a leaf builds no pair list
     leaf_sum = math.fsum if den is None else sum
     # exact mode, where the table holds ints: a cap that falls to c moves
     # the bound by drop[c]

@@ -11,12 +11,18 @@ Each family is stated once. ``exact`` gives its value as a Fraction
 wherever that value is rational, and the float there is that Fraction
 rounded; a family keeps a float formula only for its irrational points
 (fractional powers, logarithms, staircase climbs). ``parse_weight`` is the
-one text form of a weight. ``tabulate`` is the one place that turns a
-weight into numbers: exact integers over a common denominator when every
-requested point is rational, floats otherwise; ``float_slack`` is the one
-rule for comparing two totals of them. The predicate checkers are
-finite-range scanners: they certify the scanned range and nothing beyond
-it.
+one text form of a weight.
+
+The numeric layer lives here too. ``tabulate`` is the one place that turns
+a weight into numbers: exact integers over a common denominator when every
+requested point is rational, floats otherwise. ``ObjectiveValue`` is the
+value such numbers add up to, exact when they are, and
+``ObjectiveValue.scaled`` turns a total of them back into one.
+``degree_sum`` scores a degree multiset, the sum of f over it: exact in
+exact mode, the correctly rounded sum (``math.fsum``) in float mode, so
+two scorers of one multiset agree to the bit. ``float_slack`` is the one
+rule for comparing two totals. The predicate checkers are finite-range
+scanners: they certify the scanned range and nothing beyond it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .errors import Record, ScaleLimitError
@@ -231,6 +238,84 @@ def staircase(params: StaircaseParams) -> WeightFunction:
 # numeric layer
 
 
+class ObjectiveValue(Record):
+    """A weighted-degree total, carried in float and, when possible, exactly.
+
+    Comparisons use the exact values whenever both sides have them.
+    """
+
+    __slots__ = ("approx", "exact")
+
+    def __init__(self, approx: float, exact: Optional[Fraction] = None):
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "exact", exact)
+
+    @classmethod
+    def of(cls, exact) -> "ObjectiveValue":
+        frac = Fraction(exact)
+        return cls(approx=float(frac), exact=frac)
+
+    @classmethod
+    def approximate(cls, value: float) -> "ObjectiveValue":
+        return cls(approx=float(value), exact=None)
+
+    @classmethod
+    def scaled(cls, total, den: Optional[int]) -> "ObjectiveValue":
+        """Value of a total of ``tabulate`` values with denominator den."""
+        if den is None:
+            return cls.approximate(total)
+        return cls.of(Fraction(total, den))
+
+    @property
+    def is_exact(self) -> bool:
+        return self.exact is not None
+
+    def _cmp_key(self, other: "ObjectiveValue"):
+        if self.exact is not None and other.exact is not None:
+            return self.exact, other.exact
+        return self.approx, other.approx
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObjectiveValue):
+            return NotImplemented
+        a, b = self._cmp_key(other)
+        return a == b
+
+    def __lt__(self, other: "ObjectiveValue") -> bool:
+        a, b = self._cmp_key(other)
+        return a < b
+
+    def __le__(self, other: "ObjectiveValue") -> bool:
+        a, b = self._cmp_key(other)
+        return a <= b
+
+    def __sub__(self, other: "ObjectiveValue"):
+        """The difference, exact when both sides are exact, else in float."""
+        a, b = self._cmp_key(other)
+        return a - b
+
+    def __gt__(self, other: "ObjectiveValue") -> bool:
+        return not self <= other
+
+    def __ge__(self, other: "ObjectiveValue") -> bool:
+        return not self < other
+
+    def __hash__(self):
+        # equal values have equal approx: constructors set it to float(exact)
+        return hash(self.approx)
+
+    def as_json(self):
+        """int when exactly integral, else float."""
+        if self.exact is not None and self.exact.denominator == 1:
+            return int(self.exact)
+        return self.approx
+
+    def __repr__(self) -> str:
+        if self.exact is not None:
+            return f"ObjectiveValue({self.exact})"
+        return f"ObjectiveValue(~{self.approx})"
+
+
 def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list, Optional[int]]:
     """f at each point, as integers over a common denominator when possible.
 
@@ -249,6 +334,25 @@ def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list, Optional[i
         exact.append(x)
     den = math.lcm(*(x.denominator for x in exact))
     return [x.numerator * (den // x.denominator) for x in exact], den
+
+
+def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> ObjectiveValue:
+    """Sum of f over a degree multiset, given as (degree, multiplicity) pairs.
+
+    Exact when f is rational at every degree given. Otherwise the correctly
+    rounded sum (math.fsum) of the expanded multiset, which no grouping or
+    order of its terms changes, so every scorer of one multiset gets the
+    same bits. A negative degree or multiplicity is refused, before f is
+    evaluated anywhere.
+    """
+    for d, m in pairs:
+        if d < 0 or m < 0:
+            raise ValueError(f"degree {d} with multiplicity {m}: both must be non-negative")
+    values, den = tabulate(f, [d for d, _m in pairs])
+    if den is None:
+        expanded = (repeat(v, m) for v, (_d, m) in zip(values, pairs))
+        return ObjectiveValue.approximate(math.fsum(chain.from_iterable(expanded)))
+    return ObjectiveValue.scaled(sum(v * m for v, (_d, m) in zip(values, pairs)), den)
 
 
 def float_slack(values: Sequence, den: Optional[int], terms: int) -> float:

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import dwturan
-from dwturan import cli, complete_graph, cycle_graph, graph6_encode, weights
+from dwturan import cli, complete_graph, cycle_graph, graph6_encode, partitions, weights
 from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
 
@@ -422,6 +422,25 @@ class TestExitCodes:
                                  "--growth-c", "nan"])
         assert code == 2
         assert report["error"].startswith("exponent c must be finite and positive")
+
+    def test_exprime_parts_over_budget(self, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("ran the DP before the budget check")
+
+        monkeypatch.setattr(partitions, "ex_prime", no_dp)
+        code, report = run_json(["exprime", "--n", "5", "--k", str(cli.EXPRIME_MAX_K + 1),
+                                 "--f", "pow:mu=2"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert f"no more than {cli.EXPRIME_MAX_K} parts" in report["error"]
+
+    def test_exprime_parts_at_budget(self):
+        code, report = run_json(["exprime", "--n", "5", "--k", str(cli.EXPRIME_MAX_K),
+                                 "--f", "pow:mu=2"])
+        assert code == 0
+        witness = report["result"]["witness"]
+        assert len(witness) == cli.EXPRIME_MAX_K
+        assert witness[:6] == [1, 1, 1, 1, 1, 0]
 
     def test_checkf_range_at_budget(self):
         code, report = run_json(["checkf", "--f", "pow:mu=2", "--range",

@@ -24,8 +24,10 @@ from dwturan import (
     graph6_encode,
     join_contains_blowup,
     kab_free_check,
+    log_family,
     norm,
     norm_graph,
+    parse_weight,
     power,
     staircase,
     blowup_k3,
@@ -302,6 +304,23 @@ class TestBipartiteBound:
 
     def test_linear(self):
         assert bipartite_upper_bound(9, power(1)).exact == 9 * 17 + 9 * 9 == 234
+
+    @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5", "pow:mu=1.5",
+                                        "pow:mu=2.7"])
+    def test_float_is_the_rounded_sum_of_its_multiset(self, weight):
+        f = parse_weight(weight)
+        for n_k in range(1, 225):
+            multiset = [f(2 * n_k - 1)] * n_k + [f(n_k)] * n_k
+            assert bipartite_upper_bound(n_k, f).approx == math.fsum(multiset), n_k
+
+    def test_negative_side_refused(self):
+        with pytest.raises(ValueError):
+            bipartite_upper_bound(-2, power(2))
+
+    def test_empty_side_refused_before_evaluating_f(self):
+        # n_k = 0 would ask for f(-1), outside the domain of every weight
+        with pytest.raises(ValueError, match="degree -1"):
+            bipartite_upper_bound(0, log_family())
 
     def test_bounds_actual_bipartite_graphs(self):
         # every bipartite graph on 2m vertices obeys the bound for

@@ -56,12 +56,23 @@ class TestMultipartiteValue:
         assert multipartite_value((), power(2)).exact == 0
 
     def test_matches_graph_evaluation(self):
+        # one degree multiset, one correctly rounded sum, however it is grouped
         rng = random.Random(0)
-        for _ in range(30):
-            parts = [rng.randrange(0, 6) for _ in range(rng.randrange(1, 5))]
-            direct = multipartite_value(parts, power(2))
-            via_graph = e_f(complete_multipartite(parts), power(2))
-            assert direct.exact == via_graph.exact
+        for weight in ("pow:mu=2", "log:floor=0", "pow:mu=0.5", "pow:mu=1.5", "pow:mu=2.7"):
+            f = parse_weight(weight)
+            for _ in range(200):
+                parts = [rng.randrange(0, 13) for _ in range(rng.randrange(1, 7))]
+                direct = multipartite_value(parts, f)
+                via_graph = e_f(complete_multipartite(parts), f)
+                assert direct.exact == via_graph.exact
+                assert direct.approx.hex() == via_graph.approx.hex(), (weight, parts)
+
+    def test_negative_part_refused(self):
+        # complete_multipartite refuses the same parts
+        with pytest.raises(ValueError):
+            multipartite_value((3, -1), power(1))
+        with pytest.raises(ValueError):
+            complete_multipartite((3, -1))
 
 
 class TestExPrime:
@@ -292,9 +303,10 @@ class TestChainCheck:
 
     def test_float_balanced_split_at_its_own_floor(self):
         # 33 + 33 + 33: every vertex has degree 66, so the balanced value
-        # is n * f(66); 3 * (33 * ln 66) and 99 * ln 66 round apart
+        # and the floor term score one multiset, 99 copies of ln 66, and
+        # its correctly rounded sum is the same bits on both sides
         rep = turan_chain_check(99, 4, log_family(), 0.1)
-        assert rep.balanced_value.approx != rep.floor_term_rm1.approx
+        assert rep.balanced_value.approx == rep.floor_term_rm1.approx
         assert rep.holds_first and rep.holds_middle_rm1
 
     def test_float_min_degree_reading_holds(self):

@@ -132,12 +132,6 @@ class TestDefaults:
         assert ObjectiveValue(1.0).exact is None
         assert ObjectiveValue(approx=1.0).exact is None
 
-    def test_partition_optimum_ties_flag(self):
-        opt = PartitionOptimum(_V(84), PartSizes([3, 1]), 4, 2, _F)
-        assert opt.ties_flag is False
-        assert PartitionOptimum(value=_V(84), witness=PartSizes([3, 1]), n=4, k=2,
-                                f=_F).ties_flag is False
-
     def test_log_floor_and_staircase_base(self):
         assert LogWeight().floor_at_zero == 0.0
         assert StaircaseParams(0.5, [9]).base == 1
@@ -145,6 +139,8 @@ class TestDefaults:
     def test_missing_or_unknown_argument(self):
         with pytest.raises(TypeError):
             RatioRow(5, _V(24), _V(24))
+        with pytest.raises(TypeError, match="ties_flag"):
+            PartitionOptimum(_V(84), PartSizes([3, 1]), 4, 2, _F)
         with pytest.raises(TypeError):
             RatioRow(5, _V(24), _V(24), 1.0, nope=1)
         with pytest.raises(TypeError):

@@ -24,6 +24,7 @@ from dwturan import (
 )
 from dwturan.weights import (
     MAX_EXPONENT,
+    degree_sum,
     float_slack,
     growth_bound_profile,
     growth_rows,
@@ -174,6 +175,46 @@ class TestTabulate:
         else:
             assert all(type(v) is int for v in vals)
             assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
+
+
+class TestDegreeSum:
+    """degree_sum against the sum of f over the expanded multiset."""
+
+    @pytest.mark.parametrize("f", [power(2), half(), _STEP_2_3_7])
+    def test_exact_total(self, f):
+        rng = random.Random(3)
+        for _ in range(50):
+            pairs = [(rng.randrange(0, 12), rng.randrange(0, 5))
+                     for _ in range(rng.randrange(0, 5))]
+            value = degree_sum(f, pairs)
+            assert value.exact == sum((m * f.exact(d) for d, m in pairs), Fraction(0))
+
+    @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5", "pow:mu=3.3"])
+    def test_float_total_ignores_grouping(self, weight):
+        # the correctly rounded sum: splitting or reordering the pairs keeps its bits
+        f = parse_weight(weight)
+        rng = random.Random(4)
+        for _ in range(50):
+            pairs = [(rng.randrange(1, 120), rng.randrange(0, 40))
+                     for _ in range(rng.randrange(1, 6))]
+            singles = [(d, 1) for d, m in pairs for _ in range(m)]
+            rng.shuffle(singles)
+            value = degree_sum(f, pairs)
+            assert not value.is_exact
+            assert value.approx.hex() == math.fsum(f(d) for d, _ in singles).hex()
+            assert degree_sum(f, singles).approx.hex() == value.approx.hex()
+
+    def test_empty_multiset(self):
+        assert degree_sum(log_family(), []).exact == 0
+
+    @pytest.mark.parametrize("pairs", [[(-1, 0)], [(3, -1)], [(2, 2), (-5, -2)]])
+    def test_negative_refused_before_evaluating_f(self, pairs):
+        class Refuses(WeightFunction):
+            def exact(self, n):
+                raise AssertionError(f"evaluated f({n})")
+
+        with pytest.raises(ValueError, match="must be non-negative"):
+            degree_sum(Refuses(), pairs)
 
 
 class TestFloatSlack:
