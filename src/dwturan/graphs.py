@@ -489,10 +489,24 @@ def mask_has_clique(adj: Sequence[int], mask: int, size: int) -> bool:
 
 
 def creates_clique(adj: Sequence[int], a: int, b: int, r: int) -> bool:
-    """Would the host containing edge (a, b) have a K_r through that edge?"""
+    """Would the host containing edge (a, b) have a K_r through that edge?
+
+    K3 asks for a common neighbour of a and b, K4 for an edge inside their
+    common neighbourhood: some vertex of it with a later neighbour in it.
+    Larger cliques go to mask_has_clique.
+    """
+    common = adj[a] & adj[b]
+    if r == 3:
+        return common != 0
+    if r == 4:
+        while common:
+            low = common & -common
+            common ^= low
+            if adj[low.bit_length() - 1] & common:
+                return True
+        return False
     if r <= 2:
         return True
-    common = adj[a] & adj[b]
     return mask_has_clique(adj, common, r - 2)
 
 

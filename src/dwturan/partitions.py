@@ -68,6 +68,13 @@ def _part_values(n: int, f: WeightFunction):
     return [0] + [t * table[n - t] for t in range(1, n + 1)], den
 
 
+def _refuse_overflow(total, n: int, k: int, f: WeightFunction) -> None:
+    """A float optimum that overflowed to inf has no witness to report."""
+    if isinstance(total, float) and not math.isfinite(total):
+        raise ValueError(f"the {k}-partite optimum at n={n} under {f!r} "
+                         f"overflows float")
+
+
 def multipartite_value(parts, f: WeightFunction) -> ObjectiveValue:
     """Score of the complete multipartite graph with the given part sizes:
     the t vertices of a part of size t have degree n - t."""
@@ -116,6 +123,7 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         top = n * j // kk if exact else n
         rows.append([cell(j, m) for m in range(top + 1)])
     opt = cell(kk, n)
+    _refuse_overflow(opt, n, k, f)
 
     # regrouped float sums of the same parts can differ in the last bits
     tol = float_slack(vals, den, k)
@@ -191,6 +199,7 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
             vec.pop()
 
     scan(k, n, n, 0)
+    _refuse_overflow(best, n, k, f)
     ties = second is not None and (best - second) <= tol
     return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)

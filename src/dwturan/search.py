@@ -10,12 +10,18 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
     degree plus undecided slots, so the weight sum of the caps bounds every
     leaf below; subtrees under the incumbent by more than rounding
     (weights.float_slack) are cut. Including a slot leaves every cap as it
-    is, so the bound moves only when a slot is excluded: in exact mode by
-    the table differences at the two lowered caps, in O(1); in float mode
-    by a fresh sum in vertex order, since an incremental float update would
-    round differently and move prune decisions. A node is counted when its
-    parent reaches it, and entered only when its bound is not below the
-    cutoff, so a child pruned on its bound costs a count but no call.
+    is, so the bound moves only when a slot is excluded, by the table
+    differences at the two lowered caps, in O(1) and in integers in every
+    mode: exact mode sums the tabulated ints, float mode the float table
+    scaled exactly to integers over a common power of two. A float-mode
+    child is entered when its float bound, the caps' weights summed in
+    vertex order, is not below the cutoff. That sum, plain or compensated
+    (Python's sum from 3.12), lies within float_slack of the exact one
+    (Higham, section 4.2), so the integer bound decides every child
+    outside the band [cutoff - slack, cutoff + slack], scaled, and the
+    float sum is taken only inside it. A node is counted when its parent
+    reaches it, and entered only when its bound is not below the cutoff,
+    so a child pruned on its bound costs a count but no call.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
@@ -82,9 +88,16 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # leaves tie exactly and the visit order decides between them; it is
     # weights.degree_sum's rule, inlined so a leaf builds no pair list
     leaf_sum = math.fsum if den is None else sum
-    # exact mode, where the table holds ints: a cap that falls to c moves
-    # the bound by drop[c]
-    drop = None if den is None else [a - b for a, b in zip(table, table[1:])]
+    # the bound runs on itable = table * scale in integers: the table itself
+    # in exact mode, in float mode each float p/q scaled exactly by the
+    # largest q, a power of two; a cap that falls to c moves it by drop[c]
+    if den is None:
+        ratios = [t.as_integer_ratio() for t in table]
+        scale = max((q for _p, q in ratios), default=1)
+        itable = [p * (scale // q) for p, q in ratios]
+    else:
+        itable, scale = table, 1
+    drop = [a - b for a, b in zip(itable, itable[1:])]
 
     # called with the new edge already present in adj; a pattern larger than
     # the host fits nowhere, so it needs no matcher
@@ -102,8 +115,10 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     nodes = 0
     best = None
     best_rows = None
-    # bounds below this cannot tie the incumbent, even up to rounding
-    cutoff = -math.inf
+    # bounds below this cannot tie the incumbent, even up to rounding;
+    # integer bounds from hi up pass it, those below lo fail it, and
+    # between the two the float sum decides
+    cutoff = lo = hi = -math.inf
 
     def leaf_is_maximal() -> bool:
         for u, v, bu, bv in plan:
@@ -118,13 +133,14 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                 return False
         return True
 
-    # bound is the weight sum over cap: the include child inherits it, the
-    # exclude child adds two drops (exact) or re-sums in vertex order (float).
-    # Each child is counted where it is reached and entered only if its bound
-    # is not below the cutoff; the include child's bound passed at this node
-    # and only a leaf raises the cutoff, so it is entered untested.
-    def rec(i: int, bound):
-        nonlocal nodes, best, best_rows, cutoff
+    # bound is the itable sum over cap: the include child inherits it, the
+    # exclude child adds two drops. Each child is counted where it is reached
+    # and entered only if its bound is not below the cutoff: at or above hi,
+    # or from lo up when the caps' float sum in vertex order is not below it
+    # (in exact mode lo == hi == cutoff). The include child's bound passed at
+    # this node and only a leaf raises the cutoff, so it is entered untested.
+    def rec(i: int, bound: int):
+        nonlocal nodes, best, best_rows, cutoff, lo, hi
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
@@ -133,7 +149,10 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             if best is None or value >= best:
                 best = value
                 best_rows = adj[:]
-                cutoff = best - slack if monotone else -math.inf
+                if monotone:
+                    cutoff = best - slack
+                    lo, hi = (_scaled_band(cutoff, slack, scale) if den is None
+                              else (cutoff, cutoff))
             return
         u, v, bu, bv = plan[i]
         adj[u] |= bv
@@ -145,12 +164,9 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         adj[v] ^= bu
         cap[u] -= 1
         cap[v] -= 1
-        if drop is None:
-            bound = sum(map(table.__getitem__, cap))
-        else:
-            bound += drop[cap[u]] + drop[cap[v]]
+        bound += drop[cap[u]] + drop[cap[v]]
         nodes += 1
-        if not bound < cutoff:
+        if bound >= hi or bound >= lo and not sum(map(table.__getitem__, cap)) < cutoff:
             rec(i + 1, bound)
         cap[u] += 1
         cap[v] += 1
@@ -168,8 +184,18 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             cap[v] -= 1
     else:
         nodes += 1
-        rec(len(prefix), sum(map(table.__getitem__, cap)))
+        rec(len(prefix), sum(map(itable.__getitem__, cap)))
     return best, best_rows, nodes
+
+
+def _scaled_band(cutoff: float, slack: float, scale: int) -> tuple[int, int]:
+    """(floor((cutoff - slack) * scale), ceil((cutoff + slack) * scale)),
+    computed exactly from the two floats' integer ratios."""
+    p, q = cutoff.as_integer_ratio()
+    s, t = slack.as_integer_ratio()
+    den = q * t
+    return ((p * t - s * q) * scale // den,
+            -(-(p * t + s * q) * scale // den))
 
 
 def ex_exact(n: int, F: Graph, f: WeightFunction, *,

@@ -69,9 +69,12 @@ class PowerWeight(WeightFunction, Record):
     def __call__(self, n: int) -> float:
         # float ** float can land an ulp off n**mu (9749.0**4), so an integer
         # mu rounds the exact integer, as float(self.exact(n)) would
-        if self.mu != int(self.mu):
-            return float(n) ** self.mu
-        return float(n ** int(self.mu))
+        try:
+            if self.mu != int(self.mu):
+                return float(n) ** self.mu
+            return float(n ** int(self.mu))
+        except OverflowError:
+            raise OverflowError(f"{self!r} overflows float at degree {n}") from None
 
     def exact(self, n: int) -> Optional[Fraction]:
         if self.mu != int(self.mu):

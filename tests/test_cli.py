@@ -294,6 +294,19 @@ class TestExitCodes:
         assert report["kind"] == "input"
         assert ("mu" if "pow" in argv[-1] else "floor") in report["error"]
 
+    def test_exprime_float_overflow(self):
+        code, report = run_json(
+            ["exprime", "--n", "8", "--k", "4", "--f", "pow:mu=364.5"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert "n=8" in report["error"] and "overflows" in report["error"]
+
+    def test_pow_overflow_names_weight_and_degree(self):
+        code, report = run_json(
+            ["exprime", "--n", "9", "--k", "4", "--f", "pow:mu=364.5"])
+        assert code == 2
+        assert report["error"] == "PowerWeight(mu=364.5) overflows float at degree 8"
+
     def test_malformed_graph6(self):
         code, report = run_json(
             ["exact", "--n", "4", "--forbidden", "zzz~", "--f", "half"])

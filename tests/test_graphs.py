@@ -308,6 +308,38 @@ class TestKernelDispatch:
         assert calls == [(u, v, 3) for a, b in G.edges() for u, v in ((a, b), (b, a))]
 
 
+class TestCreatesClique:
+    """creates_clique on its own, against trying every injective vertex map:
+    the search reaches it through exists_using_edge, and majorize calls it
+    directly, for r up to 5."""
+
+    CLIQUES = {r: complete_graph(r) for r in range(2, 7)}
+
+    def _check(self, G, a, b):
+        for r, K in self.CLIQUES.items():
+            expected = naive_contains_through_edge(G, K, a, b)
+            for u, v in ((a, b), (b, a)):
+                assert core.creates_clique(G.adj, u, v, r) == expected, (
+                    graph6_encode(G), u, v, r)
+
+    def test_every_labeled_host_up_to_five_vertices(self):
+        for n in range(2, 6):
+            for G in all_graphs(n):
+                for a, b in G.edges():
+                    self._check(G, a, b)
+
+    def test_sampled_seven_vertex_hosts(self):
+        # one edge per host, as the oracle tries up to 5040 maps per
+        # question; denser hosts hold the K5 and K6 answers that are true
+        rng = random.Random(7)
+        pairs = list(combinations(range(7), 2))
+        for _ in range(200):
+            density = rng.choice((0.5, 0.75, 0.9))
+            G = Graph(7, [p for p in pairs if rng.random() < density])
+            if G.num_edges:
+                self._check(G, *rng.choice(G.edges()))
+
+
 class TestChromaticNumber:
     @pytest.mark.parametrize("g,chi", [
         (complete_graph(4), 4),

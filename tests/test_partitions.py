@@ -198,6 +198,23 @@ class TestLargeFloatTotals:
         assert a.witness == b.witness and a.ties_flag == b.ties_flag
 
 
+class TestFloatOverflow:
+    """pow:mu=364.5 keeps every f(d) finite up to d = 7, but at n = 8 the
+    best 4-partite total passes the largest float; at n = 7 it does not."""
+
+    F = "pow:mu=364.5"
+
+    @pytest.mark.parametrize("optimizer", [ex_prime, ex_prime_enumerated])
+    def test_overflowed_optimum_refused(self, optimizer):
+        with pytest.raises(ValueError, match=r"4-partite optimum at n=8 .*364\.5"):
+            optimizer(8, 4, parse_weight(self.F))
+
+    def test_finite_optimum_kept(self):
+        f = parse_weight(self.F)
+        assert ex_prime(7, 2, f).value.approx == 4.3264407933189366e+283
+        assert _bits(ex_prime(7, 2, f)) == _bits(ex_prime_enumerated(7, 2, f))
+
+
 class TestEnumeratedOracle:
     @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
     def test_bit_identical_to_generators(self, weight):

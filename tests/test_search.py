@@ -3,6 +3,8 @@
 import concurrent.futures
 import math
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +28,7 @@ from dwturan import (
     verify_theorem1,
 )
 from dwturan.cli import parse_graph_spec
-from dwturan.search import _search_tree
+from dwturan.search import _scaled_band, _search_tree
 from oracles import (
     naive_ex_exact,
     naive_ex_exact_witness,
@@ -162,6 +164,14 @@ class TestExExact:
         res = ex_exact(n, F, parse_weight(weight))
         assert graph6_encode(res.witness) == witness
 
+    def test_float_totals_near_overflow(self):
+        # degree 6 under pow:mu=364.5 is about 1e283, and the bound's
+        # integer table holds such floats exactly
+        res = ex_exact(7, complete_graph(6), parse_weight("pow:mu=364.5"))
+        assert res.value.approx == 1.7305763173275746e+284
+        assert graph6_encode(res.witness) == "FF~~w"
+        assert res.nodes_explored == 2088
+
     def test_trivial_orders_float_weight(self):
         assert ex_exact(0, complete_graph(3), power(1.5)).value.approx == 0.0
         assert ex_exact(1, complete_graph(3), power(1.5)).value.approx == 0.0
@@ -250,6 +260,27 @@ class TestReferenceSearch:
                 assert (_search_tree(5, F, f, prefix)
                         == _reference_rows(5, F, f, prefix)), (weight, prefix)
 
+    def test_scaled_band_is_exact(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            cutoff = rng.uniform(-1e3, 1e3) * 2.0 ** rng.randrange(-60, 60)
+            slack = rng.random() * 2.0 ** rng.randrange(-80, 10)
+            scale = 1 << rng.randrange(0, 1100)
+            lo, hi = _scaled_band(cutoff, slack, scale)
+            assert lo == math.floor((Fraction(cutoff) - Fraction(slack)) * scale)
+            assert hi == math.ceil((Fraction(cutoff) + Fraction(slack)) * scale)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5",
+                                        "pow:mu=1.5", "pow:mu=2.7"])
+    def test_float_band_at_seven(self, r, weight):
+        # float mode decides a child on its scaled integer bound outside
+        # the band around the cutoff and on the float sum inside it; these
+        # runs reach the band, K4 under pow:mu=0.5 899 times
+        F = complete_graph(r)
+        f = parse_weight(weight)
+        assert _search_tree(7, F, f) == _reference_rows(7, F, f)
+
 
 class TestFrozenPatternValues:
     """Values, witnesses and node counts that the incremental matcher decides.
@@ -322,6 +353,17 @@ class TestFrozenCliqueValues:
             assert res.value.approx == pytest.approx(value, rel=1e-12)
         else:
             assert res.value.exact == value
+        assert graph6_encode(res.witness) == witness
+        assert res.nodes_explored == nodes
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r,value,witness,nodes", [
+        (3, "0x1.62e42fefa39efp+3", "G?~vf_", 283834),
+        (4, "0x1.a7af4787cb1e7p+3", "GFzf~w", 344215),
+    ])
+    def test_float_eight_vertices(self, r, value, witness, nodes):
+        res = ex_exact(8, complete_graph(r), parse_weight("log:floor=0"))
+        assert res.value.approx.hex() == value
         assert graph6_encode(res.witness) == witness
         assert res.nodes_explored == nodes
 

@@ -71,6 +71,12 @@ class TestFamilies:
         with pytest.raises(ScaleLimitError):
             parse_weight("pow:mu=1e300")
 
+    @pytest.mark.parametrize("mu,degree", [(364.5, 8), (MAX_EXPONENT, 2000)])
+    def test_power_float_overflow_names_weight_and_degree(self, mu, degree):
+        with pytest.raises(OverflowError,
+                           match=rf"^PowerWeight\(mu={mu}\) overflows float at degree {degree}$"):
+            power(mu)(degree)
+
     def test_half(self):
         assert half().exact(5) == Fraction(5, 2)
 
