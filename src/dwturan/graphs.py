@@ -10,6 +10,7 @@ injective map preserving edges), not induced containment.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -136,8 +137,8 @@ class PartSizes(Record):
 
 
 def e_f(G: Graph, f) -> ObjectiveValue:
-    """Sum of f over the degree sequence of G."""
-    return degree_sum(f, [(d, 1) for d in G.degrees])
+    """Sum of f over the degree sequence of G, f once per distinct degree."""
+    return degree_sum(f, list(Counter(G.degrees).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,15 @@ subsume fewer) by dynamic programming; an exhaustive enumerator over
 non-increasing vectors serves as an independent cross-check.
 
 The DP fills only the cells its result reads. With k > n it runs on n
-parts (at most n parts are non-empty) and pads the witness with zeros. In
-exact mode each row j scans only a largest last part t >= ceil(m/j) and
-stops at m = n*j/k, the most vertices a descent leaves for j parts. In
-float mode every row stays full: a largest-part bound regroups the sums
-of rows 3 and up and moves the last bits of float values. Row 2 still
-scans only t >= ceil(m/2), since its two orders add the same two floats.
+parts (at most n parts are non-empty) and pads the witness with zeros.
+Each row j scans only a largest last part t >= ceil(m/j) and stops at
+m = n*j/k, the most vertices a descent leaves for j parts.
 
-Arithmetic runs in exact integers (weights.tabulate scales f(0..n-1) to a
-common denominator) whenever the weight is rational at every degree used;
-otherwise in floats, where sums count as tied when they are equal up to
-rounding, within weights.float_slack of each other.
+Arithmetic runs in exact integers in every mode: weights.tabulate scales
+f(0..n-1) to a common denominator, the lcm of f's exact values where the
+weight is rational at every degree used, else a power of two that holds
+every float exactly. Ties are exact, and a float-mode value is the
+optimum's exact total correctly rounded.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Optional
 
 from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import PartSizes, turan_part_sizes
-from .weights import ObjectiveValue, WeightFunction, degree_sum, float_slack, tabulate
+from .weights import ObjectiveValue, WeightFunction, degree_sum, tabulate
 
 _ENUM_MAX_N = 200
 _ENUM_MAX_K = 5
@@ -39,10 +37,8 @@ class PartitionOptimum(Record):
     """Optimal value and the realizing part-size vector.
 
     The witness is the lexicographically smallest non-increasing optimal
-    vector, always of length k (zero parts included); in float mode,
-    optimal means tied with the optimum up to rounding. ties_flag reports
-    whether another vector ties with it too: exactly in exact mode, up to
-    rounding (weights.float_slack) in float mode.
+    vector, always of length k (zero parts included). ties_flag reports
+    whether another vector ties with it exactly, in every mode.
     """
 
     __slots__ = ("value", "witness", "n", "k", "f", "ties_flag")
@@ -55,24 +51,24 @@ class PartitionOptimum(Record):
 
 
 def _part_values(n: int, f: WeightFunction):
-    """(value, den): value[t] = t * f(n - t) for t in 0..n, from tabulate.
+    """(value, den, exact): value[t] = t * f(n - t) for t in 0..n, integers
+    over den, from tabulate.
 
     A zero part contributes 0 regardless of f(n), so value[0] = 0 and only
-    f(0..n-1) is evaluated; den is None in float mode. The DP and the
-    enumeration oracle add these part products rather than score degree
-    multisets with weights.degree_sum: in float mode a product and its
-    grouping fix the last bits of the optimum, and those bits are frozen
-    (test_frozen_float_bits, perfbench/pins.json).
+    f(0..n-1) is evaluated.
     """
-    table, den = tabulate(f, range(n))
-    return [0] + [t * table[n - t] for t in range(1, n + 1)], den
+    table, den, exact = tabulate(f, range(n))
+    return [0] + [t * table[n - t] for t in range(1, n + 1)], den, exact
 
 
-def _refuse_overflow(total, n: int, k: int, f: WeightFunction) -> None:
-    """A float optimum that overflowed to inf has no witness to report."""
-    if isinstance(total, float) and not math.isfinite(total):
+def _optimum_value(total: int, den: int, exact: bool, n: int, k: int,
+                   f: WeightFunction) -> ObjectiveValue:
+    """The optimum as a value; one past the largest float is refused by name."""
+    try:
+        return ObjectiveValue.scaled(total, den, exact)
+    except OverflowError:
         raise ValueError(f"the {k}-partite optimum at n={n} under {f!r} "
-                         f"overflows float")
+                         f"overflows float") from None
 
 
 def multipartite_value(parts, f: WeightFunction) -> ObjectiveValue:
@@ -90,14 +86,10 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     of the j-th part of best[j-1][m-t] + t*f(n-t). Only what the result
     reads is filled. Parts past n add only zeros, so the table has
     kk = min(k, max(n, 1)) levels and the witness gets k - kk zero parts.
-    Rows 1..kk-1 are filled, and row kk at m = n only:
-      * exact mode: row j scans t >= ceil(m/j) only, as integer sums do not
-        depend on order and so may put the largest part last; a descent
-        then never leaves more than n*j/kk vertices for j parts, so row j
-        stops at m = n*j//kk;
-      * float mode: rows 1 and 2 scan t >= ceil(m/j) too, as their two
-        orders add the same floats; rows 3 and up scan every t and every m,
-        because regrouping their sums moves the last bits of the values.
+    Rows 1..kk-1 are filled, and row kk at m = n only. Row j scans
+    t >= ceil(m/j) only, as integer sums do not depend on order and so may
+    put the largest part last; a descent then never leaves more than
+    n*j/kk vertices for j parts, so row j stops at m = n*j//kk.
     The witness is rebuilt by descending through the table, taking at each
     level the smallest feasible maximal part, which yields the
     lexicographically smallest non-increasing optimal vector.
@@ -106,27 +98,20 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         raise ValueError("need at least one part")
     if n < 0:
         raise ValueError("order must be non-negative")
-    vals, den = _part_values(n, f)
-    exact = den is not None
+    vals, den, exact = _part_values(n, f)
     kk = min(k, max(n, 1))
     neg = -math.inf
-    rows = [[0 if exact else 0.0] + [neg] * n]
+    rows = [[0] + [neg] * n]
 
     def cell(j: int, m: int):
-        """best[j][m] from row j-1, over t from ceil(m/j) where that bound
-        leaves every sum's bits alone, else from 0."""
-        lo = -(-m // j) if exact or j <= 2 else 0
+        """best[j][m] from row j-1, over t from ceil(m/j)."""
+        lo = -(-m // j)
         # pairs rows[j-1][m - t] with vals[t] for t = lo..m
         return max(map(add, rows[j - 1][m - lo::-1], vals[lo:m + 1]))
 
     for j in range(1, kk):
-        top = n * j // kk if exact else n
-        rows.append([cell(j, m) for m in range(top + 1)])
+        rows.append([cell(j, m) for m in range(n * j // kk + 1)])
     opt = cell(kk, n)
-    _refuse_overflow(opt, n, k, f)
-
-    # regrouped float sums of the same parts can differ in the last bits
-    tol = float_slack(vals, den, k)
 
     def leaders(j: int, m: int, target):
         """Ascending t that lead an optimal non-increasing filling of j parts
@@ -134,7 +119,7 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         filling of the rest whose largest part is at most t."""
         for t in range(-(-m // j), m + 1):  # from ceil(m / j)
             p = rows[j - 1][m - t]
-            if p != neg and abs((p + vals[t]) - target) <= tol:
+            if p != neg and p + vals[t] == target:
                 mm = min_max[j - 1][m - t]
                 if mm is not None and mm <= t:
                     yield t
@@ -160,7 +145,7 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         target = rows[j][m]
 
     witness += [0] * (k - kk)
-    return PartitionOptimum(value=ObjectiveValue.scaled(opt, den),
+    return PartitionOptimum(value=_optimum_value(opt, den, exact, n, k, f),
                             witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
 
 
@@ -168,7 +153,7 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     """Independent oracle: exhaustive scan of non-increasing size vectors.
 
     Vectors are visited in ascending lexicographic order. Each one's score
-    is its part values added left to right from int 0, carried down the
+    is its integer part values added left to right from 0, carried down the
     recursion; the last part is forced to the vertices left.
     """
     if n > _ENUM_MAX_N or k > _ENUM_MAX_K:
@@ -177,8 +162,7 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
         )
     if k < 1:
         raise ValueError("need at least one part")
-    vals, den = _part_values(n, f)
-    tol = float_slack(vals, den, k)
+    vals, den, exact = _part_values(n, f)
     best = second = best_vec = None
     vec: list[int] = []
 
@@ -199,9 +183,8 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
             vec.pop()
 
     scan(k, n, n, 0)
-    _refuse_overflow(best, n, k, f)
-    ties = second is not None and (best - second) <= tol
-    return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
+    ties = second == best
+    return PartitionOptimum(value=_optimum_value(best, den, exact, n, k, f),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)
 
 
@@ -213,8 +196,9 @@ class ChainCheckReport(Record):
     Two floor terms are reported because the min degree of the balanced
     (r-1)-partite graph is floor(n(r-2)/(r-1)); the alternative floor
     n(r-1)/r corresponds to r balanced parts and need not bound the
-    (r-1)-part score from below. In float mode the first three
-    comparisons hold up to rounding (weights.float_slack).
+    (r-1)-part score from below. Each value is its exact total, correctly
+    rounded in float mode, and rounding is monotone, so the first three
+    comparisons are plain comparisons of values in every mode.
     """
 
     __slots__ = ("n", "r", "gamma1", "optimum", "balanced_value", "floor_term_r",
@@ -247,7 +231,6 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
     term_r = degree_sum(f, [(n * (r - 1) // r, n)])
     term_rm1 = degree_sum(f, [(n * (r - 2) // (r - 1), n)])
     gamma_term = gamma1 * n * f(n)
-    slack = float_slack(*tabulate(f, range(n)), n)
     return ChainCheckReport(
         n=n, r=r, gamma1=gamma1,
         optimum=opt.value,
@@ -255,9 +238,9 @@ def turan_chain_check(n: int, r: int, f: WeightFunction,
         floor_term_r=term_r,
         floor_term_rm1=term_rm1,
         gamma_term=gamma_term,
-        holds_first=balanced - opt.value <= slack,
-        holds_middle_r=term_r - balanced <= slack,
-        holds_middle_rm1=term_rm1 - balanced <= slack,
+        holds_first=balanced <= opt.value,
+        holds_middle_r=term_r <= balanced,
+        holds_middle_rm1=term_rm1 <= balanced,
         holds_tail_r=term_r.approx >= gamma_term,
         holds_tail_rm1=term_rm1.approx >= gamma_term,
     )

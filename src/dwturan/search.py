@@ -12,19 +12,20 @@ prunings apply whenever the weight is non-decreasing on 0..n-1:
     (weights.float_slack) are cut. Including a slot leaves every cap as it
     is, so the bound moves only when a slot is excluded, by the table
     differences at the two lowered caps, in O(1) and in integers in every
-    mode: exact mode sums the tabulated ints, float mode the float table
-    scaled exactly to integers over a common power of two. A float-mode
-    child is entered when its float bound, the caps' weights summed in
-    vertex order, is not below the cutoff. That sum, plain or compensated
-    (Python's sum from 3.12), lies within float_slack of the exact one
-    (Higham, section 4.2), so the integer bound decides every child
-    outside the band [cutoff - slack, cutoff + slack], scaled, and the
-    float sum is taken only inside it. A node is counted when its parent
-    reaches it, and entered only when its bound is not below the cutoff,
-    so a child pruned on its bound costs a count but no call.
+    mode, on weights.tabulate's integer table. A float-mode child is
+    entered when its float bound, the caps' weights summed in vertex order,
+    is not below the cutoff. That sum, plain or compensated (Python's sum
+    from 3.12), lies within float_slack of the exact one (Higham, section
+    4.2), so the integer bound decides every child outside the band
+    [cutoff - slack, cutoff + slack], scaled, and the float sum is taken
+    only inside it. A node is counted when its parent reaches it, and
+    entered only when its bound is not below the cutoff, so a child pruned
+    on its bound costs a count but no call.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
+A leaf's value is the exact integer total of its degrees' table values,
+and in float mode that total correctly rounded, so leaves tie as floats.
 Among evaluated optimal leaves the reported witness is the one whose edge
 bitstring (slot 0 first, one bit per slot) is lexicographically smallest;
 with the maximality rule active that means smallest among maximal
@@ -51,9 +52,10 @@ from .graphs import (
     complete_graph,
     contains_subgraph,
     e_f,
+    graph6_encode,
 )
 from .partitions import ex_prime
-from .weights import ObjectiveValue, WeightFunction, float_slack, tabulate
+from .weights import ObjectiveValue, WeightFunction, float_slack, is_nondecreasing, tabulate
 
 DEFAULT_LIMIT = 8
 
@@ -72,31 +74,24 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                  prefix: tuple[int, ...] = ()):
     """Run the pruned enumeration below one prefix of slot decisions.
 
-    Returns (best value or None, adjacency rows of the best leaf, nodes):
-    values are sums of weights.tabulate(f, 0..n-1), integers over its den,
-    or floats when den is None. Include-first order meets the leaves in
-    descending bitstring order, so a leaf that ties the incumbent has the
-    smaller bitstring and replaces it; the rows kept are those of the
-    least optimal bitstring.
+    Returns (best value or None, adjacency rows of the best leaf, nodes).
+    A leaf scores the sum of weights.tabulate(f, 0..n-1), integers over
+    scale: that total in exact mode, the total / scale correctly rounded in
+    float mode, where leaves compare as floats. Include-first order meets
+    the leaves in descending bitstring order, so a leaf that ties the
+    incumbent has the smaller bitstring and replaces it; the rows kept are
+    those of the least optimal bitstring. A total past the largest float
+    is refused by name.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
-    table, den = tabulate(f, range(n))
-    monotone = all(a <= b for a, b in zip(table, table[1:]))
-    slack = float_slack(table, den, n)
-    # a leaf's value depends on its degree multiset alone, so isomorphic
-    # leaves tie exactly and the visit order decides between them; it is
-    # weights.degree_sum's rule, inlined so a leaf builds no pair list
-    leaf_sum = math.fsum if den is None else sum
-    # the bound runs on itable = table * scale in integers: the table itself
-    # in exact mode, in float mode each float p/q scaled exactly by the
-    # largest q, a power of two; a cap that falls to c moves it by drop[c]
-    if den is None:
-        ratios = [t.as_integer_ratio() for t in table]
-        scale = max((q for _p, q in ratios), default=1)
-        itable = [p * (scale // q) for p, q in ratios]
-    else:
-        itable, scale = table, 1
+    # the bound runs on the integer table, and a cap that falls to c moves
+    # it by drop[c]; in float mode the band's fallback sums table, the
+    # floats themselves, as v / scale is exact
+    itable, scale, exact = tabulate(f, range(n))
+    monotone = all(a <= b for a, b in zip(itable, itable[1:]))
+    slack = float_slack(itable, scale, exact, n)
+    table = itable if exact else [v / scale for v in itable]
     drop = [a - b for a, b in zip(itable, itable[1:])]
 
     # called with the new edge already present in adj; a pattern larger than
@@ -144,15 +139,18 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
-            value = leaf_sum([table[row.bit_count()] for row in adj])
+            # a leaf's value depends on its degree multiset alone, so
+            # isomorphic leaves tie exactly and the visit order decides
+            value = sum([itable[row.bit_count()] for row in adj])
+            if not exact:
+                value /= scale
             # >=: this leaf's bitstring is below every one met before it
             if best is None or value >= best:
                 best = value
                 best_rows = adj[:]
                 if monotone:
                     cutoff = best - slack
-                    lo, hi = (_scaled_band(cutoff, slack, scale) if den is None
-                              else (cutoff, cutoff))
+                    lo, hi = (cutoff, cutoff) if exact else _scaled_band(cutoff, slack, scale)
             return
         u, v, bu, bv = plan[i]
         adj[u] |= bv
@@ -184,7 +182,14 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             cap[v] -= 1
     else:
         nodes += 1
-        rec(len(prefix), sum(map(itable.__getitem__, cap)))
+        try:
+            rec(len(prefix), sum(map(itable.__getitem__, cap)))
+            if best is not None:
+                best = ObjectiveValue.scaled(
+                    sum(itable[row.bit_count()] for row in best_rows), scale, exact)
+        except OverflowError:
+            raise ValueError(f"the optimum at n={n} free of {graph6_encode(F)!r} "
+                             f"(graph6) under {f!r} overflows float") from None
     return best, best_rows, nodes
 
 
@@ -214,7 +219,8 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     order keeping the first best value, give the least optimal bitstring:
     value and witness do not depend on the worker count. The node count
     does, since subtrees do not share their incumbents; it follows the
-    split, so the worker count alone, never the number of CPUs.
+    split, so the worker count alone, never the number of CPUs. An optimum
+    past the largest float is refused with a ValueError naming n, F and f.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -264,10 +270,9 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     if contains_subgraph(witness, F):
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
     # e_f decides exactness on the witness degrees alone, so it may return
-    # the exact total where the search summed floats
+    # the exact total where the search rounded it; both round it alike
     value = e_f(witness, f)
-    table, den = tabulate(f, range(n))
-    if abs(value - ObjectiveValue.scaled(best, den)) > float_slack(table, den, n):
+    if value != best:
         raise InvariantViolation("witness does not reproduce the optimal value")
     return SearchResult(value=value, witness=witness, nodes_explored=nodes,
                         n=n, forbidden=F, f=f)
@@ -278,18 +283,17 @@ def verify_theorem1(n: int, r: int, f: WeightFunction, *,
     """Does the unrestricted optimum equal the complete multipartite optimum?
 
     Compares the exhaustive K_r-free maximum against the best complete
-    (r-1)-partite value, exactly whenever the weight evaluates exactly and
-    up to rounding (weights.float_slack) otherwise.
+    (r-1)-partite value with ==: both are the exact optimum, correctly
+    rounded in float mode.
     """
     if r < 3:
         raise ValueError("need r >= 3")
     # only degrees 0..n-1 occur, so f beyond n-1 is never evaluated
-    table, den = tabulate(f, range(max(n, 1)))
-    if any(a > b for a, b in zip(table, table[1:])):
+    if not is_nondecreasing(f, (0, max(n, 1) - 1)):
         raise ValueError("equality is only guaranteed for non-decreasing weights")
     full = ex_exact(n, complete_graph(r), f, limit=limit, workers=workers)
     multi = ex_prime(n, r - 1, f)
-    return abs(full.value - multi.value) <= float_slack(table, den, n)
+    return full.value == multi.value
 
 
 class RatioRow(Record):
@@ -305,8 +309,8 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
     """Rows (n, unrestricted optimum, multipartite optimum, ratio).
 
     Requires a non-bipartite forbidden graph. Multipartite graphs are a
-    subfamily of the F-free graphs, so every ratio is >= 1; in float mode
-    only up to rounding, and a ratio may read 0.9999999999999999.
+    subfamily of the F-free graphs, so every ratio is >= 1: both optima are
+    correctly rounded, and rounding is monotone.
     """
     chi = chromatic_number(F)
     if chi < 3:
@@ -319,7 +323,7 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
     for n in range(lo, hi + 1):
         full = ex_exact(n, F, f, limit=limit, workers=workers)
         multi = ex_prime(n, chi - 1, f)
-        if multi.value - full.value > float_slack(*tabulate(f, range(n)), n):
+        if multi.value > full.value:
             raise InvariantViolation(
                 f"multipartite optimum exceeded the unrestricted optimum at n={n}"
             )

@@ -14,15 +14,15 @@ rounded; a family keeps a float formula only for its irrational points
 one text form of a weight.
 
 The numeric layer lives here too. ``tabulate`` is the one place that turns
-a weight into numbers: exact integers over a common denominator when every
-requested point is rational, floats otherwise. ``ObjectiveValue`` is the
-value such numbers add up to, exact when they are, and
-``ObjectiveValue.scaled`` turns a total of them back into one.
-``degree_sum`` scores a degree multiset, the sum of f over it: exact in
-exact mode, the correctly rounded sum (``math.fsum``) in float mode, so
-two scorers of one multiset agree to the bit. ``float_slack`` is the one
-rule for comparing two totals. The predicate checkers are finite-range
-scanners: they certify the scanned range and nothing beyond it.
+a weight into numbers: integers over one common denominator in every mode,
+the float table too, as every float is a dyadic rational (Shewchuk,
+Discrete Comput. Geom. 18, 1997). ``ObjectiveValue.scaled`` turns a total
+of them into a value: exact, or in float mode correctly rounded. Rounding
+is monotone, so such values compare as their exact totals do, up to ties,
+and every scorer of one multiset (``degree_sum``) agrees to the bit.
+``float_slack`` is the labeled search's pruning band. The predicate
+checkers are finite-range scanners: they certify the scanned range and
+nothing beyond it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from .errors import Record, ScaleLimitError
@@ -244,7 +243,8 @@ def staircase(params: StaircaseParams) -> WeightFunction:
 class ObjectiveValue(Record):
     """A weighted-degree total, carried in float and, when possible, exactly.
 
-    Comparisons use the exact values whenever both sides have them.
+    Comparisons use the exact values whenever both sides have them, else
+    the floats; each float is its total correctly rounded.
     """
 
     __slots__ = ("approx", "exact")
@@ -263,11 +263,12 @@ class ObjectiveValue(Record):
         return cls(approx=float(value), exact=None)
 
     @classmethod
-    def scaled(cls, total, den: Optional[int]) -> "ObjectiveValue":
-        """Value of a total of ``tabulate`` values with denominator den."""
-        if den is None:
-            return cls.approximate(total)
-        return cls.of(Fraction(total, den))
+    def scaled(cls, total: int, den: int, exact: bool) -> "ObjectiveValue":
+        """total / den for a total of ``tabulate`` values: exact, or in float
+        mode correctly rounded by integer true division, as math.fsum is."""
+        if exact:
+            return cls.of(Fraction(total, den))
+        return cls.approximate(total / den)
 
     @property
     def is_exact(self) -> bool:
@@ -292,11 +293,6 @@ class ObjectiveValue(Record):
         a, b = self._cmp_key(other)
         return a <= b
 
-    def __sub__(self, other: "ObjectiveValue"):
-        """The difference, exact when both sides are exact, else in float."""
-        a, b = self._cmp_key(other)
-        return a - b
-
     def __gt__(self, other: "ObjectiveValue") -> bool:
         return not self <= other
 
@@ -319,56 +315,62 @@ class ObjectiveValue(Record):
         return f"ObjectiveValue(~{self.approx})"
 
 
-def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list, Optional[int]]:
-    """f at each point, as integers over a common denominator when possible.
+def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list[int], int, bool]:
+    """f at each point, as integers over one common denominator.
 
-    Returns (values, den). When f.exact is rational at every point, den is
-    the lcm of the denominators and values[i] == den * f.exact(points[i]),
-    as ints, so sums and comparisons of values are exact integer work.
-    Otherwise den is None and values[i] == f(points[i]), as floats.
-    Exactness is decided on these points only; ObjectiveValue.scaled turns
-    a total of values back into a value.
+    Returns (values, den, exact) with values[i] == den * f(points[i]), as
+    ints, so sums and comparisons of values are exact integer work. When
+    f.exact is rational at every point, exact is True and den is the lcm of
+    its denominators. Otherwise exact is False and each float f(p), p/q
+    with q a power of two, is scaled by den, the largest q. A float that is
+    not finite is refused, naming f and the point. Exactness is decided on
+    these points only.
     """
-    exact = []
+    ratios = []
     for p in points:
         x = f.exact(p)
         if x is None:
-            return [f(p) for p in points], None
-        exact.append(x)
-    den = math.lcm(*(x.denominator for x in exact))
-    return [x.numerator * (den // x.denominator) for x in exact], den
+            break
+        ratios.append((x.numerator, x.denominator))
+    else:
+        den = math.lcm(*(q for _a, q in ratios))
+        return [a * (den // q) for a, q in ratios], den, True
+    floats = [f(p) for p in points]
+    if not all(map(math.isfinite, floats)):
+        p, x = next((p, x) for p, x in zip(points, floats) if not math.isfinite(x))
+        raise ValueError(f"{f!r} is {x} at degree {p}, not a finite number")
+    ratios = [x.as_integer_ratio() for x in floats]
+    den = max(q for _a, q in ratios)  # the lcm of powers of two
+    return [a * (den // q) for a, q in ratios], den, False
 
 
 def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> ObjectiveValue:
     """Sum of f over a degree multiset, given as (degree, multiplicity) pairs.
 
-    Exact when f is rational at every degree given. Otherwise the correctly
-    rounded sum (math.fsum) of the expanded multiset, which no grouping or
-    order of its terms changes, so every scorer of one multiset gets the
-    same bits. A negative degree or multiplicity is refused, before f is
-    evaluated anywhere.
+    The exact total of the tabulated values, exact when f is rational at
+    every degree given, else correctly rounded (as math.fsum of the expanded
+    multiset would be), so every scorer of one multiset gets the same bits.
+    A negative degree or multiplicity is refused, before f is evaluated
+    anywhere.
     """
     for d, m in pairs:
         if d < 0 or m < 0:
             raise ValueError(f"degree {d} with multiplicity {m}: both must be non-negative")
-    values, den = tabulate(f, [d for d, _m in pairs])
-    if den is None:
-        expanded = (repeat(v, m) for v, (_d, m) in zip(values, pairs))
-        return ObjectiveValue.approximate(math.fsum(chain.from_iterable(expanded)))
-    return ObjectiveValue.scaled(sum(v * m for v, (_d, m) in zip(values, pairs)), den)
+    values, den, exact = tabulate(f, [d for d, _m in pairs])
+    return ObjectiveValue.scaled(sum(v * m for v, (_d, m) in zip(values, pairs)), den, exact)
 
 
-def float_slack(values: Sequence, den: Optional[int], terms: int) -> float:
-    """Widest gap rounding can open between two sums of one total: 0 in
-    exact mode, else 2 * terms**2 * eps * max|v| for sums in any order of
-    at most ``terms`` values, or of products t * v with counts t adding up
-    to at most ``terms``. Recursive summation of m terms is off by at most
-    (m - 1) * u * sum|x|, u = eps / 2 (Higham, "Accuracy and Stability of
-    Numerical Algorithms", section 4.2).
+def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> float:
+    """Widest gap rounding can open between two float sums of one total,
+    for a table from tabulate: 0 in exact mode, else 2 * terms**2 * eps *
+    max|v / den| for sums in any order of at most ``terms`` table floats.
+    Recursive summation of m terms is off by at most (m - 1) * u * sum|x|,
+    u = eps / 2 (Higham, "Accuracy and Stability of Numerical Algorithms",
+    section 4.2). Only the labeled search's pruning sums floats.
     """
-    if den is not None:
+    if exact:
         return 0
-    return 2 * terms * terms * math.ulp(1.0) * max(map(abs, values), default=0)
+    return 2 * terms * terms * math.ulp(1.0) * (max(map(abs, values), default=0) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def float_slack(values: Sequence, den: Optional[int], terms: int) -> float:
 def is_nondecreasing(f: WeightFunction, rng: tuple[int, int]) -> bool:
     """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi."""
     lo, hi = rng
-    vals, _den = tabulate(f, range(lo, hi + 1))
+    vals, _den, _exact = tabulate(f, range(lo, hi + 1))
     return all(a <= b for a, b in zip(vals, vals[1:]))
 
 

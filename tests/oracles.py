@@ -7,13 +7,16 @@ labeled graph; the witness oracles also read off the least optimal
 maximal edge bitstring, the log oracle by integer degree products, so
 that its ties are exact. The norm graph is built by field-element
 subtraction and K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
-two references, the full-table DP and the generator enumeration; each
-adds the same part values in the same order as the routine it checks, so
-float results must agree bit for bit. Float ties are judged by the
-library's one rounding rule, weights.float_slack, as the routines do.
-The labeled search has a reference of its own walk, reference_search_tree:
-it shares the matcher and the weight table with the library and keeps the
-plainest form of every node, so it checks the tree and not containment.
+two references, the full-table DP and the generator enumeration; both add
+the integer part values of weights.tabulate, so their ties are exact and
+their float values are the optimum's exact total correctly rounded, bit
+for bit what the routines they check must give. The labeled search has a
+reference of its own walk, reference_search_tree: it shares the matcher
+and the weight table with the library and keeps the plainest form of
+every node, so it checks the tree and not containment. It keeps the
+search's float semantics: in float mode a leaf is the math.fsum of its
+table floats, leaves compare as floats, and the bound prunes within the
+rounding band weights.float_slack.
 """
 
 import math
@@ -119,7 +122,8 @@ def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
 
 
 def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
-    """search._search_tree in its plainest form: (best, bits, nodes).
+    """search._search_tree in its plainest form: (best, bits, nodes), best
+    an ObjectiveValue.
 
     Every node is counted on entry and checks its bound there; the
     exclude child sums the weights of the caps afresh, in vertex order;
@@ -129,10 +133,11 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
-    table, den = tabulate(f, range(n))
+    itable, den, exact = tabulate(f, range(n))
+    table = itable if exact else [v / den for v in itable]
     monotone = all(a <= b for a, b in zip(table, table[1:]))
-    slack = float_slack(table, den, n)
-    leaf_sum = math.fsum if den is None else sum
+    slack = float_slack(itable, den, exact, n)
+    leaf_sum = sum if exact else math.fsum
     if F.n > n:
         def creates_forbidden(adj, n, u, v):
             return False
@@ -211,6 +216,9 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
             cap[v] -= 1
     else:
         rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
+    if best is not None:
+        best = (ObjectiveValue.scaled(best, den, True) if exact
+                else ObjectiveValue.approximate(best))
     return best, best_bits, nodes
 
 
@@ -281,9 +289,9 @@ def join(H: Graph, K: Graph) -> Graph:
 
 
 def _part_values(n: int, f):
-    """value[t] = t * f(n - t) for t in 0..n, in tabulate's units."""
-    table, den = tabulate(f, range(n))
-    return [0] + [t * table[n - t] for t in range(1, n + 1)], den
+    """value[t] = t * f(n - t) for t in 0..n, in tabulate's integer units."""
+    table, den, exact = tabulate(f, range(n))
+    return [0] + [t * table[n - t] for t in range(1, n + 1)], den, exact
 
 
 def full_table_ex_prime(n: int, k: int, f) -> PartitionOptimum:
@@ -294,20 +302,19 @@ def full_table_ex_prime(n: int, k: int, f) -> PartitionOptimum:
     smallest leading part whose remainder has an optimal filling with
     largest part at most t.
     """
-    vals, den = _part_values(n, f)
+    vals, den, exact = _part_values(n, f)
     neg = -math.inf
-    prev = [0.0 if den is None else 0] + [neg] * n
+    prev = [0] + [neg] * n
     rows = [prev]
     for _j in range(k):
         prev = [max(map(add, prev[m::-1], vals)) for m in range(n + 1)]
         rows.append(prev)
-    tol = float_slack(vals, den, k)
 
     def leaders(j: int, m: int):
         target = rows[j][m]
         for t in range(-(-m // j), m + 1):
             p = rows[j - 1][m - t]
-            if p != neg and abs((p + vals[t]) - target) <= tol:
+            if p != neg and p + vals[t] == target:
                 mm = min_max[j - 1][m - t]
                 if mm is not None and mm <= t:
                     yield t
@@ -325,7 +332,7 @@ def full_table_ex_prime(n: int, k: int, f) -> PartitionOptimum:
         ties = ties or next(found, None) is not None
         witness.append(t_star)
         j, m = j - 1, m - t_star
-    return PartitionOptimum(value=ObjectiveValue.scaled(rows[k][n], den),
+    return PartitionOptimum(value=ObjectiveValue.scaled(rows[k][n], den, exact),
                             witness=PartSizes(witness), n=n, k=k, f=f, ties_flag=ties)
 
 
@@ -343,9 +350,8 @@ def _nonincreasing_vectors(k: int, m: int, cap: int):
 
 def generator_ex_prime(n: int, k: int, f) -> PartitionOptimum:
     """Every non-increasing k-vector from a chain of generators, each
-    scored by sum() over its part values."""
-    vals, den = _part_values(n, f)
-    tol = float_slack(vals, den, k)
+    scored by sum() over its integer part values; a tie is an equal sum."""
+    vals, den, exact = _part_values(n, f)
     best = second = best_vec = None
     for vec in _nonincreasing_vectors(k, n, n):
         v = sum(vals[t] for t in vec)
@@ -353,6 +359,6 @@ def generator_ex_prime(n: int, k: int, f) -> PartitionOptimum:
             second, best, best_vec = best, v, vec
         elif second is None or v > second:
             second = v
-    ties = second is not None and (best - second) <= tol
-    return PartitionOptimum(value=ObjectiveValue.scaled(best, den),
+    ties = second is not None and best == second
+    return PartitionOptimum(value=ObjectiveValue.scaled(best, den, exact),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)

@@ -175,18 +175,18 @@ class TestCommands:
         assert '"value": 101,' in capsys.readouterr().out
 
     def test_exprime_float_totals_past_1e7(self):
-        # the witness descent matches regrouped sums up to rounding, which
-        # at totals past 1e7 is more than any fixed 1e-9
+        # at totals past 1e7 one ulp is more than any fixed 1e-9, so the
+        # witness descent matches exact integer totals
         code, report = run_json(["exprime", "--n", "56", "--k", "3", "--f", "pow:mu=3.3"])
         assert code == 0
         assert report["result"]["witness"] == [19, 19, 18]
 
     def test_ratio_float_row_at_one(self):
-        # the two K5 optima tie up to rounding and print one ulp apart
+        # the two K5 optima are one exact total, correctly rounded on both sides
         code, report = run_json(["ratio", "--nmin", "5", "--nmax", "5",
                                  "--forbidden", "K5", "--f", "pow:mu=1.7"])
         assert code == 0
-        assert report["result"]["rows"][0]["ratio"] == pytest.approx(1.0, abs=1e-15)
+        assert report["result"]["rows"][0]["ratio"] == 1.0
 
     def test_checkf_log_continuity(self, schema):
         code, report = run_json(
@@ -300,6 +300,15 @@ class TestExitCodes:
         assert code == 2
         assert report["kind"] == "input"
         assert "n=8" in report["error"] and "overflows" in report["error"]
+
+    def test_exact_float_overflow(self):
+        # the search's leaves pass the largest float as the DP's optimum does
+        code, report = run_json(
+            ["exact", "--n", "8", "--forbidden", "K4", "--f", "pow:mu=364.5"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert report["error"] == ("the optimum at n=8 free of 'C~' (graph6) under "
+                                   "PowerWeight(mu=364.5) overflows float")
 
     def test_pow_overflow_names_weight_and_degree(self):
         code, report = run_json(

@@ -127,8 +127,8 @@ class TestObjective:
         assert len({ObjectiveValue.of(Fraction(1, 3)), ObjectiveValue.approximate(1 / 3)}) == 1
         values = [ObjectiveValue.of(Fraction(1, 3)), ObjectiveValue.approximate(1 / 3),
                   ObjectiveValue.of(2), ObjectiveValue.approximate(2.0),
-                  ObjectiveValue.of(Fraction(4, 2)), ObjectiveValue.scaled(6, 3),
-                  ObjectiveValue.scaled(2.0, None), ObjectiveValue.of(Fraction(7, 10)),
+                  ObjectiveValue.of(Fraction(4, 2)), ObjectiveValue.scaled(6, 3, True),
+                  ObjectiveValue.scaled(8, 4, False), ObjectiveValue.of(Fraction(7, 10)),
                   ObjectiveValue.approximate(0.7), ObjectiveValue.approximate(0.1)]
         for a in values:
             for b in values:

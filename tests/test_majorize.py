@@ -158,7 +158,7 @@ class TestChain:
         assert rep.holds_first and rep.holds_second
 
     def test_float_turan_graph_reaches_optimum(self):
-        # e_f sums 21 degrees, the DP two parts: equal up to rounding
+        # e_f sums 21 degrees, the DP two parts: one exact total, rounded once
         from dwturan import turan_graph
 
         rep = theorem1_chain(turan_graph(2, 21), 3, log_family())

@@ -20,7 +20,6 @@ from dwturan import (
     power,
     turan_chain_check,
 )
-from dwturan.weights import float_slack, tabulate
 from oracles import full_table_ex_prime, generator_ex_prime, random_step_weight
 
 # integer, scaled-rational and float weights, monotone and not
@@ -164,11 +163,12 @@ class TestAgainstFullTable:
         assert many.k == 10**5
         assert _bits(many) == (value, witness + (0,) * (10**5 - 5), ties)
 
-    # a largest-part bound t >= ceil(m/j) on rows 3 and up regroups these sums
+    # the optimum's exact total correctly rounded; a float DP that summed
+    # part products in its own grouping read ...e34p+4 at (13, 3)
     @pytest.mark.parametrize("n,k,bits", [
         (5, 3, "0x1.71f7b3a6b9187p+2"),
         (5, 4, "0x1.96ca77c922cf9p+2"),
-        (13, 3, "0x1.bf999e2324e34p+4"),
+        (13, 3, "0x1.bf999e2324e33p+4"),
     ])
     def test_frozen_float_bits(self, n, k, bits):
         f = parse_weight("log:floor=0")
@@ -188,13 +188,12 @@ class TestLargeFloatTotals:
             assert _bits(ex_prime_enumerated(n, k, f)) == _bits(generator_ex_prime(n, k, f)), (n, k)
 
     def test_routines_agree_up_to_rounding(self):
-        # the DP and the enumeration add the parts in different orders
+        # the DP and the enumeration add the parts in different orders, in
+        # integers, and round the same exact total once
         f = parse_weight("pow:mu=3.3")
         a = ex_prime(50, 3, f)
         b = ex_prime_enumerated(50, 3, f)
-        assert a.value.approx != b.value.approx
-        vals, den = tabulate(f, range(50))
-        assert abs(a.value - b.value) <= float_slack(vals, den, 50)
+        assert a.value.approx == b.value.approx
         assert a.witness == b.witness and a.ties_flag == b.ties_flag
 
 
@@ -209,6 +208,13 @@ class TestFloatOverflow:
         with pytest.raises(ValueError, match=r"4-partite optimum at n=8 .*364\.5"):
             optimizer(8, 4, parse_weight(self.F))
 
+    @pytest.mark.parametrize("optimizer", [ex_prime, ex_prime_enumerated])
+    def test_exact_optimum_past_float_refused(self, optimizer):
+        # an exact total has no float to report either
+        with pytest.raises(ValueError, match=r"^the 4-partite optimum at n=8 under "
+                                             r"PowerWeight\(mu=400\) overflows float$"):
+            optimizer(8, 4, power(400))
+
     def test_finite_optimum_kept(self):
         f = parse_weight(self.F)
         assert ex_prime(7, 2, f).value.approx == 4.3264407933189366e+283
@@ -216,24 +222,45 @@ class TestFloatOverflow:
 
 
 class TestEnumeratedOracle:
-    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS + ["pow:mu=2.7", "pow:mu=3.3"])
     def test_bit_identical_to_generators(self, weight):
+        # the DP, the enumeration, the generators and the witness's own
+        # multiset all give the optimum's exact total, correctly rounded
+        # in float mode, to the bit
         f = parse_weight(weight)
         for n in range(61):
             for k in range(1, 6):
-                assert _bits(ex_prime_enumerated(n, k, f)) == _bits(generator_ex_prime(n, k, f)), (n, k)
+                res = ex_prime_enumerated(n, k, f)
+                assert _bits(res) == _bits(generator_ex_prime(n, k, f)), (n, k)
+                assert _bits(res) == _bits(ex_prime(n, k, f)), (n, k)
+                witness_value = multipartite_value(res.witness, f)
+                assert res.value.approx.hex() == witness_value.approx.hex(), (n, k)
+
+    def test_subnormal_table(self):
+        # f(0) = -5e-324 scales the table by 2**1074: integers of about
+        # 1,100 bits, on which the DP, the enumeration and the generator
+        # oracle still agree to the bit
+        f = parse_weight("log:floor=-5e-324")
+        for n in range(31):
+            for k in range(1, 6):
+                dp = ex_prime(n, k, f)
+                assert dp.value.is_exact == (n == 0)
+                assert _bits(dp) == _bits(ex_prime_enumerated(n, k, f)), (n, k)
+                assert _bits(dp) == _bits(generator_ex_prime(n, k, f)), (n, k)
 
     @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=1.5", "pow:mu=0.5"])
     def test_float_value_is_left_to_right_sum(self, weight):
+        # the witness's part products added left to right, exactly, and the
+        # total correctly rounded once
         f = parse_weight(weight)
         for n in range(1, 41):
             for k in range(1, 6):
                 res = ex_prime_enumerated(n, k, f)
                 assert not res.value.is_exact
-                total = 0
+                total = Fraction(0)
                 for t in res.witness:
                     if t:
-                        total += t * f(n - t)
+                        total += t * Fraction(f(n - t))
                 assert res.value.approx.hex() == float(total).hex(), (n, k)
 
     def test_agrees_on_erratum_instance(self):

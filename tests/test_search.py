@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,15 @@ class TestExExact:
         # are summed in, so that the least bitstring is the witness
         res = ex_exact(n, F, parse_weight(weight))
         assert graph6_encode(res.witness) == witness
+
+    @pytest.mark.parametrize("weight", ["pow:mu=364.5", "pow:mu=400"])
+    def test_optimum_past_float_refused(self, weight):
+        # the K4-free optimum on 8 vertices passes the largest float, under
+        # a float weight and an exact one alike
+        f = parse_weight(weight)
+        with pytest.raises(ValueError, match=rf"^the optimum at n=8 free of 'C~' \(graph6\) "
+                                             rf"under {re.escape(repr(f))} overflows float$"):
+            ex_exact(8, complete_graph(4), f)
 
     def test_float_totals_near_overflow(self):
         # degree 6 under pow:mu=364.5 is about 1e283, and the bound's
@@ -415,6 +425,21 @@ class TestVerifyTheorem1:
         # the balanced 3-partite graph on 7 vertices has 16 edges
         assert ex_prime(7, 3, power(1)).value.exact == 32
 
+    # staircase:c=0.9,seeds=5 climbs through an irrational f(6); the
+    # construct workload's staircase is 1 on every degree below 9, exact
+    @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5", "pow:mu=1.5", "pow:mu=2.7",
+                                        "pow:mu=3.3", "staircase:c=0.9,seeds=5",
+                                        "log:floor=-5e-324"])
+    def test_float_optima_equal(self, weight):
+        # both sides are the exact optimum correctly rounded, so they are
+        # equal to the bit, not up to rounding
+        f = parse_weight(weight)
+        for r in (3, 4, 5):
+            for n in range(8):
+                assert verify_theorem1(n, r, f), (r, n)
+                full = ex_exact(n, complete_graph(r), f)
+                assert full.value.approx.hex() == ex_prime(n, r - 1, f).value.approx.hex(), (r, n)
+
     def test_weight_checked_on_occurring_degrees_only(self):
         # f drops only at 4, a degree no vertex of a 4-vertex graph has
         assert verify_theorem1(4, 3, StepWeight([0, 4], [1, 0]))
@@ -445,10 +470,11 @@ class TestRatioTable:
             ratio_table((3, 5), complete_bipartite(2, 2), power(1))
 
     def test_float_optima_tied_up_to_rounding(self):
-        # ex and ex' of K5 at n = 5 are the same total, summed two ways
+        # ex and ex' of K5 at n = 5 are the same exact total, summed two
+        # ways in integers and rounded once
         rows = ratio_table((5, 5), complete_graph(5), power(1.7))
-        assert rows[0].ex_value.approx != rows[0].ex_prime_value.approx
-        assert rows[0].ratio == pytest.approx(1.0, abs=1e-15)
+        assert rows[0].ex_value.approx == rows[0].ex_prime_value.approx
+        assert rows[0].ratio == 1.0
 
     def test_zero_order_row(self):
         rows = ratio_table((0, 1), complete_graph(3), power(1))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -37,6 +38,13 @@ class _Pow2(WeightFunction):
 
     def __call__(self, n):
         return 2.0 ** n if n < 1000 else math.inf
+
+
+class _NaNAt7(WeightFunction):
+    """x -> x, but NaN at 7."""
+
+    def __call__(self, n):
+        return math.nan if n == 7 else float(n)
 
 
 class TestFamilies:
@@ -150,7 +158,8 @@ class TestFloatAgreesWithExact:
 
 
 class TestTabulate:
-    """tabulate against per-point f.exact (scaled) or f (float)."""
+    """tabulate against per-point f.exact or f (float), each scaled to
+    integers over one denominator; den None below marks float mode."""
 
     @pytest.mark.parametrize("f,points,den", [
         (power(2), range(0, 40), 1),
@@ -172,15 +181,34 @@ class TestTabulate:
         (_STEP_2_3_7, [], 1),
     ])
     def test_matches_per_point_values(self, f, points, den):
-        vals, got_den = tabulate(f, points)
-        assert got_den == den
+        vals, got_den, exact = tabulate(f, points)
+        assert all(type(v) is int for v in vals)
+        assert exact == (den is not None)
         if den is None:
             assert any(f.exact(p) is None for p in points)
-            assert vals == [f(p) for p in points]
-            assert all(type(v) is float for v in vals)
+            floats = [f(p) for p in points]
+            # the floats exactly, over their largest power-of-two denominator
+            assert got_den == max(x.as_integer_ratio()[1] for x in floats)
+            assert [Fraction(v, got_den) for v in vals] == list(map(Fraction, floats))
+            assert [v / got_den for v in vals] == floats
         else:
-            assert all(type(v) is int for v in vals)
+            assert got_den == den
             assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
+
+    @pytest.mark.parametrize("f,point,shown", [(_Pow2(), 1000, "inf"), (_NaNAt7(), 7, "nan")])
+    def test_non_finite_float_refused_by_name(self, f, point, shown):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(f))} is {shown} "
+                                             rf"at degree {point}, not a finite number$"):
+            tabulate(f, range(point + 2))
+
+    def test_subnormal_table(self):
+        # log:floor=-5e-324 puts the least subnormal at degree 0: the scale
+        # is 2**1074 and every value an integer of about 1,100 bits
+        f = parse_weight("log:floor=-5e-324")
+        vals, den, exact = tabulate(f, range(30))
+        assert not exact and den == 2 ** 1074
+        assert vals[0] == -1
+        assert [v / den for v in vals] == [f(p) for p in range(30)]
 
 
 class TestDegreeSum:
@@ -225,23 +253,22 @@ class TestDegreeSum:
 
 class TestFloatSlack:
     def test_zero_in_exact_mode(self):
-        vals, den = tabulate(power(2), range(50))
-        assert float_slack(vals, den, 50) == 0
+        assert float_slack(*tabulate(power(2), range(50)), 50) == 0
 
     def test_formula_in_float_mode(self):
-        vals, den = tabulate(power(2.5), range(10))
-        assert den is None
-        assert float_slack(vals, den, 10) == 2 * 100 * 2.0 ** -52 * 9 ** 2.5
-        assert float_slack([], None, 3) == 0
-        assert float_slack([-4.0, 1.0], None, 1) == 2 * 2.0 ** -52 * 4
+        vals, den, exact = tabulate(power(2.5), range(10))
+        assert not exact
+        assert float_slack(vals, den, exact, 10) == 2 * 100 * 2.0 ** -52 * 9 ** 2.5
+        assert float_slack([], 1, False, 3) == 0
+        assert float_slack([-8, 2], 2, False, 1) == 2 * 2.0 ** -52 * 4
 
     def test_bounds_reordered_sums(self):
         # these eight values, summed in every order, land on several floats
-        vals, den = tabulate(power(3.3), range(120))
-        terms = [vals[d] for d in (12, 23, 80, 92, 110, 37, 15, 95)]
+        vals, den, exact = tabulate(power(3.3), range(120))
+        terms = [vals[d] / den for d in (12, 23, 80, 92, 110, 37, 15, 95)]
         sums = {sum(order) for order in permutations(terms)}
         assert len(sums) > 1
-        assert max(sums) - min(sums) <= float_slack(vals, den, len(terms))
+        assert max(sums) - min(sums) <= float_slack(vals, den, exact, len(terms))
 
 
 class TestStaircase:
