@@ -13,10 +13,9 @@ Each row j scans only a largest last part t >= ceil(m/j) and stops at
 m = n*j/k, the most vertices a descent leaves for j parts.
 
 Arithmetic runs in exact integers in every mode: weights.tabulate scales
-f(0..n-1) to a common denominator, the lcm of f's exact values where the
-weight is rational at every degree used, else a power of two that holds
-every float exactly. Ties are exact, and a float-mode value is the
-optimum's exact total correctly rounded.
+f(0..n-1) to a common denominator, the lcm of the denominators of f's
+exact values where rational and of its floats elsewhere. Ties are exact,
+and a float-mode value is the optimum's exact total correctly rounded.
 """
 
 from __future__ import annotations

@@ -86,8 +86,8 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
     # the bound runs on the integer table, and a cap that falls to c moves
-    # it by drop[c]; in float mode the band's fallback sums table, the
-    # floats themselves, as v / scale is exact
+    # it by drop[c]; in float mode the band's fallback sums table, each
+    # value v / scale rounded once (f's float where f is irrational)
     itable, scale, exact = tabulate(f, range(n))
     monotone = all(a <= b for a, b in zip(itable, itable[1:]))
     slack = float_slack(itable, scale, exact, n)
@@ -109,6 +109,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     cap = [n - 1] * n
     nodes = 0
     best = None
+    best_total = None
     best_rows = None
     # bounds below this cannot tie the incumbent, even up to rounding;
     # integer bounds from hi up pass it, those below lo fail it, and
@@ -135,18 +136,18 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # (in exact mode lo == hi == cutoff). The include child's bound passed at
     # this node and only a leaf raises the cutoff, so it is entered untested.
     def rec(i: int, bound: int):
-        nonlocal nodes, best, best_rows, cutoff, lo, hi
+        nonlocal nodes, best, best_total, best_rows, cutoff, lo, hi
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
             # a leaf's value depends on its degree multiset alone, so
             # isomorphic leaves tie exactly and the visit order decides
-            value = sum([itable[row.bit_count()] for row in adj])
-            if not exact:
-                value /= scale
+            total = sum([itable[row.bit_count()] for row in adj])
+            value = total if exact else total / scale
             # >=: this leaf's bitstring is below every one met before it
             if best is None or value >= best:
                 best = value
+                best_total = total
                 best_rows = adj[:]
                 if monotone:
                     cutoff = best - slack
@@ -185,8 +186,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         try:
             rec(len(prefix), sum(map(itable.__getitem__, cap)))
             if best is not None:
-                best = ObjectiveValue.scaled(
-                    sum(itable[row.bit_count()] for row in best_rows), scale, exact)
+                best = ObjectiveValue.scaled(best_total, scale, exact)
         except OverflowError:
             raise ValueError(f"the optimum at n={n} free of {graph6_encode(F)!r} "
                              f"(graph6) under {f!r} overflows float") from None
@@ -270,7 +270,8 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     if contains_subgraph(witness, F):
         raise InvariantViolation("witness failed the forbidden-subgraph re-check")
     # e_f decides exactness on the witness degrees alone, so it may return
-    # the exact total where the search rounded it; both round it alike
+    # the exact total where the search rounded it; a degree's table value
+    # does not depend on the other degrees, so both round one total
     value = e_f(witness, f)
     if value != best:
         raise InvariantViolation("witness does not reproduce the optimal value")

@@ -15,11 +15,11 @@ one text form of a weight.
 
 The numeric layer lives here too. ``tabulate`` is the one place that turns
 a weight into numbers: integers over one common denominator in every mode,
-the float table too, as every float is a dyadic rational (Shewchuk,
-Discrete Comput. Geom. 18, 1997). ``ObjectiveValue.scaled`` turns a total
-of them into a value: exact, or in float mode correctly rounded. Rounding
-is monotone, so such values compare as their exact totals do, up to ties,
-and every scorer of one multiset (``degree_sum``) agrees to the bit.
+f's exact value where rational and its float, a dyadic rational, elsewhere
+(Shewchuk, Discrete Comput. Geom. 18, 1997). ``ObjectiveValue.scaled``
+turns a total of them into a value: exact, or in float mode correctly
+rounded. So every scorer of one multiset (``degree_sum``) agrees to the
+bit; rounding is monotone, so values order as exact totals do, up to ties.
 ``float_slack`` is the labeled search's pruning band. The predicate
 checkers are finite-range scanners: they certify the scanned range and
 nothing beyond it.
@@ -265,7 +265,7 @@ class ObjectiveValue(Record):
     @classmethod
     def scaled(cls, total: int, den: int, exact: bool) -> "ObjectiveValue":
         """total / den for a total of ``tabulate`` values: exact, or in float
-        mode correctly rounded by integer true division, as math.fsum is."""
+        mode correctly rounded by integer true division."""
         if exact:
             return cls.of(Fraction(total, den))
         return cls.approximate(total / den)
@@ -319,37 +319,33 @@ def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list[int], int, 
     """f at each point, as integers over one common denominator.
 
     Returns (values, den, exact) with values[i] == den * f(points[i]), as
-    ints, so sums and comparisons of values are exact integer work. When
-    f.exact is rational at every point, exact is True and den is the lcm of
-    its denominators. Otherwise exact is False and each float f(p), p/q
-    with q a power of two, is scaled by den, the largest q. A float that is
-    not finite is refused, naming f and the point. Exactness is decided on
-    these points only.
+    ints, so sums and comparisons of values are exact integer work. A point
+    takes f.exact where that is rational, else the float f(p), p/q with q a
+    power of two; den is the lcm of their denominators. exact is True when
+    every point is rational. A point's value so depends on that point alone,
+    and one degree multiset has one exact total whatever else is tabulated.
+    A float that is not finite is refused, naming f and the point.
     """
     ratios = []
+    exact = True
     for p in points:
         x = f.exact(p)
         if x is None:
-            break
-        ratios.append((x.numerator, x.denominator))
-    else:
-        den = math.lcm(*(q for _a, q in ratios))
-        return [a * (den // q) for a, q in ratios], den, True
-    floats = [f(p) for p in points]
-    if not all(map(math.isfinite, floats)):
-        p, x = next((p, x) for p, x in zip(points, floats) if not math.isfinite(x))
-        raise ValueError(f"{f!r} is {x} at degree {p}, not a finite number")
-    ratios = [x.as_integer_ratio() for x in floats]
-    den = max(q for _a, q in ratios)  # the lcm of powers of two
-    return [a * (den // q) for a, q in ratios], den, False
+            exact = False
+            x = f(p)
+            if not math.isfinite(x):
+                raise ValueError(f"{f!r} is {x} at degree {p}, not a finite number")
+        ratios.append(x.as_integer_ratio())
+    den = math.lcm(*(q for _a, q in ratios))
+    return [a * (den // q) for a, q in ratios], den, exact
 
 
 def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> ObjectiveValue:
     """Sum of f over a degree multiset, given as (degree, multiplicity) pairs.
 
     The exact total of the tabulated values, exact when f is rational at
-    every degree given, else correctly rounded (as math.fsum of the expanded
-    multiset would be), so every scorer of one multiset gets the same bits.
+    every degree given, else correctly rounded, so every scorer of one
+    multiset gets the same bits.
     A negative degree or multiplicity is refused, before f is evaluated
     anywhere.
     """
@@ -361,12 +357,12 @@ def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> Objective
 
 
 def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> float:
-    """Widest gap rounding can open between two float sums of one total,
-    for a table from tabulate: 0 in exact mode, else 2 * terms**2 * eps *
-    max|v / den| for sums in any order of at most ``terms`` table floats.
-    Recursive summation of m terms is off by at most (m - 1) * u * sum|x|,
-    u = eps / 2 (Higham, "Accuracy and Stability of Numerical Algorithms",
-    section 4.2). Only the labeled search's pruning sums floats.
+    """Band for float sums over a table from tabulate: 0 in exact mode, else
+    2 * terms**2 * eps * max|v / den|. A sum of at most m = ``terms`` table
+    values rounded to float, in any order, is off their exact total by at
+    most u * sum|x| for the roundings and (m - 1) * u * sum|x| for recursive
+    summation, u = eps / 2 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", section 4.2). Only the labeled search's pruning sums floats.
     """
     if exact:
         return 0
@@ -378,10 +374,19 @@ def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> flo
 
 
 def is_nondecreasing(f: WeightFunction, rng: tuple[int, int]) -> bool:
-    """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi."""
+    """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi: exactly
+    where f is rational at every point, else on the floats, unscaled, which
+    rounding (monotone) keeps in order, missing only a drop it hides."""
     lo, hi = rng
-    vals, _den, _exact = tabulate(f, range(lo, hi + 1))
-    return all(a <= b for a, b in zip(vals, vals[1:]))
+    points = range(lo, hi + 1)
+    ratios = []
+    for p in points:
+        if (x := f.exact(p)) is None:
+            vals = [f(p) for p in points]
+            return all(a <= b for a, b in zip(vals, vals[1:]))
+        ratios.append(x.as_integer_ratio())
+    # positive denominators: cross products order the fractions
+    return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
 
 
 def check_log_continuity(f: WeightFunction, eps: float, delta: float,

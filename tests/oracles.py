@@ -16,7 +16,9 @@ and the weight table with the library and keeps the plainest form of
 every node, so it checks the tree and not containment. It keeps the
 search's float semantics: in float mode a leaf is the math.fsum of its
 table floats, leaves compare as floats, and the bound prunes within the
-rounding band weights.float_slack.
+rounding band weights.float_slack. That fsum is the search's leaf, the
+exact total correctly rounded, where every table value is a float, so
+for weights dyadic at their rational points, as all it is run on are.
 """
 
 import math

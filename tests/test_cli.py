@@ -310,6 +310,15 @@ class TestExitCodes:
         assert report["error"] == ("the optimum at n=8 free of 'C~' (graph6) under "
                                    "PowerWeight(mu=364.5) overflows float")
 
+    def test_exact_non_dyadic_witness_reproduces_optimum(self):
+        # f is 3/10 up to 5, irrational at 6 and 3/5 from 7 on; the search's
+        # table and the witness's degrees 7 and 1 alone give one exact total
+        code, report = run_json(
+            ["exact", "--n", "8", "--forbidden", "K3", "--f", "staircase:c=0.9,seeds=5,base=0.3"])
+        assert code == 0
+        assert report["result"]["value"] == 2.7
+        assert report["result"]["witness_graph6"] == "G???F{"
+
     def test_pow_overflow_names_weight_and_degree(self):
         code, report = run_json(
             ["exprime", "--n", "9", "--k", "4", "--f", "pow:mu=364.5"])

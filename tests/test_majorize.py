@@ -167,7 +167,10 @@ class TestChain:
     def test_float_turan_graphs(self):
         from dwturan import turan_graph
 
-        for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=2.5"):
+        # base=0.7: the Turan graph's degrees are rational (7/10, 7/5), the
+        # DP's table is not (f(6) is irrational), and both give one total
+        for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=2.5",
+                       "staircase:c=0.9,seeds=5,base=0.7"):
             f = parse_weight(weight)
             for r in (3, 4, 5):
                 for n in range(1, 40):

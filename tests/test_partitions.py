@@ -222,7 +222,10 @@ class TestFloatOverflow:
 
 
 class TestEnumeratedOracle:
-    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS + ["pow:mu=2.7", "pow:mu=3.3"])
+    # base=0.3 and base=1/3 put non-dyadic rationals beside irrational climbs
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS + [
+        "pow:mu=2.7", "pow:mu=3.3", "staircase:c=0.9,seeds=5,base=0.3",
+        "staircase:c=0.5,seeds=25,base=1/3"])
     def test_bit_identical_to_generators(self, weight):
         # the DP, the enumeration, the generators and the witness's own
         # multiset all give the optimum's exact total, correctly rounded
@@ -338,12 +341,15 @@ class TestChainCheck:
 
     def test_min_degree_reading_always_holds(self):
         # n*f(min degree of the balanced split) is a true lower bound;
-        # the other floor reading can fail, which is why both are reported
+        # the other floor reading can fail, which is why both are reported.
+        # base=0.7: the balanced split's degrees are rational (7/10, 7/5),
+        # the DP's table is not (f(6) is irrational); both round one total
         for n in range(3, 40):
-            for mu in (1, 2, 3):
-                rep = turan_chain_check(n, 3, power(mu), 0.1)
-                assert rep.holds_first
-                assert rep.holds_middle_rm1
+            for f in (power(1), power(2), power(3),
+                      parse_weight("staircase:c=0.9,seeds=5,base=0.7")):
+                rep = turan_chain_check(n, 3, f, 0.1)
+                assert rep.holds_first, (n, f)
+                assert rep.holds_middle_rm1, (n, f)
 
     def test_float_balanced_split_at_its_own_floor(self):
         # 33 + 33 + 33: every vertex has degree 66, so the balanced value

@@ -429,6 +429,8 @@ class TestVerifyTheorem1:
     # construct workload's staircase is 1 on every degree below 9, exact
     @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5", "pow:mu=1.5", "pow:mu=2.7",
                                         "pow:mu=3.3", "staircase:c=0.9,seeds=5",
+                                        "staircase:c=0.9,seeds=5,base=0.3",
+                                        "staircase:c=0.9,seeds=5,base=1/3",
                                         "log:floor=-5e-324"])
     def test_float_optima_equal(self, weight):
         # both sides are the exact optimum correctly rounded, so they are

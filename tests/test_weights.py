@@ -179,6 +179,10 @@ class TestTabulate:
         (_STEP_2_3_7, [5, 0, 5, 2], 42),
         (_STEP_2_3_7, [9, 10, 11], 1),
         (_STEP_2_3_7, [], 1),
+        # float mode keeps the rational points' values: 1/3 and 3/10, not
+        # their floats
+        (staircase(StaircaseParams(0.5, (9, 100), Fraction(1, 3))), range(0, 102), None),
+        (parse_weight("staircase:c=0.9,seeds=5,base=0.3"), range(0, 8), None),
     ])
     def test_matches_per_point_values(self, f, points, den):
         vals, got_den, exact = tabulate(f, points)
@@ -186,11 +190,12 @@ class TestTabulate:
         assert exact == (den is not None)
         if den is None:
             assert any(f.exact(p) is None for p in points)
-            floats = [f(p) for p in points]
-            # the floats exactly, over their largest power-of-two denominator
-            assert got_den == max(x.as_integer_ratio()[1] for x in floats)
-            assert [Fraction(v, got_den) for v in vals] == list(map(Fraction, floats))
-            assert [v / got_den for v in vals] == floats
+            # f.exact where rational, else the float exactly, over the lcm
+            # of their denominators
+            want = [Fraction(f(p)) if f.exact(p) is None else f.exact(p) for p in points]
+            assert got_den == math.lcm(*(x.denominator for x in want))
+            assert [Fraction(v, got_den) for v in vals] == want
+            assert [v / got_den for v in vals] == [f(p) for p in points]
         else:
             assert got_den == den
             assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
@@ -337,6 +342,13 @@ class TestNondecreasing:
         params = StaircaseParams(0.5, (9, 19, 100), 1)
         f = staircase(params)
         assert is_nondecreasing(f, (0, 2 * 100))
+
+    def test_exact_values_compared_exactly(self):
+        # 1 + 2**-60 and 1 round to one float, but the exact values decrease
+        f = StepWeight([0, 1, 2], [1, 1 + Fraction(1, 2 ** 60), 1])
+        assert f(1) == f(2)
+        assert not is_nondecreasing(f, (0, 2))
+        assert is_nondecreasing(f, (0, 1))
 
 
 class TestLogContinuity:
