@@ -225,11 +225,15 @@ class TestIncrementalContainment:
 
 CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
 # K1,4: four false twins around one centre. D~w: K5 minus an edge, a class
-# of three true twins that holds both ends of an anchored edge. C6, P3 and
-# P6 widen the path-and-cycle kernel's cover; C` (2K2) and DgC (P3 + K2)
-# have maximum degree 2 but are disconnected, so they stay anchored.
+# of three true twins that holds both ends of an anchored edge. C6 and P6
+# widen the path-and-cycle kernel's cover; C` (2K2) and DgC (P3 + K2) have
+# maximum degree 2 but are disconnected, so they stay anchored. P3 = K1,2,
+# K1,3 and K2,4 widen the complete-bipartite kernel's cover; K3,3 has s = 3
+# and stays anchored.
 KERNEL_PATTERNS = ["C4", "C5", "C6", "P3", "P4", "P5", "P6"]
-ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC"]
+BIPARTITE_KERNEL_PATTERNS = ["C4", "P3", "K1,3", "K1,4", "K2,3", "K2,4"]
+ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC",
+                                    "K1,3", "K2,4", "K3,3"]
 
 
 class TestEdgeAnchoredOracle:
@@ -288,13 +292,45 @@ class TestKernelDispatch:
         assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
                                         complete_graph(6)))
 
-    @pytest.mark.parametrize("spec", ["C`", "DgC"])
+    # Dl?: C4 plus an isolated vertex
+    @pytest.mark.parametrize("spec", ["C`", "DgC", "Dl?"])
     def test_disconnected_degree_two_patterns_stay_anchored(self, monkeypatch, spec):
+        monkeypatch.setattr(core, "_bipartite_through", _refuse)
         monkeypatch.setattr(core, "_walk_from", _refuse)
         monkeypatch.setattr(core, "_path_through", _refuse)
         monkeypatch.setattr(core, "creates_clique", _refuse)
         assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
                                         complete_graph(6)))
+
+    @pytest.mark.parametrize("spec", BIPARTITE_KERNEL_PATTERNS)
+    def test_stars_and_k2t_go_to_the_bipartite_kernel(self, monkeypatch, spec):
+        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
+        monkeypatch.setattr(core, "_walk_from", _refuse)
+        monkeypatch.setattr(core, "_path_through", _refuse)
+        monkeypatch.setattr(core, "creates_clique", _refuse)
+        matcher = SubgraphMatcher(parse_graph_spec(spec))
+        assert all(self._ask_every_edge(matcher, complete_graph(6)))
+        # C4- and K1,4-free, so every kernel also runs to its end
+        self._ask_every_edge(matcher, petersen_graph())
+
+    def test_k33_stays_anchored(self, monkeypatch):
+        monkeypatch.setattr(core, "_bipartite_through", _refuse)
+        monkeypatch.setattr(core, "creates_clique", _refuse)
+        assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec("K3,3")),
+                                        complete_graph(6)))
+
+    @pytest.mark.parametrize("spec", ["C5", "C6", "P4", "P5", "P6"])
+    def test_longer_cycles_and_paths_reach_the_walk(self, monkeypatch, spec):
+        calls = []
+        walk = core._walk_from
+        monkeypatch.setattr(core, "_walk_from",
+                            lambda *args: calls.append(args[2]) or walk(*args))
+        monkeypatch.setattr(core, "_bipartite_through", _refuse)
+        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
+        monkeypatch.setattr(core, "creates_clique", _refuse)
+        assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
+                                        complete_graph(6)))
+        assert calls
 
     def test_triangle_goes_to_the_clique_kernel(self, monkeypatch):
         calls = []
