@@ -272,17 +272,18 @@ class SubgraphMatcher:
 
     Four shapes leave the anchored search in ``exists_using_edge``; each
     kernel is faster than it on its shape. A complete pattern K_k (k >= 2)
-    goes to ``creates_clique``. A complete bipartite K_{s,t} with s <= 2
-    that is not a clique (stars K_{1,t}, so also P3, and K_{2,t}, so also
-    C4 = K_{2,2}) goes to ``_bipartite_through``, which counts degrees and
-    common neighbourhoods as Kővári, Sós and Turán do; K_{s,t} with s >= 3
-    stays anchored. Any other connected pattern of maximum degree at most 2
-    on k >= 3 vertices is a cycle C_k when it has k edges and a path P_k
-    otherwise; both go to one bitset walk, ``_walk_from``. C_k through
-    (a, b) is a walk of k - 2 vertices from b that ends in N(a); P_k through
-    (a, b) hangs the k - 2 other vertices off b and a, each split once. The
-    shape is read off the pattern alone. ``exists_using_edge`` is the one
-    question the labeled search asks, whatever the pattern.
+    goes to ``creates_clique``. Any other connected pattern of maximum
+    degree at most 2 on k >= 3 vertices is a cycle C_k when it has k edges
+    and a path P_k otherwise; both go to one bitset walk, ``_walk_from``.
+    C_k through (a, b) is a walk of k - 2 vertices from b that ends in N(a);
+    P_k through (a, b) hangs the k - 2 other vertices off b and a, each
+    split once. So C4 = K_{2,2} and P3 = K_{1,2} take the walk. Any other
+    complete bipartite K_{s,t} with s <= 2 (K_{1,t} and K_{2,t}, t >= 3)
+    goes to ``_bipartite_through``, which counts degrees and common
+    neighbourhoods as Kővári, Sós and Turán do; K_{s,t} with s >= 3 stays
+    anchored. The shape is read off the pattern alone.
+    ``exists_using_edge`` is the one question the labeled search asks,
+    whatever the pattern.
     ``exists_in`` stays generic for every pattern, so re-checking a witness
     of a kernel search runs a different algorithm from the one that pruned it.
     """
@@ -315,13 +316,11 @@ class SubgraphMatcher:
         self._parts = _star_or_k2t_parts(F, order[0]) if k >= 3 else None
         if k >= 2 and m == k * (k - 1) // 2:
             self._shape = "clique"
-        elif self._parts:
-            self._shape = "bipartite"
         elif k >= 3 and max(F.degrees) <= 2 and _is_connected(F):
             self._shape = "cycle" if m == k else "path"
+        elif self._parts:
+            self._shape = "bipartite"
         else:
-            # a string, not None: a str == str test takes the interpreter's
-            # fast path, and the anchored search comes after every kernel's
             self._shape = "anchored"
 
     def _twin_prev(self, anchored) -> list[int]:
@@ -351,16 +350,13 @@ class SubgraphMatcher:
         if shape == "clique":
             # looked up in the module at call time, so perfbench/tracing.py counts it
             return creates_clique(adj, a, b, k)
-        # a host smaller than F needs no early exit: no kernel finds a copy
-        # in it, and the labeled search never asks about one
-        if shape == "bipartite":
-            # unpacked here: a starred call costs about as much as C4's kernel
-            s, t = self._parts
-            return _bipartite_through(adj, a, b, s, t)
         if shape == "cycle":
             return _walk_from(adj, b, k - 2, 1 << a | 1 << b, adj[a])
         if shape == "path":
             return _path_through(adj, a, b, k - 2, 1 << a | 1 << b)
+        if shape == "bipartite":
+            s, t = self._parts
+            return _bipartite_through(adj, a, b, s, t)
         if self._anchors is None:
             self._anchors = self._edge_orbit_anchors()
         deg_a = adj[a].bit_count()
@@ -470,20 +466,10 @@ def _bipartite_through(adj: Sequence[int], a: int, b: int, s: int, t: int) -> bo
     K_{1,t}: a or b is the centre, with t leaves. K_{2,t} with u on the
     2-side and v on the t-side: some x in N(v) other than u shares t
     neighbours with u, v among them; (u, v) is tried as (a, b) and as
-    (b, a). For C4 = K_{2,2} the two sides are alike, so (a, b) alone is an
-    edge from N(b) - a into N(a) - b.
+    (b, a).
     """
     if s == 1:
         return adj[a].bit_count() >= t or adj[b].bit_count() >= t
-    if t == 2:
-        last = adj[a] ^ (1 << b)
-        cand = adj[b] ^ (1 << a)
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if adj[low.bit_length() - 1] & last:
-                return True
-        return False
     for u, v in ((a, b), (b, a)):
         nu = adj[u]
         if nu.bit_count() < t:

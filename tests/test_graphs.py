@@ -227,11 +227,11 @@ CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
 # K1,4: four false twins around one centre. D~w: K5 minus an edge, a class
 # of three true twins that holds both ends of an anchored edge. C6 and P6
 # widen the path-and-cycle kernel's cover; C` (2K2) and DgC (P3 + K2) have
-# maximum degree 2 but are disconnected, so they stay anchored. P3 = K1,2,
-# K1,3 and K2,4 widen the complete-bipartite kernel's cover; K3,3 has s = 3
-# and stays anchored.
+# maximum degree 2 but are disconnected, so they stay anchored. K1,3 and
+# K2,4 widen the complete-bipartite kernel's cover; K3,3 has s = 3 and stays
+# anchored. C4 = K2,2 and P3 = K1,2 take the walk, not the bipartite kernel.
 KERNEL_PATTERNS = ["C4", "C5", "C6", "P3", "P4", "P5", "P6"]
-BIPARTITE_KERNEL_PATTERNS = ["C4", "P3", "K1,3", "K1,4", "K2,3", "K2,4"]
+BIPARTITE_KERNEL_PATTERNS = ["K1,3", "K1,4", "K2,3", "K2,4"]
 ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC",
                                     "K1,3", "K2,4", "K3,3"]
 
@@ -287,10 +287,16 @@ class TestKernelDispatch:
 
     @pytest.mark.parametrize("spec", KERNEL_PATTERNS)
     def test_paths_and_cycles_skip_the_anchored_search(self, monkeypatch, spec):
+        calls = []
+        walk = core._walk_from
+        monkeypatch.setattr(core, "_walk_from",
+                            lambda *args: calls.append(args[2]) or walk(*args))
         monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
+        monkeypatch.setattr(core, "_bipartite_through", _refuse)
         monkeypatch.setattr(core, "creates_clique", _refuse)
         assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
                                         complete_graph(6)))
+        assert calls
 
     # Dl?: C4 plus an isolated vertex
     @pytest.mark.parametrize("spec", ["C`", "DgC", "Dl?"])
@@ -318,19 +324,6 @@ class TestKernelDispatch:
         monkeypatch.setattr(core, "creates_clique", _refuse)
         assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec("K3,3")),
                                         complete_graph(6)))
-
-    @pytest.mark.parametrize("spec", ["C5", "C6", "P4", "P5", "P6"])
-    def test_longer_cycles_and_paths_reach_the_walk(self, monkeypatch, spec):
-        calls = []
-        walk = core._walk_from
-        monkeypatch.setattr(core, "_walk_from",
-                            lambda *args: calls.append(args[2]) or walk(*args))
-        monkeypatch.setattr(core, "_bipartite_through", _refuse)
-        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
-        monkeypatch.setattr(core, "creates_clique", _refuse)
-        assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec(spec)),
-                                        complete_graph(6)))
-        assert calls
 
     def test_triangle_goes_to_the_clique_kernel(self, monkeypatch):
         calls = []

@@ -320,11 +320,13 @@ class TestFrozenPatternValues:
         ("C5", 7, "step:0:0;3:1;5:3", 9, "FJaNw", 79997),
         ("K3s:2", 7, "pow:mu=2", 172, "FK~~w", 21155),
         ("K2,3", 6, "half", 10, "ELrw", 8190),
-    ], ids=["C5-step", "K3s:2-anchored", "K2,3-half"])
+        ("K3,3", 7, "pow:mu=2", 152, "FLr~w", 65668),
+    ], ids=["C5-step", "K3s:2-anchored", "K2,3-half", "K3,3-anchored"])
     def test_other_weights_and_anchored_patterns(self, spec, n, weight, value,
                                                  witness, nodes):
-        # K3s:2 and K2,3 go through the anchored search, whose degree
-        # filters read the host's rows
+        # K3s:2 and K3,3 go through the anchored search, whose degree
+        # filters read the host's rows; K2,3 goes to the complete-bipartite
+        # kernel
         self._check(parse_graph_spec(spec), n, value, witness, nodes,
                     parse_weight(weight))
 
@@ -336,8 +338,7 @@ class TestFrozenPatternValues:
     ])
     def test_complete_bipartite_seven_vertices(self, spec, weight, value,
                                                witness, nodes):
-        # frozen from the anchored search, before these shapes got their
-        # own kernel; the tree is the same whichever kernel answers
+        # the tree is the same whichever kernel answers the matcher
         self._check(parse_graph_spec(spec), 7, value, witness, nodes,
                     parse_weight(weight))
 
