@@ -282,8 +282,9 @@ class SubgraphMatcher:
     goes to ``_bipartite_through``, which counts degrees and common
     neighbourhoods as Kővári, Sós and Turán do; K_{s,t} with s >= 3 stays
     anchored. The shape is read off the pattern alone.
-    ``exists_using_edge`` is the one question the labeled search asks,
-    whatever the pattern.
+    ``exists_using_edge`` is the question the labeled search asks of every
+    pattern but a complete one, which it asks of ``creates_clique`` itself;
+    the clique branch here serves direct callers.
     ``exists_in`` stays generic for every pattern, so re-checking a witness
     of a kernel search runs a different algorithm from the one that pruned it.
     """
@@ -349,7 +350,7 @@ class SubgraphMatcher:
         shape = self._shape
         if shape == "clique":
             # looked up in the module at call time, so perfbench/tracing.py counts it
-            return creates_clique(adj, a, b, k)
+            return creates_clique(adj, k, a, b)
         if shape == "cycle":
             return _walk_from(adj, b, k - 2, 1 << a | 1 << b, adj[a])
         if shape == "path":
@@ -547,10 +548,12 @@ def mask_has_clique(adj: Sequence[int], mask: int, size: int) -> bool:
     return False
 
 
-def creates_clique(adj: Sequence[int], a: int, b: int, r: int) -> bool:
+def creates_clique(adj: Sequence[int], r: int, a: int, b: int) -> bool:
     """Would the host containing edge (a, b) have a K_r through that edge?
 
-    K3 asks for a common neighbour of a and b, K4 for an edge inside their
+    r comes before the edge as the host order does in
+    SubgraphMatcher.exists_using_edge, so the labeled search calls either
+    test the same way. K3 asks for a common neighbour of a and b, K4 for an edge inside their
     common neighbourhood: some vertex of it with a later neighbour in it.
     Larger cliques go to mask_has_clique.
     """

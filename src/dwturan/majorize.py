@@ -127,7 +127,7 @@ def random_kr_free_graph(n: int, r: int, edge_prob: float,
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        if creates_clique(adj, u, v, r):
+        if creates_clique(adj, r, u, v):
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
     return Graph._from_adj(n, adj)

@@ -291,7 +291,10 @@ def kab_free_check(G: Graph, a: int, b: int, *,
     has examined more than max_subsets; the order is fixed, so the same
     input always answers or always stops at the same set. Sets smaller
     than a count too, so a scan that cuts nothing examines somewhat more
-    than C(n, a) sets: at a = 2, C(n, 2) + n - 1.
+    than C(n, a) sets: at a = 2, C(n, 2) + n - 1. The last member is
+    found by a plain loop, and the sets it examined, up to its first hit or
+    all of them, are charged in one step; a scan that would go over budget
+    there is refused as if charged set by set.
     """
     if a > b:
         raise ValueError("call with a <= b")
@@ -300,18 +303,27 @@ def kab_free_check(G: Graph, a: int, b: int, *,
     adj = G.adj
     n = G.n
     left = max_subsets
+    refusal = f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
 
     def extend(common: int, start: int, need: int) -> bool:
         # need >= 1 members still to add, from vertices start..n-1
         nonlocal left
+        if need == 1:
+            hit = False
+            for v in range(start, n):
+                if (common & adj[v]).bit_count() >= b:
+                    hit = True
+                    break
+            left -= v + 1 - start if hit else n - start
+            if left < 0:
+                raise ScaleLimitError(refusal)
+            return hit
         for v in range(start, n - need + 1):
             left -= 1
             if left < 0:
-                raise ScaleLimitError(
-                    f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
-                )
+                raise ScaleLimitError(refusal)
             shared = common & adj[v]
-            if shared.bit_count() >= b and (need == 1 or extend(shared, v + 1, need - 1)):
+            if shared.bit_count() >= b and extend(shared, v + 1, need - 1):
                 return True
         return False
 

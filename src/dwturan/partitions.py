@@ -153,7 +153,8 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
 
     Vectors are visited in ascending lexicographic order. Each one's score
     is its integer part values added left to right from 0, carried down the
-    recursion; the last part is forced to the vertices left.
+    recursion; the last part is forced to the vertices left, and the last
+    two are scanned in one loop.
     """
     if n > _ENUM_MAX_N or k > _ENUM_MAX_K:
         raise ScaleLimitError(
@@ -166,22 +167,27 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     vec: list[int] = []
 
     def scan(j: int, m: int, cap: int, total) -> None:
-        """Fill j more parts with m vertices, each at most cap."""
+        """Fill j >= 2 more parts with m vertices, each at most cap."""
         nonlocal best, second, best_vec
-        if j == 1:
-            if m <= cap:
-                v = total + vals[m]
+        parts = range(-(-m // j), min(cap, m) + 1)  # from ceil(m / j)
+        if j == 2:
+            # the last part m - t never exceeds t >= ceil(m / 2)
+            for t in parts:
+                v = total + vals[t] + vals[m - t]
                 if best is None or v > best:
-                    second, best, best_vec = best, v, (*vec, m)
+                    second, best, best_vec = best, v, (*vec, t, m - t)
                 elif second is None or v > second:
                     second = v
             return
-        for t in range(-(-m // j), min(cap, m) + 1):  # from ceil(m / j)
+        for t in parts:
             vec.append(t)
             scan(j - 1, m - t, t, total + vals[t])
             vec.pop()
 
-    scan(k, n, n, 0)
+    if k == 1:
+        best, best_vec = vals[n], (n,)
+    else:
+        scan(k, n, n, 0)
     ties = second == best
     return PartitionOptimum(value=_optimum_value(best, den, exact, n, k, f),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)

@@ -3,8 +3,11 @@
 The search decides the C(n,2) edge slots in a fixed lexicographic order,
 include branch first. A branch dies as soon as the partial graph acquires a
 copy of the forbidden graph (containment is monotone under edge addition,
-so only copies through the newly added edge are searched). Two further
-prunings apply whenever the weight is non-decreasing on 0..n-1:
+so only copies through the newly added edge are searched). That question
+is one call: graphs.creates_clique for a complete forbidden graph, which
+builds no matcher, and SubgraphMatcher.exists_using_edge for any other.
+Two further prunings apply whenever the weight is non-decreasing on
+0..n-1:
 
   * bound: each vertex can finish with degree at most its cap, current
     degree plus undecided slots, so the weight sum of the caps bounds every
@@ -51,6 +54,7 @@ from .graphs import (
     chromatic_number,
     complete_graph,
     contains_subgraph,
+    creates_clique,
     e_f,
     graph6_encode,
 )
@@ -94,13 +98,19 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     table = itable if exact else [v / scale for v in itable]
     drop = [a - b for a, b in zip(itable, itable[1:])]
 
-    # called with the new edge already present in adj; a pattern larger than
-    # the host fits nowhere, so it needs no matcher
-    if F.n > n:
-        def creates_forbidden(adj, n, u, v):
+    # creates_forbidden(adj, k, u, v): is there a copy of F through the edge
+    # (u, v), already present in adj? A pattern larger than the host fits
+    # nowhere; a complete one is asked of the clique test with k = F.n, and
+    # no matcher is built; every other of the matcher with the host order
+    k = F.n
+    if k > n:
+        def creates_forbidden(adj, k, u, v):
             return False
+    elif F.num_edges == k * (k - 1) // 2:
+        creates_forbidden = creates_clique
     else:
         creates_forbidden = SubgraphMatcher(F).exists_using_edge
+        k = n
 
     # per slot: its ends and their bits in a row
     plan = [(u, v, 1 << u, 1 << v) for u, v in slots]
@@ -122,7 +132,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                 continue
             adj[u] |= bv
             adj[v] |= bu
-            creates = creates_forbidden(adj, n, u, v)
+            creates = creates_forbidden(adj, k, u, v)
             adj[u] ^= bv
             adj[v] ^= bu
             if not creates:
@@ -156,7 +166,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         u, v, bu, bv = plan[i]
         adj[u] |= bv
         adj[v] |= bu
-        if not creates_forbidden(adj, n, u, v):
+        if not creates_forbidden(adj, k, u, v):
             nodes += 1
             rec(i + 1, bound)
         adj[u] ^= bv
@@ -176,7 +186,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         if decision:
             adj[u] |= bv
             adj[v] |= bu
-            if creates_forbidden(adj, n, u, v):
+            if creates_forbidden(adj, k, u, v):
                 break
         else:
             cap[u] -= 1

@@ -6,7 +6,8 @@ trying every color map, and the forbidden-free maximum by scoring every
 labeled graph; the witness oracles also read off the least optimal
 maximal edge bitstring, the log oracle by integer degree products, so
 that its ties are exact. The norm graph is built by field-element
-subtraction and K_{a,b}-freeness by scanning every a-subset. The multipartite optimum has
+subtraction and K_{a,b}-freeness by scanning every a-subset; the budget of
+that scan has a set-by-set reference, per_set_kab_scan. The multipartite optimum has
 two references, the full-table DP and the generator enumeration; both add
 the integer part values of weights.tabulate, so their ties are exact and
 their float values are the optimum's exact total correctly rounded, bit
@@ -281,6 +282,34 @@ def naive_kab_free(G: Graph, a: int, b: int) -> bool:
         if common.bit_count() >= b:
             return False
     return True
+
+
+def per_set_kab_scan(G: Graph, a: int, b: int, max_subsets: int) -> tuple[bool, int]:
+    """normgraphs.kab_free_check's scan, charging its budget one examined
+    set at a time at every level, the last member's included.
+
+    Returns (K_{a,b}-free, sets examined), and raises ScaleLimitError with
+    the library's message at the first set past max_subsets.
+    """
+    from dwturan import ScaleLimitError
+
+    n = G.n
+    left = max_subsets
+
+    def extend(common: int, start: int, need: int) -> bool:
+        nonlocal left
+        for v in range(start, n - need + 1):
+            left -= 1
+            if left < 0:
+                raise ScaleLimitError(
+                    f"K_{{{a},{b}}} scan examined more than {max_subsets} sets")
+            shared = common & G.adj[v]
+            if shared.bit_count() >= b and (need == 1 or extend(shared, v + 1, need - 1)):
+                return True
+        return False
+
+    free = not extend((1 << n) - 1, 0, a)
+    return free, max_subsets - left
 
 
 def join(H: Graph, K: Graph) -> Graph:

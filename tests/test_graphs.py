@@ -334,7 +334,7 @@ class TestKernelDispatch:
         monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
         G = complete_graph(4)
         assert all(self._ask_every_edge(SubgraphMatcher(cycle_graph(3)), G))
-        assert calls == [(u, v, 3) for a, b in G.edges() for u, v in ((a, b), (b, a))]
+        assert calls == [(3, u, v) for a, b in G.edges() for u, v in ((a, b), (b, a))]
 
 
 class TestCreatesClique:
@@ -348,7 +348,7 @@ class TestCreatesClique:
         for r, K in self.CLIQUES.items():
             expected = naive_contains_through_edge(G, K, a, b)
             for u, v in ((a, b), (b, a)):
-                assert core.creates_clique(G.adj, u, v, r) == expected, (
+                assert core.creates_clique(G.adj, r, u, v) == expected, (
                     graph6_encode(G), u, v, r)
 
     def test_every_labeled_host_up_to_five_vertices(self):

@@ -32,7 +32,7 @@ from dwturan import (
     staircase,
     blowup_k3,
 )
-from oracles import all_graphs, join, naive_kab_free, naive_norm_graph
+from oracles import all_graphs, join, naive_kab_free, naive_norm_graph, per_set_kab_scan
 
 # the norm graphs and K_{a,b} checks of the benchmark's construct workload
 CONSTRUCT_FIELDS = ((13, 2), (11, 2), (7, 2), (5, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 4))
@@ -214,6 +214,39 @@ class TestKabFree:
         G = norm_graph(q, t)
         for a, b in ((t, t), (t, math.factorial(t) + 1)):
             assert kab_free_check(G, a, b) == naive_kab_free(G, a, b)
+
+
+def _outcome(G, a, b, budget, scan):
+    try:
+        return scan(G, a, b, budget)
+    except ScaleLimitError as err:
+        return str(err)
+
+
+class TestKabBudget:
+    """kab_free_check charges the last member's sets in one step; its answers
+    and refusals equal those of a scan charging one set at a time, on each
+    side of the budget a full scan needs and far from it."""
+
+    GRAPHS = ([norm_graph(q, t) for q, t in ((2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3))]
+              + [_random_graph(n, random.Random(n)) for n in range(4, 13)])
+    PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
+
+    def test_matches_per_set_charging(self):
+        cases = refusals = 0
+        for G in self.GRAPHS:
+            for a, b in self.PAIRS:
+                _, used = per_set_kab_scan(G, a, b, 10 ** 9)
+                budgets = {1, 2, 3, 5, 10, 30, 100, 1000, used - 1, used, used + 1, 10 ** 9}
+                for budget in sorted(budgets - {0}):
+                    expected = _outcome(G, a, b, budget,
+                                        lambda *args: per_set_kab_scan(*args)[0])
+                    got = _outcome(G, a, b, budget,
+                                   lambda G, a, b, m: kab_free_check(G, a, b, max_subsets=m))
+                    assert got == expected, (G.adj, a, b, budget)
+                    cases += 1
+                    refusals += isinstance(expected, str)
+        assert refusals > cases // 10
 
 
 class TestJoinBlowup:

@@ -29,6 +29,7 @@ from dwturan import (
     verify_theorem1,
 )
 from dwturan.cli import parse_graph_spec
+from dwturan.graphs import SubgraphMatcher
 from dwturan.search import _scaled_band, _search_tree
 from oracles import (
     naive_ex_exact,
@@ -36,7 +37,7 @@ from oracles import (
     naive_log_witness,
     reference_search_tree,
 )
-from test_graphs import CLI_SHORTHANDS
+from test_graphs import CLI_SHORTHANDS, _refuse
 
 
 class TestExExact:
@@ -98,6 +99,33 @@ class TestExExact:
         res = ex_exact(4, F, power(1))
         assert res.value == e_f(complete_graph(4), power(1))
         assert res.witness == complete_graph(4)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_cliques_go_straight_to_the_clique_test(self, monkeypatch, r):
+        import dwturan.search
+
+        calls = []
+        clique = dwturan.search.creates_clique
+        monkeypatch.setattr(dwturan.search, "creates_clique",
+                            lambda *args: calls.append(args[1]) or clique(*args))
+        monkeypatch.setattr(SubgraphMatcher, "exists_using_edge", _refuse)
+        res = ex_exact(6, complete_graph(r), power(1))
+        assert res.value == ex_prime(6, r - 1, power(1)).value
+        assert calls and set(calls) == {r}
+
+    @pytest.mark.parametrize("spec", ["C4", "P4", "K2,3", "K3s:2"])
+    def test_other_patterns_never_reach_the_clique_test(self, monkeypatch, spec):
+        import dwturan.graphs
+        import dwturan.search
+
+        calls = []
+        ask = SubgraphMatcher.exists_using_edge
+        monkeypatch.setattr(SubgraphMatcher, "exists_using_edge",
+                            lambda *args: calls.append(args[2]) or ask(*args))
+        monkeypatch.setattr(dwturan.graphs, "creates_clique", _refuse)
+        monkeypatch.setattr(dwturan.search, "creates_clique", _refuse)
+        ex_exact(6, parse_graph_spec(spec), power(1))
+        assert calls and set(calls) == {6}
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_naive_oracle_triangle(self, n):

@@ -2,7 +2,7 @@
 
 A renamed or deleted attribute would break the traced benchmark run, and a
 wrapper left behind would slow every later call; both show up here. The
-traced matcher counts of two searches are pinned as well.
+traced clique-test and matcher counts of three searches are pinned as well.
 """
 
 import importlib.util
@@ -58,21 +58,25 @@ def test_install_then_uninstall_restores_every_attribute():
     assert _changed(before, tracing) == []
 
 
-@pytest.mark.parametrize("n,F,matcher_calls,clique_calls", [
-    (7, complete_graph(3), 35051, 35051),
-    (6, blowup_k3(2), 520, 0),
-], ids=["K3", "K3s:2"])
-def test_one_matcher_question_per_include_decision(n, F, matcher_calls, clique_calls):
-    # the search asks the matcher once per include decision and once per
-    # open slot of a leaf's maximality check, through exists_using_edge
-    # alone, and the clique kernel answers each question for a clique
+@pytest.mark.parametrize("n,F,nodes,matcher_calls,clique_calls,matchers", [
+    (7, complete_graph(3), 50875, 0, 35051, 1),
+    (7, complete_graph(4), 44747, 0, 27088, 1),
+    (6, blowup_k3(2), 786, 520, 0, 2),
+], ids=["K3", "K4", "K3s:2"])
+def test_one_matcher_question_per_include_decision(n, F, nodes, matcher_calls,
+                                                   clique_calls, matchers):
+    # the search asks one question per include decision and per open slot
+    # of a leaf's maximality check: of the clique test directly for a
+    # clique, which builds no matcher (the witness re-check builds the one
+    # counted), and of exists_using_edge for every other pattern
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.enabled = True
-        ex_exact(n, F, parse_weight("pow:mu=2"))
+        assert ex_exact(n, F, parse_weight("pow:mu=2")).nodes_explored == nodes
         assert tracer.calls["graphs.matcher.exists_using_edge"] == matcher_calls
         assert tracer.calls["graphs.creates_clique"] == clique_calls
+        assert tracer.calls["graphs.matcher.init"] == matchers
     finally:
         tracer.uninstall()
