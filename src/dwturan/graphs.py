@@ -553,9 +553,9 @@ def creates_clique(adj: Sequence[int], r: int, a: int, b: int) -> bool:
 
     r comes before the edge as the host order does in
     SubgraphMatcher.exists_using_edge, so the labeled search calls either
-    test the same way. K3 asks for a common neighbour of a and b, K4 for an edge inside their
-    common neighbourhood: some vertex of it with a later neighbour in it.
-    Larger cliques go to mask_has_clique.
+    test the same way. K3 asks for a common neighbour of a and b, K4 for an
+    edge inside their common neighbourhood: some vertex of it with a later
+    neighbour in it. Larger cliques go to mask_has_clique.
     """
     common = adj[a] & adj[b]
     if r == 3:

@@ -100,8 +100,9 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
 
     # creates_forbidden(adj, k, u, v): is there a copy of F through the edge
     # (u, v), already present in adj? A pattern larger than the host fits
-    # nowhere; a complete one is asked of the clique test with k = F.n, and
-    # no matcher is built; every other of the matcher with the host order
+    # nowhere. A complete one is asked of the clique test with k = F.n, read
+    # from this module's globals here so that perfbench/tracing.py counts it,
+    # and builds no matcher; every other is asked of the matcher with k = n.
     k = F.n
     if k > n:
         def creates_forbidden(adj, k, u, v):

@@ -7,11 +7,12 @@ labeled graph; the witness oracles also read off the least optimal
 maximal edge bitstring, the log oracle by integer degree products, so
 that its ties are exact. The norm graph is built by field-element
 subtraction and K_{a,b}-freeness by scanning every a-subset; the budget of
-that scan has a set-by-set reference, per_set_kab_scan. The multipartite optimum has
-two references, the full-table DP and the generator enumeration; both add
-the integer part values of weights.tabulate, so their ties are exact and
-their float values are the optimum's exact total correctly rounded, bit
-for bit what the routines they check must give. The labeled search has a
+the library's scan has a set-by-set reference, per_set_kab_scan. The
+multipartite optimum has two references, the full-table DP and the
+generator enumeration; both add the integer part values of
+weights.tabulate, so their ties are exact and their float values are
+the optimum's exact total correctly rounded, bit for bit what the
+routines they check must give. The labeled search has a
 reference of its own walk, reference_search_tree: it shares the matcher
 and the weight table with the library and keeps the plainest form of
 every node, so it checks the tree and not containment. It keeps the

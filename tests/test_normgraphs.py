@@ -216,9 +216,10 @@ class TestKabFree:
             assert kab_free_check(G, a, b) == naive_kab_free(G, a, b)
 
 
-def _outcome(G, a, b, budget, scan):
+def _outcome(scan):
+    """scan()'s answer, or the message of its refusal."""
     try:
-        return scan(G, a, b, budget)
+        return scan()
     except ScaleLimitError as err:
         return str(err)
 
@@ -239,10 +240,8 @@ class TestKabBudget:
                 _, used = per_set_kab_scan(G, a, b, 10 ** 9)
                 budgets = {1, 2, 3, 5, 10, 30, 100, 1000, used - 1, used, used + 1, 10 ** 9}
                 for budget in sorted(budgets - {0}):
-                    expected = _outcome(G, a, b, budget,
-                                        lambda *args: per_set_kab_scan(*args)[0])
-                    got = _outcome(G, a, b, budget,
-                                   lambda G, a, b, m: kab_free_check(G, a, b, max_subsets=m))
+                    expected = _outcome(lambda: per_set_kab_scan(G, a, b, budget)[0])
+                    got = _outcome(lambda: kab_free_check(G, a, b, max_subsets=budget))
                     assert got == expected, (G.adj, a, b, budget)
                     cases += 1
                     refusals += isinstance(expected, str)
