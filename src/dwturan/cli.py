@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 CHECKF_MAX_POINTS = 100_000
 # the most parts one exprime call takes; its witness lists k part sizes
 EXPRIME_MAX_K = 100_000
+# the most vertices a shorthand names, as for norm graphs; rows grow as order^2
+SHORTHAND_MAX_ORDER = 4096
 
 _SHORTHAND = re.compile(
     r"^(?:K(?P<r>\d+)|C(?P<cyc>\d+)|P(?P<path>\d+)|K(?P<a>\d+),(?P<b>\d+)|K3s:(?P<s>\d+))$"
@@ -36,7 +38,8 @@ _SHORTHAND = re.compile(
 
 
 def parse_graph_spec(text: str) -> Graph:
-    """Named shorthand (K4, C5, P4, K2,3, K3s:2) first, then graph6."""
+    """Named shorthand (K4, C5, P4, K2,3, K3s:2) first, then graph6; a
+    shorthand on more than SHORTHAND_MAX_ORDER vertices is refused unbuilt."""
     from .graphs import (
         blowup_k3,
         complete_bipartite,
@@ -47,17 +50,22 @@ def parse_graph_spec(text: str) -> Graph:
     )
 
     m = _SHORTHAND.match(text)
-    if m:
-        if m.group("r"):
-            return complete_graph(int(m.group("r")))
-        if m.group("cyc"):
-            return cycle_graph(int(m.group("cyc")))
-        if m.group("path"):
-            return path_graph(int(m.group("path")))
-        if m.group("s"):
-            return blowup_k3(int(m.group("s")))
-        return complete_bipartite(int(m.group("a")), int(m.group("b")))
-    return graph6_decode(text)
+    if not m:
+        return graph6_decode(text)
+    size = {key: int(value) for key, value in m.groupdict().items() if value}
+    order = 3 * size["s"] if "s" in size else sum(size.values())
+    if order > SHORTHAND_MAX_ORDER:
+        raise ScaleLimitError(f"{text} names a graph on {order} vertices; shorthands "
+                              f"take no more than {SHORTHAND_MAX_ORDER}")
+    if "r" in size:
+        return complete_graph(size["r"])
+    if "cyc" in size:
+        return cycle_graph(size["cyc"])
+    if "path" in size:
+        return path_graph(size["path"])
+    if "s" in size:
+        return blowup_k3(size["s"])
+    return complete_bipartite(size["a"], size["b"])
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -270,21 +270,20 @@ class SubgraphMatcher:
     call, by the same anchored search with F as its own host; Aut(F) itself
     is never listed.
 
-    Four shapes leave the anchored search in ``exists_using_edge``; each
-    kernel is faster than it on its shape. A complete pattern K_k (k >= 2)
-    goes to ``creates_clique``. Any other connected pattern of maximum
-    degree at most 2 on k >= 3 vertices is a cycle C_k when it has k edges
-    and a path P_k otherwise; both go to one bitset walk, ``_walk_from``.
+    Three shapes leave the anchored search in ``exists_using_edge``; each
+    kernel is faster than it on its shape. A connected pattern of maximum
+    degree at most 2 that is not complete is a cycle C_k (k >= 4) when it
+    has k edges and a path P_k (k >= 3) otherwise; both go to one bitset
+    walk, ``_walk_from``.
     C_k through (a, b) is a walk of k - 2 vertices from b that ends in N(a);
     P_k through (a, b) hangs the k - 2 other vertices off b and a, each
     split once. So C4 = K_{2,2} and P3 = K_{1,2} take the walk. Any other
     complete bipartite K_{s,t} with s <= 2 (K_{1,t} and K_{2,t}, t >= 3)
     goes to ``_bipartite_through``, which counts degrees and common
     neighbourhoods as Kővári, Sós and Turán do; K_{s,t} with s >= 3 stays
-    anchored. The shape is read off the pattern alone.
-    ``exists_using_edge`` is the question the labeled search asks of every
-    pattern but a complete one, which it asks of ``creates_clique`` itself;
-    the clique branch here serves direct callers.
+    anchored, as does every complete pattern, K3 = C3 among them: the
+    labeled search asks ``creates_clique`` itself of a complete pattern.
+    The shape is read off the pattern alone.
     ``exists_in`` stays generic for every pattern, so re-checking a witness
     of a kernel search runs a different algorithm from the one that pruned it.
     """
@@ -315,9 +314,8 @@ class SubgraphMatcher:
         self._anchors = None
         m = F.num_edges
         self._parts = _star_or_k2t_parts(F, order[0]) if k >= 3 else None
-        if k >= 2 and m == k * (k - 1) // 2:
-            self._shape = "clique"
-        elif k >= 3 and max(F.degrees) <= 2 and _is_connected(F):
+        # not complete: K3 stays anchored, and a connected pattern has k >= 3
+        if m < k * (k - 1) // 2 and max(F.degrees) <= 2 and _is_connected(F):
             self._shape = "cycle" if m == k else "path"
         elif self._parts:
             self._shape = "bipartite"
@@ -348,9 +346,6 @@ class SubgraphMatcher:
         """
         k = self.pattern.n
         shape = self._shape
-        if shape == "clique":
-            # looked up in the module at call time, so perfbench/tracing.py counts it
-            return creates_clique(adj, k, a, b)
         if shape == "cycle":
             return _walk_from(adj, b, k - 2, 1 << a | 1 << b, adj[a])
         if shape == "path":

@@ -214,6 +214,15 @@ def _scaled_band(cutoff: float, slack: float, scale: int) -> tuple[int, int]:
             -(-(p * t + s * q) * scale // den))
 
 
+def _check_limit(n: int, limit: int) -> None:
+    """Refuse an order above the limit, whose tree has 2**C(n,2) leaves."""
+    if n > limit:
+        raise ScaleLimitError(
+            f"order {n} above limit {limit}: up to 2^{n * (n - 1) // 2} "
+            f"labeled graphs; raise the limit explicitly to proceed"
+        )
+
+
 def ex_exact(n: int, F: Graph, f: WeightFunction, *,
              limit: int = DEFAULT_LIMIT, workers: int = 1) -> SearchResult:
     """Exact maximum of the weighted degree sum over F-free graphs of order n.
@@ -235,11 +244,7 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n > limit:
-        raise ScaleLimitError(
-            f"order {n} above limit {limit}: up to 2^{n * (n - 1) // 2} "
-            f"labeled graphs; raise the limit explicitly to proceed"
-        )
+    _check_limit(n, limit)
     if F.n == 0:
         raise ValueError("forbidden graph must have at least one vertex")
     if F.num_edges == 0 and n >= F.n:
@@ -322,7 +327,8 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
 
     Requires a non-bipartite forbidden graph. Multipartite graphs are a
     subfamily of the F-free graphs, so every ratio is >= 1: both optima are
-    correctly rounded, and rounding is monotone.
+    correctly rounded, and rounding is monotone. An order over the limit
+    is refused before any search.
     """
     chi = chromatic_number(F)
     if chi < 3:
@@ -331,6 +337,7 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
             f"(chromatic number >= 3, got {chi})"
         )
     lo, hi = n_range
+    _check_limit(hi, limit)
     rows = []
     for n in range(lo, hi + 1):
         full = ex_exact(n, F, f, limit=limit, workers=workers)

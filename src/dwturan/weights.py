@@ -374,19 +374,12 @@ def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> flo
 
 
 def is_nondecreasing(f: WeightFunction, rng: tuple[int, int]) -> bool:
-    """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi: exactly
-    where f is rational at every point, else on the floats, unscaled, which
-    rounding (monotone) keeps in order, missing only a drop it hides."""
+    """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi, on
+    tabulate's integers: each point is f.exact where that is rational, else
+    its float, the table the labeled search reads its monotonicity off."""
     lo, hi = rng
-    points = range(lo, hi + 1)
-    ratios = []
-    for p in points:
-        if (x := f.exact(p)) is None:
-            vals = [f(p) for p in points]
-            return all(a <= b for a, b in zip(vals, vals[1:]))
-        ratios.append(x.as_integer_ratio())
-    # positive denominators: cross products order the fractions
-    return all(a * d <= c * b for (a, b), (c, d) in zip(ratios, ratios[1:]))
+    values, _den, _exact = tabulate(f, range(lo, hi + 1))
+    return all(a <= b for a, b in zip(values, values[1:]))
 
 
 def check_log_continuity(f: WeightFunction, eps: float, delta: float,

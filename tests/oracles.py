@@ -15,7 +15,10 @@ the optimum's exact total correctly rounded, bit for bit what the
 routines they check must give. The labeled search has a
 reference of its own walk, reference_search_tree: it shares the matcher
 and the weight table with the library and keeps the plainest form of
-every node, so it checks the tree and not containment. It keeps the
+every node, so it checks the tree and not containment. It asks the
+matcher of every pattern, and the matcher gives a complete one to its
+anchored search, so on K_r it checks the search's clique test,
+graphs.creates_clique, against the anchored search. It keeps the
 search's float semantics: in float mode a leaf is the math.fsum of its
 table floats, leaves compare as floats, and the bound prunes within the
 rounding band weights.float_slack. That fsum is the search's leaf, the

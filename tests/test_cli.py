@@ -10,7 +10,16 @@ import jsonschema
 import pytest
 
 import dwturan
-from dwturan import cli, complete_graph, cycle_graph, graph6_encode, partitions, weights
+import dwturan.graphs
+from dwturan import (
+    cli,
+    complete_graph,
+    cycle_graph,
+    graph6_encode,
+    partitions,
+    search,
+    weights,
+)
 from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
 
@@ -270,6 +279,10 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
+def _refuse_build(*args):
+    raise AssertionError("built a graph before the order check")
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         code, _ = cli.run(["frobnicate"])
@@ -356,6 +369,34 @@ class TestExitCodes:
         code, report = run_json(
             ["exact", "--n", "12", "--forbidden", "K3", "--f", "half"])
         assert code == 2
+
+    def test_ratio_over_limit_refused_before_search(self, monkeypatch):
+        calls = []
+        ex_exact = search.ex_exact
+        monkeypatch.setattr(search, "ex_exact",
+                            lambda *args, **kw: calls.append(args[0]) or ex_exact(*args, **kw))
+        code, report = run_json(
+            ["ratio", "--nmin", "3", "--nmax", "9", "--forbidden", "K3", "--f", "pow:mu=2"])
+        assert code == 2
+        assert report["error"].startswith("order 9 above limit 8")
+        assert calls == []
+
+    @pytest.mark.parametrize("spec,order", [("C5000", 5000), ("K3s:2000", 6000),
+                                            ("K2,5000", 5002)])
+    def test_shorthand_over_cap_refused_before_building(self, monkeypatch, spec, order):
+        for name in ("complete_graph", "cycle_graph", "path_graph", "blowup_k3",
+                     "complete_bipartite"):
+            monkeypatch.setattr(dwturan.graphs, name, _refuse_build)
+        code, report = run_json(["exact", "--n", "5", "--forbidden", spec, "--f", "half"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert report["error"] == (f"{spec} names a graph on {order} vertices; shorthands "
+                                   f"take no more than {cli.SHORTHAND_MAX_ORDER}")
+
+    def test_shorthand_at_cap(self):
+        cap = cli.SHORTHAND_MAX_ORDER
+        for spec in (f"K{cap}", f"P{cap}", f"K1,{cap - 1}"):
+            assert parse_graph_spec(spec).n == cap
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_worker_count_below_one(self, count):

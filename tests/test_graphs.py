@@ -230,10 +230,11 @@ CLI_SHORTHANDS = ["K3", "K4", "C4", "C5", "P4", "P5", "K2,3", "K3s:2"]
 # maximum degree 2 but are disconnected, so they stay anchored. K1,3 and
 # K2,4 widen the complete-bipartite kernel's cover; K3,3 has s = 3 and stays
 # anchored. C4 = K2,2 and P3 = K1,2 take the walk, not the bipartite kernel.
+# K3, K4 and K5 take the anchored search.
 KERNEL_PATTERNS = ["C4", "C5", "C6", "P3", "P4", "P5", "P6"]
 BIPARTITE_KERNEL_PATTERNS = ["K1,3", "K1,4", "K2,3", "K2,4"]
 ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC",
-                                    "K1,3", "K2,4", "K3,3"]
+                                    "K1,3", "K2,4", "K3,3", "K5"]
 
 
 class TestEdgeAnchoredOracle:
@@ -325,22 +326,34 @@ class TestKernelDispatch:
         assert all(self._ask_every_edge(SubgraphMatcher(parse_graph_spec("K3,3")),
                                         complete_graph(6)))
 
-    def test_triangle_goes_to_the_clique_kernel(self, monkeypatch):
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_cliques_take_the_anchored_search(self, monkeypatch, r):
+        # the labeled search asks creates_clique itself; through the matcher
+        # a clique, K3 = C3 too, is one more anchored pattern, so a search
+        # that asks the matcher checks the clique test against another algorithm
         calls = []
-        clique = core.creates_clique
-        monkeypatch.setattr(core, "creates_clique",
-                            lambda *args: calls.append(args[1:]) or clique(*args))
+        search = SubgraphMatcher._search
+        monkeypatch.setattr(SubgraphMatcher, "_search",
+                            lambda *args: calls.append(args) or search(*args))
+        monkeypatch.setattr(core, "creates_clique", _refuse)
         monkeypatch.setattr(core, "_walk_from", _refuse)
-        monkeypatch.setattr(SubgraphMatcher, "_search", _refuse)
-        G = complete_graph(4)
-        assert all(self._ask_every_edge(SubgraphMatcher(cycle_graph(3)), G))
-        assert calls == [(3, u, v) for a, b in G.edges() for u, v in ((a, b), (b, a))]
+        monkeypatch.setattr(core, "_path_through", _refuse)
+        monkeypatch.setattr(core, "_bipartite_through", _refuse)
+        K = complete_graph(r)
+        matcher = SubgraphMatcher(K)
+        # K6 holds every K_r, T(6, 3) no K4, T(7, 4) no K5 and C5 no K3
+        for G in (complete_graph(6), turan_graph(3, 6), turan_graph(4, 7), cycle_graph(5)):
+            for a, b in G.edges():
+                expected = naive_contains_through_edge(G, K, a, b)
+                for u, v in ((a, b), (b, a)):
+                    assert matcher.exists_using_edge(G.adj, G.n, u, v) == expected, (
+                        graph6_encode(G), u, v)
+        assert calls
 
 
 class TestCreatesClique:
     """creates_clique on its own, against trying every injective vertex map:
-    the search reaches it through exists_using_edge, and majorize calls it
-    directly, for r up to 5."""
+    the labeled search and majorize call it directly, for r up to 5."""
 
     CLIQUES = {r: complete_graph(r) for r in range(2, 7)}
 

@@ -38,6 +38,7 @@ from oracles import (
     reference_search_tree,
 )
 from test_graphs import CLI_SHORTHANDS, _refuse
+from test_weights import _ThirdThenFloat
 
 
 class TestExExact:
@@ -498,6 +499,12 @@ class TestVerifyTheorem1:
 
         with pytest.raises(ValueError):
             verify_theorem1(4, 3, Dip())
+
+    def test_rejects_weight_whose_table_drops(self):
+        # the floats of f(0) = 1/3 and f(1) tie, but the search's table,
+        # exact at 0, drops, so the weight is refused like any other dip
+        with pytest.raises(ValueError, match="non-decreasing"):
+            verify_theorem1(3, 3, _ThirdThenFloat())
 
 
 class TestRatioTable:

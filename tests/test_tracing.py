@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from dwturan import blowup_k3, complete_graph, ex_exact, parse_weight
+import dwturan.graphs
+from dwturan import blowup_k3, complete_graph, cycle_graph, ex_exact, parse_weight
 from dwturan.graphs import SubgraphMatcher
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,11 +49,13 @@ def test_install_then_uninstall_restores_every_attribute():
         patched = _changed(before, tracing)
         assert len(patched) >= len(tracing.SPANS) + len(tracing.LEAVES)
         tracer.enabled = True
-        # a clique pattern reaches the clique kernel through the matcher
+        # both leaves count a call made through the module and the class
         K3 = complete_graph(3)
-        assert SubgraphMatcher(K3).exists_using_edge(K3.adj, 3, 0, 1)
-        assert tracer.calls["graphs.matcher.exists_using_edge"] == 1
+        assert dwturan.graphs.creates_clique(K3.adj, 3, 0, 1)
+        C4 = cycle_graph(4)
+        assert SubgraphMatcher(C4).exists_using_edge(C4.adj, 4, 0, 1)
         assert tracer.calls["graphs.creates_clique"] == 1
+        assert tracer.calls["graphs.matcher.exists_using_edge"] == 1
     finally:
         tracer.uninstall()
     assert _changed(before, tracing) == []

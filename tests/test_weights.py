@@ -47,6 +47,16 @@ class _NaNAt7(WeightFunction):
         return math.nan if n == 7 else float(n)
 
 
+class _ThirdThenFloat(WeightFunction):
+    """Exactly 1/3 at 0; from 1 on, irrational, with the float of 1/3."""
+
+    def __call__(self, n):
+        return 1 / 3
+
+    def exact(self, n):
+        return Fraction(1, 3) if n == 0 else None
+
+
 class TestFamilies:
     def test_power_basic(self):
         assert power(2)(7) == 49
@@ -349,6 +359,16 @@ class TestNondecreasing:
         assert f(1) == f(2)
         assert not is_nondecreasing(f, (0, 2))
         assert is_nondecreasing(f, (0, 1))
+
+    def test_mixed_exact_and_float_compared_as_tabulated(self):
+        # exactly 1/3 at 0, the float just below 1/3 from 1 on: the floats
+        # tie, but the table the search reads monotonicity off drops
+        f = _ThirdThenFloat()
+        assert f(0) == f(1)
+        values, _den, _exact = tabulate(f, range(3))
+        assert values[0] > values[1]
+        assert not is_nondecreasing(f, (0, 2))
+        assert is_nondecreasing(f, (1, 2))
 
 
 class TestLogContinuity:
