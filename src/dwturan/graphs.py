@@ -337,12 +337,16 @@ class SubgraphMatcher:
         return self._search(host.adj, host.n, [-1] * k, 0, 0, self.twin_prev)
 
     def exists_using_edge(self, adj: Sequence[int], n: int, a: int, b: int) -> bool:
-        """Is there a copy whose image covers the host edge (a, b)?
+        """Is there a copy whose image covers the edge (a, b) of the host
+        plus that edge?
 
         adj holds the host's rows as bitmasks over its n vertices; degrees
-        are read off the rows. Sound only when (a, b) is an edge of the host;
-        used for incremental forbidden-subgraph checks where the host just
-        gained that edge.
+        are read off the rows, with the edge (a, b) counted whether or not
+        adj already holds it. So the incremental forbidden-subgraph check
+        may ask about an edge before writing it. No kernel reads the bit of
+        (a, b) itself: the walks and the anchored search place a and b
+        first and never test the pair, and the K_{1,t} and K_{2,t} counts
+        add it to the rows of a and b.
         """
         k = self.pattern.n
         shape = self._shape
@@ -355,8 +359,8 @@ class SubgraphMatcher:
             return _bipartite_through(adj, a, b, s, t)
         if self._anchors is None:
             self._anchors = self._edge_orbit_anchors()
-        deg_a = adj[a].bit_count()
-        deg_b = adj[b].bit_count()
+        deg_a = (adj[a] | 1 << b).bit_count()
+        deg_b = (adj[b] | 1 << a).bit_count()
         for ix, iy, twin_prev in self._anchors:
             if deg_a < self.deg[ix] or deg_b < self.deg[iy]:
                 continue
@@ -457,20 +461,24 @@ def _star_or_k2t_parts(F: Graph, u: int) -> tuple[int, int] | None:
 
 
 def _bipartite_through(adj: Sequence[int], a: int, b: int, s: int, t: int) -> bool:
-    """Is there a K_{s,t} (s <= 2) through the host edge (a, b)?
+    """Is there a K_{s,t} (s <= 2) through the edge (a, b) of the host plus
+    that edge?
 
+    Whether adj already holds (a, b) does not matter: the rows of a and b
+    are read with b and a added, and no other row has a bit of the edge.
     K_{1,t}: a or b is the centre, with t leaves. K_{2,t} with u on the
     2-side and v on the t-side: some x in N(v) other than u shares t
     neighbours with u, v among them; (u, v) is tried as (a, b) and as
     (b, a).
     """
     if s == 1:
-        return adj[a].bit_count() >= t or adj[b].bit_count() >= t
+        return ((adj[a] | 1 << b).bit_count() >= t
+                or (adj[b] | 1 << a).bit_count() >= t)
     for u, v in ((a, b), (b, a)):
-        nu = adj[u]
+        nu = adj[u] | 1 << v
         if nu.bit_count() < t:
             continue
-        cand = adj[v] ^ (1 << u)
+        cand = adj[v] & ~(1 << u)
         while cand:
             low = cand & -cand
             cand ^= low
@@ -544,9 +552,11 @@ def mask_has_clique(adj: Sequence[int], mask: int, size: int) -> bool:
 
 
 def creates_clique(adj: Sequence[int], r: int, a: int, b: int) -> bool:
-    """Would the host containing edge (a, b) have a K_r through that edge?
+    """Would the host plus the edge (a, b) have a K_r through that edge?
 
-    r comes before the edge as the host order does in
+    adj may or may not hold (a, b) already: the common neighbourhood of a
+    and b excludes both, so the edge's own bits are never read. r comes
+    before the edge as the host order does in
     SubgraphMatcher.exists_using_edge, so the labeled search calls either
     test the same way. K3 asks for a common neighbour of a and b, K4 for an
     edge inside their common neighbourhood: some vertex of it with a later

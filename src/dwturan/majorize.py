@@ -114,7 +114,8 @@ def random_kr_free_graph(n: int, r: int, edge_prob: float,
     """Random K_r-free graph by edge addition with rejection.
 
     Visits all slots in a random order, keeps each with the given
-    probability, and reverts any addition that completes a K_r. The result
+    probability, and skips any addition that would complete a K_r, asking
+    creates_clique before the edge is written. The result
     is K_r-free by construction; sweeping edge_prob sweeps density.
     """
     if r < 3:
@@ -123,11 +124,8 @@ def random_kr_free_graph(n: int, r: int, edge_prob: float,
     rng.shuffle(slots)
     adj = [0] * n
     for u, v in slots:
-        if rng.random() >= edge_prob:
+        if rng.random() >= edge_prob or creates_clique(adj, r, u, v):
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        if creates_clique(adj, r, u, v):
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
     return Graph._from_adj(n, adj)

@@ -6,8 +6,10 @@ copy of the forbidden graph (containment is monotone under edge addition,
 so only copies through the newly added edge are searched). That question
 is one call: graphs.creates_clique for a complete forbidden graph, which
 builds no matcher, and SubgraphMatcher.exists_using_edge for any other.
-Two further prunings apply whenever the weight is non-decreasing on
-0..n-1:
+Both answer for the host plus the edge, held or not, so the edge is asked
+before it is written, and written only for an include child that is
+entered. Two further prunings apply whenever the weight is non-decreasing
+on 0..n-1:
 
   * bound: each vertex can finish with degree at most its cap, current
     degree plus undecided slots, so the weight sum of the caps bounds every
@@ -23,7 +25,8 @@ Two further prunings apply whenever the weight is non-decreasing on
     [cutoff - slack, cutoff + slack], scaled, and the float sum is taken
     only inside it. A node is counted when its parent reaches it, and
     entered only when its bound is not below the cutoff, so a child pruned
-    on its bound costs a count but no call.
+    on its bound costs a count but no call, and outside the float band no
+    cap write.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
@@ -98,11 +101,12 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     table = itable if exact else [v / scale for v in itable]
     drop = [a - b for a, b in zip(itable, itable[1:])]
 
-    # creates_forbidden(adj, k, u, v): is there a copy of F through the edge
-    # (u, v), already present in adj? A pattern larger than the host fits
-    # nowhere. A complete one is asked of the clique test with k = F.n, read
-    # from this module's globals here so that perfbench/tracing.py counts it,
-    # and builds no matcher; every other is asked of the matcher with k = n.
+    # creates_forbidden(adj, k, u, v): would adj plus the edge (u, v), which
+    # adj does not hold yet, have a copy of F through it? A pattern larger
+    # than the host fits nowhere. A complete one is asked of the clique test
+    # with k = F.n, read from this module's globals here so that
+    # perfbench/tracing.py counts it, and builds no matcher; every other is
+    # asked of the matcher with k = n.
     k = F.n
     if k > n:
         def creates_forbidden(adj, k, u, v):
@@ -129,14 +133,7 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
 
     def leaf_is_maximal() -> bool:
         for u, v, bu, bv in plan:
-            if adj[u] & bv:
-                continue
-            adj[u] |= bv
-            adj[v] |= bu
-            creates = creates_forbidden(adj, k, u, v)
-            adj[u] ^= bv
-            adj[v] ^= bu
-            if not creates:
+            if not adj[u] & bv and not creates_forbidden(adj, k, u, v):
                 return False
         return True
 
@@ -146,7 +143,12 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # or from lo up when the caps' float sum in vertex order is not below it
     # (in exact mode lo == hi == cutoff). The include child's bound passed at
     # this node and only a leaf raises the cutoff, so it is entered untested.
-    def rec(i: int, bound: int):
+    # The edge test is asked before the edge is written, and the exclude
+    # child's bound is read off the lowered caps before they are written:
+    # a forbidden include child, or an exclude child its integer bound
+    # cuts, writes nothing. The defaults make the per-node reads local.
+    def rec(i: int, bound: int, plan=plan, adj=adj, cap=cap, drop=drop, M=M,
+            creates_forbidden=creates_forbidden, k=k):
         nonlocal nodes, best, best_total, best_rows, cutoff, lo, hi
         if i == M:
             if monotone and not leaf_is_maximal():
@@ -165,30 +167,36 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                     lo, hi = (cutoff, cutoff) if exact else _scaled_band(cutoff, slack, scale)
             return
         u, v, bu, bv = plan[i]
-        adj[u] |= bv
-        adj[v] |= bu
-        if not creates_forbidden(adj, k, u, v):
+        if creates_forbidden(adj, k, u, v):
             nodes += 1
+        else:
+            nodes += 2
+            adj[u] |= bv
+            adj[v] |= bu
             rec(i + 1, bound)
-        adj[u] ^= bv
-        adj[v] ^= bu
-        cap[u] -= 1
-        cap[v] -= 1
-        bound += drop[cap[u]] + drop[cap[v]]
-        nodes += 1
-        if bound >= hi or bound >= lo and not sum(map(table.__getitem__, cap)) < cutoff:
-            rec(i + 1, bound)
-        cap[u] += 1
-        cap[v] += 1
+            adj[u] ^= bv
+            adj[v] ^= bu
+        cu = cap[u] - 1
+        cv = cap[v] - 1
+        bound += drop[cu] + drop[cv]
+        if bound >= lo:
+            # the float band's sum reads the lowered caps, so they are
+            # written before it is taken
+            cap[u] = cu
+            cap[v] = cv
+            if bound >= hi or not sum(map(table.__getitem__, cap)) < cutoff:
+                rec(i + 1, bound)
+            cap[u] = cu + 1
+            cap[v] = cv + 1
 
     # apply the prefix decisions, bailing out if they already force a copy;
     # the root is counted like any child, and no leaf has set a cutoff yet
     for decision, (u, v, bu, bv) in zip(prefix, plan):
         if decision:
-            adj[u] |= bv
-            adj[v] |= bu
             if creates_forbidden(adj, k, u, v):
                 break
+            adj[u] |= bv
+            adj[v] |= bu
         else:
             cap[u] -= 1
             cap[v] -= 1

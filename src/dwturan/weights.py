@@ -336,8 +336,11 @@ def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list[int], int, 
             if not math.isfinite(x):
                 raise ValueError(f"{f!r} is {x} at degree {p}, not a finite number")
         ratios.append(x.as_integer_ratio())
-    den = math.lcm(*(q for _a, q in ratios))
-    return [a * (den // q) for a, q in ratios], den, exact
+    # one lcm and one multiplier per distinct denominator, not per point
+    dens = {q for _a, q in ratios}
+    den = math.lcm(*dens)
+    mult = {q: den // q for q in dens}
+    return [a * mult[q] for a, q in ratios], den, exact
 
 
 def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> ObjectiveValue:

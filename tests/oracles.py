@@ -134,9 +134,11 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
 
     Every node is counted on entry and checks its bound there; the
     exclude child sums the weights of the caps afresh, in vertex order;
-    a deg list follows adj and the leaf scores it. The library's search
-    must walk the same tree in the same order, so all three outputs,
-    the node count too, are compared exactly.
+    a deg list follows adj and the leaf scores it. Every edge test is asked
+    with the edge already written, where the library's search asks first
+    and writes after, so the two orders are checked against each other.
+    The library's search must walk the same tree in the same order, so all
+    three outputs, the node count too, are compared exactly.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)

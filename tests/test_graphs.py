@@ -237,9 +237,19 @@ ORACLE_PATTERNS = CLI_SHORTHANDS + ["K1,4", "D~w", "C6", "P3", "P6", "C`", "DgC"
                                     "K1,3", "K2,4", "K3,3", "K5"]
 
 
+def _without(G, a, b):
+    """G's rows as a list, with the edge (a, b) taken out."""
+    adj = list(G.adj)
+    adj[a] ^= 1 << b
+    adj[b] ^= 1 << a
+    return adj
+
+
 class TestEdgeAnchoredOracle:
     """exists_using_edge against trying every injective vertex map, on every
-    edge of every host, in both orientations; exists_in on every host."""
+    edge of every host, in both orientations, asked with the edge in the
+    rows and with it taken out (the answer is for the host plus the edge
+    either way); exists_in on every host."""
 
     @staticmethod
     def _check_every_edge(matcher, G):
@@ -248,9 +258,12 @@ class TestEdgeAnchoredOracle:
         assert matcher.exists_in(G) == present, (graph6_encode(F), graph6_encode(G))
         for a, b in G.edges():
             expected = present and naive_contains_through_edge(G, F, a, b)
+            without = _without(G, a, b)
             for u, v in ((a, b), (b, a)):
                 got = matcher.exists_using_edge(G.adj, G.n, u, v)
                 assert got == expected, (graph6_encode(F), graph6_encode(G), u, v)
+                got = matcher.exists_using_edge(without, G.n, u, v)
+                assert got == expected, (graph6_encode(F), graph6_encode(G), u, v, "unwritten")
 
     @pytest.mark.parametrize("spec", ORACLE_PATTERNS)
     def test_every_labeled_host_up_to_five_vertices(self, spec):
@@ -353,16 +366,19 @@ class TestKernelDispatch:
 
 class TestCreatesClique:
     """creates_clique on its own, against trying every injective vertex map:
-    the labeled search and majorize call it directly, for r up to 5."""
+    the labeled search and majorize call it directly, for r up to 5. Each
+    edge is asked with it in the rows and with it taken out."""
 
     CLIQUES = {r: complete_graph(r) for r in range(2, 7)}
 
     def _check(self, G, a, b):
+        without = _without(G, a, b)
         for r, K in self.CLIQUES.items():
             expected = naive_contains_through_edge(G, K, a, b)
             for u, v in ((a, b), (b, a)):
-                assert core.creates_clique(G.adj, r, u, v) == expected, (
-                    graph6_encode(G), u, v, r)
+                for adj in (G.adj, without):
+                    assert core.creates_clique(adj, r, u, v) == expected, (
+                        graph6_encode(G), u, v, r, adj is without)
 
     def test_every_labeled_host_up_to_five_vertices(self):
         for n in range(2, 6):

@@ -13,6 +13,7 @@ from dwturan import (
     e_f,
     empty_graph,
     erdos_majorizer,
+    graph6_encode,
     log_family,
     parse_weight,
     power,
@@ -76,7 +77,12 @@ class TestConstruction:
 class TestFrozenClasses:
     """Classes on seeded graphs, recorded before the construction moved to
     vertex masks: the maximum-degree tie-break (smallest label) and the
-    class order must not drift."""
+    class order must not drift. The graphs are pinned by their graph6, as
+    recorded when random_kr_free_graph wrote each edge before asking
+    creates_clique; asking first must keep every rng draw and so the graph."""
+
+    GRAPH6 = {1: "IAO?_CC??", 2: "K?XBwDSUEOYb", 3: r"Mqd\L^Y}nqu?~jUj?",
+              4: "H[_xqqE", 5: "O??PA?o_G@?A@?c?O?gEO"}
 
     @pytest.mark.parametrize("seed,n,r,p,classes", [
         (1, 10, 3, 0.3, ((0, 1, 2, 5, 6, 7, 8, 9), (3, 4))),
@@ -87,6 +93,7 @@ class TestFrozenClasses:
     ])
     def test_seeded(self, seed, n, r, p, classes):
         g = random_kr_free_graph(n, r, p, random.Random(seed))
+        assert graph6_encode(g) == self.GRAPH6[seed]
         res = erdos_majorizer(g, r)
         assert res.classes == classes
         assert verify_majorization(g, res)

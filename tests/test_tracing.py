@@ -2,7 +2,7 @@
 
 A renamed or deleted attribute would break the traced benchmark run, and a
 wrapper left behind would slow every later call; both show up here. The
-traced clique-test and matcher counts of three searches are pinned as well.
+traced clique-test and matcher counts of eight searches are pinned as well.
 """
 
 import importlib.util
@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import dwturan.graphs
-from dwturan import blowup_k3, complete_graph, cycle_graph, ex_exact, parse_weight
+from dwturan import (
+    blowup_k3,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    ex_exact,
+    parse_weight,
+    path_graph,
+)
 from dwturan.graphs import SubgraphMatcher
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -65,7 +73,12 @@ def test_install_then_uninstall_restores_every_attribute():
     (7, complete_graph(3), 50875, 0, 35051, 1),
     (7, complete_graph(4), 44747, 0, 27088, 1),
     (6, blowup_k3(2), 786, 520, 0, 2),
-], ids=["K3", "K4", "K3s:2"])
+    (6, cycle_graph(4), 8591, 6480, 0, 2),
+    (6, cycle_graph(5), 4615, 3049, 0, 2),
+    (6, path_graph(5), 3569, 2791, 0, 2),
+    (6, complete_bipartite(2, 3), 7683, 5032, 0, 2),
+    (6, complete_bipartite(1, 4), 7076, 4878, 0, 2),
+], ids=["K3", "K4", "K3s:2", "C4", "C5", "P5", "K2,3", "K1,4"])
 def test_one_matcher_question_per_include_decision(n, F, nodes, matcher_calls,
                                                    clique_calls, matchers):
     # the search asks one question per include decision and per open slot
