@@ -13,35 +13,32 @@ on 0..n-1:
 
   * bound: each vertex can finish with degree at most its cap, current
     degree plus undecided slots, so the weight sum of the caps bounds every
-    leaf below; subtrees under the incumbent by more than rounding
-    (weights.float_slack) are cut. Including a slot leaves every cap as it
-    is, so the bound moves only when a slot is excluded, by the table
-    differences at the two lowered caps, in O(1) and in integers in every
-    mode, on weights.tabulate's integer table. A float-mode child is
-    entered when its float bound, the caps' weights summed in vertex order,
-    is not below the cutoff. That sum, plain or compensated (Python's sum
-    from 3.12), lies within float_slack of the exact one (Higham, section
-    4.2), so the integer bound decides every child outside the band
-    [cutoff - slack, cutoff + slack], scaled, and the float sum is taken
-    only inside it. A node is counted when its parent reaches it, and
-    entered only when its bound is not below the cutoff, so a child pruned
-    on its bound costs a count but no call, and outside the float band no
-    cap write.
+    leaf below. The bound is the sum of weights.tabulate's integers over
+    the caps, in every mode. Including a slot leaves every cap as it is, so
+    the bound moves only when a slot is excluded, by the table differences
+    at the two lowered caps, in O(1). An exclude child is entered iff its
+    bound is not below lo, one integer test in every mode: lo is the
+    incumbent's total in exact mode, and in float mode the least integer
+    bound whose value reaches the incumbent's rounded value less the
+    margin weights.float_slack, computed exactly once per incumbent. A node
+    is counted when its parent reaches it, so a child pruned on its bound
+    costs a count but no call and no cap write.
   * maximality: some maximal forbidden-free graph attains the optimum, so
     leaves that still accept an edge are not evaluated.
 
-A leaf's value is the exact integer total of its degrees' table values,
-and in float mode that total correctly rounded, so leaves tie as floats.
+A leaf's score is the exact integer total of its degrees' table values,
+and leaves compare by it in every mode; the value reported is that total
+over the table's denominator, exact, or in float mode correctly rounded.
 Among evaluated optimal leaves the reported witness is the one whose edge
 bitstring (slot 0 first, one bit per slot) is lexicographically smallest;
 with the maximality rule active that means smallest among maximal
 witnesses. No bitstring is kept: include-first order meets the leaves in
 descending bitstring order, so the last optimal leaf met is the least, and
-a leaf of equal value replaces the incumbent. Results are independent of
+a leaf of equal total replaces the incumbent. Results are independent of
 the worker count: a run partitions the tree by its first few slot
 decisions (none for one worker), whose subtrees in ascending prefix order
-hold ascending bitstrings, so reducing them in that order keeps the first
-best value, whichever processes searched them.
+hold ascending bitstrings, so reducing their totals in that order keeps
+the first best, whichever processes searched them.
 """
 
 from __future__ import annotations
@@ -81,24 +78,22 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
                  prefix: tuple[int, ...] = ()):
     """Run the pruned enumeration below one prefix of slot decisions.
 
-    Returns (best value or None, adjacency rows of the best leaf, nodes).
-    A leaf scores the sum of weights.tabulate(f, 0..n-1), integers over
-    scale: that total in exact mode, the total / scale correctly rounded in
-    float mode, where leaves compare as floats. Include-first order meets
-    the leaves in descending bitstring order, so a leaf that ties the
-    incumbent has the smaller bitstring and replaces it; the rows kept are
-    those of the least optimal bitstring. A total past the largest float
-    is refused by name.
+    Returns (best total or None, its value, adjacency rows of the best
+    leaf, nodes). A leaf's total is the sum of weights.tabulate(f, 0..n-1),
+    integers over scale, and leaves compare by total in every mode; the
+    value is the best total / scale, exact, or in float mode correctly
+    rounded. Include-first order meets the leaves in descending bitstring
+    order, so a leaf that ties the incumbent has the smaller bitstring and
+    replaces it; the rows kept are those of the least optimal bitstring.
+    A value past the largest float is refused by name.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
     # the bound runs on the integer table, and a cap that falls to c moves
-    # it by drop[c]; in float mode the band's fallback sums table, each
-    # value v / scale rounded once (f's float where f is irrational)
+    # it by drop[c]
     itable, scale, exact = tabulate(f, range(n))
     monotone = all(a <= b for a, b in zip(itable, itable[1:]))
     slack = float_slack(itable, scale, exact, n)
-    table = itable if exact else [v / scale for v in itable]
     drop = [a - b for a, b in zip(itable, itable[1:])]
 
     # creates_forbidden(adj, k, u, v): would adj plus the edge (u, v), which
@@ -123,13 +118,10 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     # cap[x] = degree of x + undecided slots at x
     cap = [n - 1] * n
     nodes = 0
-    best = None
     best_total = None
     best_rows = None
-    # bounds below this cannot tie the incumbent, even up to rounding;
-    # integer bounds from hi up pass it, those below lo fail it, and
-    # between the two the float sum decides
-    cutoff = lo = hi = -math.inf
+    # the least bound that can still tie the incumbent, up to the margin
+    lo = -math.inf
 
     def leaf_is_maximal() -> bool:
         for u, v, bu, bv in plan:
@@ -139,32 +131,27 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
 
     # bound is the itable sum over cap: the include child inherits it, the
     # exclude child adds two drops. Each child is counted where it is reached
-    # and entered only if its bound is not below the cutoff: at or above hi,
-    # or from lo up when the caps' float sum in vertex order is not below it
-    # (in exact mode lo == hi == cutoff). The include child's bound passed at
-    # this node and only a leaf raises the cutoff, so it is entered untested.
-    # The edge test is asked before the edge is written, and the exclude
-    # child's bound is read off the lowered caps before they are written:
-    # a forbidden include child, or an exclude child its integer bound
+    # and entered only if its bound is not below lo. The include child's
+    # bound passed at this node and only a leaf raises lo, so it is entered
+    # untested. The edge test is asked before the edge is written, and the
+    # exclude child's bound is read off the lowered caps before they are
+    # written: a forbidden include child, or an exclude child its bound
     # cuts, writes nothing. The defaults make the per-node reads local.
     def rec(i: int, bound: int, plan=plan, adj=adj, cap=cap, drop=drop, M=M,
             creates_forbidden=creates_forbidden, k=k):
-        nonlocal nodes, best, best_total, best_rows, cutoff, lo, hi
+        nonlocal nodes, best_total, best_rows, lo
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
-            # a leaf's value depends on its degree multiset alone, so
+            # a leaf's total depends on its degree multiset alone, so
             # isomorphic leaves tie exactly and the visit order decides
             total = sum([itable[row.bit_count()] for row in adj])
-            value = total if exact else total / scale
             # >=: this leaf's bitstring is below every one met before it
-            if best is None or value >= best:
-                best = value
+            if best_total is None or total >= best_total:
                 best_total = total
                 best_rows = adj[:]
                 if monotone:
-                    cutoff = best - slack
-                    lo, hi = (cutoff, cutoff) if exact else _scaled_band(cutoff, slack, scale)
+                    lo = total if exact else _ceil_scaled(total / scale - slack, scale)
             return
         u, v, bu, bv = plan[i]
         if creates_forbidden(adj, k, u, v):
@@ -180,17 +167,15 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         cv = cap[v] - 1
         bound += drop[cu] + drop[cv]
         if bound >= lo:
-            # the float band's sum reads the lowered caps, so they are
-            # written before it is taken
             cap[u] = cu
             cap[v] = cv
-            if bound >= hi or not sum(map(table.__getitem__, cap)) < cutoff:
-                rec(i + 1, bound)
+            rec(i + 1, bound)
             cap[u] = cu + 1
             cap[v] = cv + 1
 
+    best = None
     # apply the prefix decisions, bailing out if they already force a copy;
-    # the root is counted like any child, and no leaf has set a cutoff yet
+    # the root is counted like any child, and no leaf has set lo yet
     for decision, (u, v, bu, bv) in zip(prefix, plan):
         if decision:
             if creates_forbidden(adj, k, u, v):
@@ -204,22 +189,18 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
         nodes += 1
         try:
             rec(len(prefix), sum(map(itable.__getitem__, cap)))
-            if best is not None:
+            if best_total is not None:
                 best = ObjectiveValue.scaled(best_total, scale, exact)
         except OverflowError:
             raise ValueError(f"the optimum at n={n} free of {graph6_encode(F)!r} "
                              f"(graph6) under {f!r} overflows float") from None
-    return best, best_rows, nodes
+    return best_total, best, best_rows, nodes
 
 
-def _scaled_band(cutoff: float, slack: float, scale: int) -> tuple[int, int]:
-    """(floor((cutoff - slack) * scale), ceil((cutoff + slack) * scale)),
-    computed exactly from the two floats' integer ratios."""
-    p, q = cutoff.as_integer_ratio()
-    s, t = slack.as_integer_ratio()
-    den = q * t
-    return ((p * t - s * q) * scale // den,
-            -(-(p * t + s * q) * scale // den))
+def _ceil_scaled(x: float, scale: int) -> int:
+    """ceil(x * scale), computed exactly from x's integer ratio."""
+    p, q = x.as_integer_ratio()
+    return -(-p * scale // q)
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -244,7 +225,7 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     order. Usable CPUs are the process's affinity set, or os.cpu_count()
     where the OS keeps none. Every bitstring below prefix p is smaller than
     every one below p + 1, so the subtree results, reduced once in prefix
-    order keeping the first best value, give the least optimal bitstring:
+    order keeping the first best total, give the least optimal bitstring:
     value and witness do not depend on the worker count. The node count
     does, since subtrees do not share their incumbents; it follows the
     split, so the worker count alone, never the number of CPUs. An optimum
@@ -277,15 +258,13 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
             results = list(pool.map(_search_tree, *searches))
     else:
         results = map(_search_tree, *searches)
-    best = None
-    best_rows = None
+    best_total = best = best_rows = None
     nodes = 0
-    # strict >: an equal value from a later prefix has a larger bitstring
-    for value, rows, sub_nodes in results:
+    # strict >: an equal total from a later prefix has a larger bitstring
+    for total, value, rows, sub_nodes in results:
         nodes += sub_nodes
-        if value is not None and (best is None or value > best):
-            best = value
-            best_rows = rows
+        if total is not None and (best_total is None or total > best_total):
+            best_total, best, best_rows = total, value, rows
 
     if best is None:
         raise InvariantViolation("search evaluated no leaf; this cannot happen")
@@ -334,9 +313,13 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
     """Rows (n, unrestricted optimum, multipartite optimum, ratio).
 
     Requires a non-bipartite forbidden graph. Multipartite graphs are a
-    subfamily of the F-free graphs, so every ratio is >= 1: both optima are
-    correctly rounded, and rounding is monotone. An order over the limit
-    is refused before any search.
+    subfamily of the F-free graphs, so the multipartite optimum is never
+    the larger. Equal optima give 1.0; otherwise the ratio is defined only
+    over a positive multipartite optimum, and is then >= 1, as both optima
+    are correctly rounded and rounding is monotone. An order where it is
+    not defined, or passes the largest float, is refused with a ValueError
+    naming n and both optima, and an order over the limit is refused
+    before any search.
     """
     chi = chromatic_number(F)
     if chi < 3:
@@ -354,10 +337,18 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
             raise InvariantViolation(
                 f"multipartite optimum exceeded the unrestricted optimum at n={n}"
             )
-        if multi.value.approx != 0:
-            ratio = full.value.approx / multi.value.approx
+        if full.value == multi.value:
+            ratio = 1.0
+        elif multi.value.approx <= 0:
+            raise ValueError(f"no ratio at n={n}: the optimum is {full.value.as_json()} "
+                             f"and the multipartite optimum {multi.value.as_json()}, "
+                             f"which is not positive")
         else:
-            ratio = 1.0 if full.value.approx == 0 else math.inf
+            ratio = full.value.approx / multi.value.approx
+            if ratio == math.inf:
+                raise ValueError(f"no ratio at n={n}: the optimum {full.value.as_json()} "
+                                 f"over the multipartite optimum "
+                                 f"{multi.value.as_json()} passes the largest float")
         rows.append(RatioRow(n=n, ex_value=full.value,
                              ex_prime_value=multi.value, ratio=ratio))
     return rows

@@ -20,7 +20,8 @@ f's exact value where rational and its float, a dyadic rational, elsewhere
 turns a total of them into a value: exact, or in float mode correctly
 rounded. So every scorer of one multiset (``degree_sum``) agrees to the
 bit; rounding is monotone, so values order as exact totals do, up to ties.
-``float_slack`` is the labeled search's pruning band. The predicate
+``float_slack`` is the margin of the labeled search's float-mode cutoff,
+whose decisions are all integer tests. The predicate
 checkers are finite-range scanners: they certify the scanned range and
 nothing beyond it.
 """
@@ -360,12 +361,14 @@ def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> Objective
 
 
 def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> float:
-    """Band for float sums over a table from tabulate: 0 in exact mode, else
-    2 * terms**2 * eps * max|v / den|. A sum of at most m = ``terms`` table
-    values rounded to float, in any order, is off their exact total by at
-    most u * sum|x| for the roundings and (m - 1) * u * sum|x| for recursive
-    summation, u = eps / 2 (Higham, "Accuracy and Stability of Numerical
-    Algorithms", section 4.2). Only the labeled search's pruning sums floats.
+    """Margin for a table from tabulate: 0 in exact mode, else
+    2 * terms**2 * eps * max|v / den|. It bounds how far a sum of at most
+    m = ``terms`` table values rounded to float, in any order, lies from
+    their exact total: u * sum|x| for the roundings and (m - 1) * u * sum|x|
+    for recursive summation, u = eps / 2 (Higham, "Accuracy and Stability
+    of Numerical Algorithms", section 4.2). The labeled search sums no
+    floats; its float-mode cutoff still sits this far below the incumbent's
+    value, so that it prunes the trees a float sum of the caps pruned.
     """
     if exact:
         return 0

@@ -18,12 +18,12 @@ and the weight table with the library and keeps the plainest form of
 every node, so it checks the tree and not containment. It asks the
 matcher of every pattern, and the matcher gives a complete one to its
 anchored search, so on K_r it checks the search's clique test,
-graphs.creates_clique, against the anchored search. It keeps the
-search's float semantics: in float mode a leaf is the math.fsum of its
-table floats, leaves compare as floats, and the bound prunes within the
-rounding band weights.float_slack. That fsum is the search's leaf, the
-exact total correctly rounded, where every table value is a float, so
-for weights dyadic at their rational points, as all it is run on are.
+graphs.creates_clique, against the anchored search. It keeps the search's
+tie rule, leaves compared by the integer total of their tabulated values
+in every mode, as naive_ex_exact_witness does, and a pruning of its own:
+in float mode the caps' float sum in vertex order against the incumbent's
+rounded value less the margin weights.float_slack, where the library
+tests one integer bound.
 """
 
 import math
@@ -118,35 +118,44 @@ def _maximal_free_edge_sets(n: int, F: Graph):
 
 def naive_ex_exact_witness(n: int, F: Graph, f) -> tuple[ObjectiveValue, Graph]:
     """Optimum and witness as ex_exact defines them, for non-decreasing f:
-    the maximal F-free graphs are scored with e_f, and the least bitstring
-    among the optimal ones is returned."""
-    best = best_edges = None
+    the maximal F-free graphs are scored by the integer total of their
+    degrees' weights.tabulate values, so ties are exact in every mode, and
+    the least bitstring among the optimal ones is returned, with its value
+    from e_f."""
+    itable, _den, _exact = tabulate(f, range(n))
+    best_total = best_edges = None
     for edges in _maximal_free_edge_sets(n, F):
-        value = e_f(Graph(n, edges), f)
-        if best is None or value > best:
-            best, best_edges = value, edges
-    return best, Graph(n, best_edges)
+        G = Graph(n, edges)
+        total = sum(itable[d] for d in G.degrees)
+        if best_total is None or total > best_total:
+            best_total, best_edges = total, edges
+    witness = Graph(n, best_edges)
+    return e_f(witness, f), witness
 
 
 def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
-    """search._search_tree in its plainest form: (best, bits, nodes), best
-    an ObjectiveValue.
+    """search._search_tree in its plainest form: (best total, best, bits,
+    nodes), best an ObjectiveValue.
 
-    Every node is counted on entry and checks its bound there; the
-    exclude child sums the weights of the caps afresh, in vertex order;
-    a deg list follows adj and the leaf scores it. Every edge test is asked
-    with the edge already written, where the library's search asks first
-    and writes after, so the two orders are checked against each other.
-    The library's search must walk the same tree in the same order, so all
-    three outputs, the node count too, are compared exactly.
+    Leaves score the integer total of their table values and compare by
+    it, ties going to the smaller bitstring. Every node is counted on entry
+    and checks its bound there; the exclude child sums the weights of the
+    caps afresh, in vertex order, as floats in float mode, and is pruned
+    when that sum is below the incumbent's rounded value less
+    weights.float_slack, where the library's search tests one integer
+    bound: so the two prunings are checked against each other on the same
+    trees. A deg list follows adj and the leaf scores it. Every edge test
+    is asked with the edge already written, where the library's search
+    asks first and writes after, so the two orders are checked against each
+    other. The library's search must walk the same tree in the same order,
+    so all four outputs, the node count too, are compared exactly.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
     itable, den, exact = tabulate(f, range(n))
     table = itable if exact else [v / den for v in itable]
-    monotone = all(a <= b for a, b in zip(table, table[1:]))
+    monotone = all(a <= b for a, b in zip(itable, itable[1:]))
     slack = float_slack(itable, den, exact, n)
-    leaf_sum = sum if exact else math.fsum
     if F.n > n:
         def creates_forbidden(adj, n, u, v):
             return False
@@ -157,7 +166,7 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
     deg = [0] * n
     cap = [n - 1] * n
     nodes = 0
-    best = None
+    best_total = None
     best_bits = 0
     cutoff = -math.inf
 
@@ -179,18 +188,20 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
         return True
 
     def rec(i: int, bits: int, bound):
-        nonlocal nodes, best, best_bits, cutoff
+        nonlocal nodes, best_total, best_bits, cutoff
         nodes += 1
         if bound < cutoff:
             return
         if i == M:
             if monotone and not leaf_is_maximal():
                 return
-            value = leaf_sum([table[d] for d in deg])
-            if best is None or value > best or (value == best and bits < best_bits):
-                best = value
+            total = sum(itable[d] for d in deg)
+            if (best_total is None or total > best_total
+                    or (total == best_total and bits < best_bits)):
+                best_total = total
                 best_bits = bits
-                cutoff = best - slack if monotone else -math.inf
+                if monotone:
+                    cutoff = total if exact else total / den - slack
             return
         u, v = slots[i]
         adj[u] |= 1 << v
@@ -225,10 +236,8 @@ def reference_search_tree(n: int, F: Graph, f, prefix: tuple[int, ...] = ()):
             cap[v] -= 1
     else:
         rec(len(prefix), bits0, sum(map(table.__getitem__, cap)))
-    if best is not None:
-        best = (ObjectiveValue.scaled(best, den, True) if exact
-                else ObjectiveValue.approximate(best))
-    return best, best_bits, nodes
+    best = None if best_total is None else ObjectiveValue.scaled(best_total, den, exact)
+    return best_total, best, best_bits, nodes
 
 
 def naive_log_witness(n: int, F: Graph) -> tuple[int, Graph]:

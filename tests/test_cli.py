@@ -370,6 +370,26 @@ class TestExitCodes:
             ["exact", "--n", "12", "--forbidden", "K3", "--f", "half"])
         assert code == 2
 
+    @pytest.mark.parametrize("weight,ex,ex_prime", [
+        ("step:0:0;1:1;2:-2", 2, 0), ("step:0:-3;1:-1;2:-4", -5, -6)])
+    def test_ratio_over_non_positive_multipartite_optimum(self, weight, ex, ex_prime):
+        # the quotient would be Infinity, not JSON, or below the schema's 1
+        code, report = run_json(
+            ["ratio", "--nmin", "3", "--nmax", "3", "--forbidden", "K3", "--f", weight])
+        assert code == 2
+        assert report == {"error": f"no ratio at n=3: the optimum is {ex} and the "
+                                   f"multipartite optimum {ex_prime}, which is not positive",
+                          "kind": "input"}
+
+    def test_ratio_past_largest_float(self):
+        # 2e300 over 3e-300, the edgeless graph's total: Infinity is not JSON
+        code, report = run_json(
+            ["ratio", "--nmin", "3", "--nmax", "3", "--forbidden", "K3",
+             "--f", "step:0:1e-300;1:1e300;2:-3e300"])
+        assert code == 2
+        assert report["error"] == ("no ratio at n=3: the optimum 2e+300 over the "
+                                   "multipartite optimum 3e-300 passes the largest float")
+
     def test_ratio_over_limit_refused_before_search(self, monkeypatch):
         calls = []
         ex_exact = search.ex_exact

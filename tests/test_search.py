@@ -26,11 +26,12 @@ from dwturan import (
     path_graph,
     power,
     ratio_table,
+    search,
     verify_theorem1,
 )
 from dwturan.cli import parse_graph_spec
 from dwturan.graphs import SubgraphMatcher
-from dwturan.search import _scaled_band, _search_tree
+from dwturan.search import _ceil_scaled, _search_tree
 from oracles import (
     naive_ex_exact,
     naive_ex_exact_witness,
@@ -216,6 +217,38 @@ class TestExExact:
         assert ex_exact(1, complete_graph(3), power(1.5)).value.approx == 0.0
 
 
+class _UlpApart(WeightFunction):
+    """0 and 1 at degrees 0 and 1, exact; 1 + 2**-52 and 1 + 3 * 2**-52 at
+    degrees 2 and 3, floats only."""
+
+    def __call__(self, n):
+        return (0.0, 1.0, 1 + 2.0 ** -52, 1 + 3 * 2.0 ** -52)[n]
+
+    def exact(self, n):
+        return Fraction(n) if n < 2 else None
+
+
+class TestExactTies:
+    """Leaves and the prefix reduce compare exact totals, as the DP does, so
+    two totals that round to one float do not tie."""
+
+    @pytest.mark.parametrize("workers,nodes", [(1, 77), (2, 83), (8, 66)])
+    def test_totals_rounding_together_do_not_tie(self, monkeypatch, workers, nodes):
+        # K_{2,2} totals 4 + 4 * 2**-52 and K_{1,3} 4 + 3 * 2**-52, and both
+        # round to 4 + 2**-50; the split follows the worker count alone, so
+        # one usable CPU searches the same subtrees in this process
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        f = _UlpApart()
+        res = ex_exact(4, complete_graph(3), f, workers=workers)
+        assert graph6_encode(res.witness) == "C]"
+        assert list(res.witness.degrees) == [2, 2, 2, 2]
+        assert res.nodes_explored == nodes
+        dp = ex_prime(4, 2, f)
+        assert tuple(dp.witness) == (2, 2) and not dp.ties_flag
+        assert res.value == dp.value
+        assert res.value.approx == 4 + 2.0 ** -50
+
+
 class TestWitnessOracle:
     """Value and least optimal maximal bitstring, against full enumeration."""
 
@@ -262,24 +295,25 @@ REFERENCE_WEIGHTS = ["pow:mu=2", "half", "pow:mu=0", "step:0:0;3:1;5:3",
 
 def _reference_rows(n, F, f, prefix=()):
     """reference_search_tree with its best bitstring decoded to adjacency rows."""
-    best, bits, nodes = reference_search_tree(n, F, f, prefix)
+    total, best, bits, nodes = reference_search_tree(n, F, f, prefix)
     if best is None:
-        return best, None, nodes
+        return total, best, None, nodes
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rows = [0] * n
     for i, (u, v) in enumerate(slots):
         if bits >> (len(slots) - 1 - i) & 1:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return best, rows, nodes
+    return total, best, rows, nodes
 
 
 class TestReferenceSearch:
     """The search against its plainest form, oracles.reference_search_tree:
-    same best value, same witness (the reference's least bitstring, decoded
-    to rows) and same node count, so the cheaper nodes walk the same tree
-    in the same order and prune the same subtrees, in the int,
-    scaled-Fraction and float modes."""
+    same best total and value, same witness (the reference's least
+    bitstring, decoded to rows) and same node count, so the cheaper nodes
+    walk the same tree in the same order and prune the same subtrees, in
+    the int, scaled-Fraction and float modes; in float mode the search's
+    integer bound test prunes what the reference's float sum does."""
 
     @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
     def test_whole_tree(self, shorthand):
@@ -300,22 +334,25 @@ class TestReferenceSearch:
                         == _reference_rows(5, F, f, prefix)), (weight, prefix)
 
     def test_scaled_band_is_exact(self):
+        # the float-mode cutoff is the incumbent's value less the margin, in
+        # floats, and the least integer bound that reaches it is the exact
+        # ceiling of the cutoff times the scale
         rng = random.Random(20)
         for _ in range(2000):
-            cutoff = rng.uniform(-1e3, 1e3) * 2.0 ** rng.randrange(-60, 60)
+            value = rng.uniform(-1e3, 1e3) * 2.0 ** rng.randrange(-60, 60)
             slack = rng.random() * 2.0 ** rng.randrange(-80, 10)
             scale = 1 << rng.randrange(0, 1100)
-            lo, hi = _scaled_band(cutoff, slack, scale)
-            assert lo == math.floor((Fraction(cutoff) - Fraction(slack)) * scale)
-            assert hi == math.ceil((Fraction(cutoff) + Fraction(slack)) * scale)
+            cutoff = value - slack
+            assert _ceil_scaled(cutoff, scale) == math.ceil(Fraction(cutoff) * scale)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5",
                                         "pow:mu=1.5", "pow:mu=2.7"])
     def test_float_band_at_seven(self, r, weight):
-        # float mode decides a child on its scaled integer bound outside
-        # the band around the cutoff and on the float sum inside it; these
-        # runs reach the band, K4 under pow:mu=0.5 899 times
+        # float mode decides a child on its integer bound against the
+        # scaled cutoff, the reference on the caps' float sum against the
+        # cutoff itself; these runs bring the two within float_slack of
+        # each other, K4 under pow:mu=0.5 899 times
         F = complete_graph(r)
         f = parse_weight(weight)
         assert _search_tree(7, F, f) == _reference_rows(7, F, f)
@@ -533,6 +570,12 @@ class TestRatioTable:
     def test_zero_order_row(self):
         rows = ratio_table((0, 1), complete_graph(3), power(1))
         assert rows[0].ratio == 1.0
+
+    def test_equal_negative_optima_read_one(self):
+        # K_{1,2} and K_{2,2} are optimal, and negative
+        rows = ratio_table((3, 4), complete_graph(3), parse_weight("step:0:-3;1:-2;2:-1"))
+        assert [(r.ex_value.exact, r.ex_prime_value.exact, r.ratio) for r in rows] == [
+            (-5, -5, 1.0), (-4, -4, 1.0)]
 
 
 class TestSandwich:
