@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import Record
 from .weights import ObjectiveValue, degree_sum
@@ -27,7 +27,15 @@ def _bits(mask: int):
 
 
 class Graph:
-    """Immutable simple graph: no loops, symmetric adjacency, cached degrees."""
+    """Immutable simple graph: no loops, symmetric adjacency, cached degrees.
+
+    ``orbit_reps`` is an optional symmetry hint: an ascending tuple holding
+    one vertex of each orbit of some group of automorphisms, or None, which
+    stands for the trivial group (every vertex its own orbit). Only
+    ``normgraphs.norm_graph`` sets it; every other constructor, ``relabel``
+    and ``induced_subgraph`` leave it None. Equality, hashing and graph6
+    ignore it. ``normgraphs.kab_free_check`` reads it.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -43,14 +51,18 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.degrees = tuple(m.bit_count() for m in adj)
+        self.orbit_reps = None
 
     @classmethod
-    def _from_adj(cls, n: int, adj: Sequence[int]) -> "Graph":
-        # trusted internal path: rows already symmetric and loop-free
+    def _from_adj(cls, n: int, adj: Sequence[int],
+                  orbit_reps: Optional[tuple[int, ...]] = None) -> "Graph":
+        # trusted internal path: rows already symmetric and loop-free, and
+        # orbit_reps, if given, one vertex per orbit of automorphisms
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(adj)
         g.degrees = tuple(m.bit_count() for m in adj)
+        g.orbit_reps = orbit_reps
         return g
 
     @property
@@ -331,6 +343,7 @@ class SubgraphMatcher:
         return prev
 
     def exists_in(self, host: Graph) -> bool:
+        """Is there a copy in host? Only host.n and host.adj are read."""
         k = self.pattern.n
         if k > host.n:
             return False

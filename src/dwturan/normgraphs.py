@@ -41,6 +41,7 @@ _FIELD_MAX_P = 100
 _FIELD_MAX_T = 4
 _NORM_GRAPH_MAX_SIZE = 4096
 _KAB_MAX_SUBSETS = 5_000_000
+_JOIN_MAX_ROW_READS = 5_000_000
 
 
 def _is_prime(p: int) -> bool:
@@ -245,11 +246,39 @@ def _norm_one_subgroup(fld: FiniteField) -> list[FieldElement]:
     raise InvariantViolation(f"no generator of the norm-one subgroup in {fld}")
 
 
+def _orbit_reps(fld: FiniteField, norm_one: list[FieldElement]) -> tuple[int, ...]:
+    """One index per orbit of x -> u*x, norm(u) = 1, on GF(p^t), ascending.
+
+    The orbits are {0} and the p - 1 cosets of the norm-one subgroup, so
+    the representatives are 0 and a^j for j < p - 1, where a is the first
+    element none of whose powers a^j with 0 < j < p - 1 lies in the
+    subgroup: then no two of the a^j share a coset. A primitive a is one.
+    """
+    in_subgroup = {fld.index(u) for u in norm_one}
+    for i in range(1, fld.size):
+        a = fld.from_index(i)
+        reps = [0, 1]
+        x = fld.one
+        for _ in range(fld.p - 2):
+            x = x * a
+            if fld.index(x) in in_subgroup:
+                break
+            reps.append(fld.index(x))
+        else:
+            return tuple(sorted(reps))
+    raise InvariantViolation(f"no coset representatives of the norm-one subgroup in {fld}")
+
+
 def norm_graph(q: int, t: int) -> Graph:
     """Graph on GF(q^t): a ~ b (a != b) iff norm(a + b) = 1.
 
     Would-be loops (norm(a + a) = 1) are dropped, so each degree is K or
     K - 1 with K = (q^t - 1)/(q - 1). Vertex i is ``from_index(i)``.
+
+    x -> u*x with norm(u) = 1 is an automorphism, since norm(ux + uy) =
+    norm(u) * norm(x + y), and it keeps every loop dropped. Its q orbits
+    are {0} and the cosets of the norm-one subgroup; ``orbit_reps`` holds
+    one vertex of each (see ``_orbit_reps``).
     """
     if t < 2:
         raise ValueError("need extension degree t >= 2")
@@ -260,15 +289,18 @@ def norm_graph(q: int, t: int) -> Graph:
         )
     # b ~ a iff b = u - a for some u of norm 1. Addition is digit-wise mod q,
     # so elements are coded with base-(2q - 1) digits: adding two codes never
-    # carries, and reduce_code maps the sum back to the index of u - a.
+    # carries, and reduce_code maps the sum back to the index of u - a. The
+    # table is built one digit at a time, most significant first.
     wide = 2 * q - 1
 
     def code(i: int, sign: int) -> int:
         return sum(sign * (i // q ** k) % q * wide ** k for k in range(t))
 
-    reduce_code = [sum((c // wide ** k) % wide % q * q ** k for k in range(t))
-                   for c in range(wide ** t)]
-    norm_one = [code(fld.index(u), 1) for u in _norm_one_subgroup(fld)]
+    reduce_code = [0]
+    for _ in range(t):
+        reduce_code = [x * q + d % q for x in reduce_code for d in range(wide)]
+    units = _norm_one_subgroup(fld)
+    norm_one = [code(fld.index(u), 1) for u in units]
     adj = []
     for i in range(fld.size):
         neg_a = code(i, -1)
@@ -276,58 +308,84 @@ def norm_graph(q: int, t: int) -> Graph:
         for u in norm_one:
             row |= 1 << reduce_code[u + neg_a]
         adj.append(row & ~(1 << i))
-    return Graph._from_adj(fld.size, adj)
+    return Graph._from_adj(fld.size, adj, _orbit_reps(fld, units))
 
 
 def kab_free_check(G: Graph, a: int, b: int, *,
                    max_subsets: int = _KAB_MAX_SUBSETS) -> bool:
     """True iff no a-set of vertices has b or more common neighbors.
 
-    The scan grows an a-set in increasing vertex order and carries the
-    common neighborhood of its members; a branch ends as soon as that
+    The scan takes the first member of an a-set from ``G.orbit_reps``,
+    ascending, and the other members, ascending, from the vertices that
+    are no representative <= the first member; None stands for every
+    vertex being its own representative, so the others are the vertices
+    after the first. That is sound: an automorphism maps any qualifying
+    a-set onto one holding a representative, and if r is the least
+    representative lying in a qualifying a-set, that set holds no smaller
+    one, so the scan from r meets it. Each set carries the common
+    neighborhood of its members; a branch ends as soon as that
     neighborhood has fewer than b vertices, since adding members only
-    shrinks it. The budget counts the sets the scan examines, of every
-    size from 1 to a, and the scan raises ScaleLimitError as soon as it
-    has examined more than max_subsets; the order is fixed, so the same
-    input always answers or always stops at the same set. Sets smaller
-    than a count too, so a scan that cuts nothing examines somewhat more
-    than C(n, a) sets: at a = 2, C(n, 2) + n - 1. The last member is
-    found by a plain loop, and the sets it examined, up to its first hit or
-    all of them, are charged in one step; a scan that would go over budget
-    there is refused as if charged set by set.
+    shrinks it.
+
+    The budget counts the sets the scan examines, of every size from 1 to
+    a, and the scan raises ScaleLimitError as soon as it has examined more
+    than max_subsets; the order is fixed, so the same input always answers
+    or always stops at the same set. Sets smaller than a count too, so a
+    scan that cuts nothing examines somewhat more than C(n, a) sets with
+    no representatives given: at a = 2, C(n, 2) + n - 1. Under
+    representatives r_1 < r_2 < ..., the first members are the r_k and a
+    scan that cuts nothing at a = 2 examines the sum over k of 1 + n - k.
+    Below the first level, the last member is found by a plain loop, and
+    the sets it examined, up to its first hit or all of them, are charged
+    in one step; a scan that would go over budget there is refused as if
+    charged set by set.
     """
     if a > b:
         raise ValueError("call with a <= b")
     if a < 1:
         raise ValueError("subset size must be positive")
     adj = G.adj
-    n = G.n
+    reps = range(G.n) if G.orbit_reps is None else G.orbit_reps
     left = max_subsets
     refusal = f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
 
-    def extend(common: int, start: int, need: int) -> bool:
-        # need >= 1 members still to add, from vertices start..n-1
+    def extend(common: int, rows: tuple[int, ...], start: int, need: int) -> bool:
+        # need >= 1 members still to add, from the vertices of rows[start:]
         nonlocal left
+        end = len(rows)
         if need == 1:
             hit = False
-            for v in range(start, n):
-                if (common & adj[v]).bit_count() >= b:
+            for i in range(start, end):
+                if (common & rows[i]).bit_count() >= b:
                     hit = True
                     break
-            left -= v + 1 - start if hit else n - start
+            left -= i + 1 - start if hit else end - start
             if left < 0:
                 raise ScaleLimitError(refusal)
             return hit
-        for v in range(start, n - need + 1):
+        for i in range(start, end - need + 1):
             left -= 1
             if left < 0:
                 raise ScaleLimitError(refusal)
-            shared = common & adj[v]
-            if shared.bit_count() >= b and extend(shared, v + 1, need - 1):
+            shared = common & rows[i]
+            if shared.bit_count() >= b and extend(shared, rows, i + 1, need - 1):
                 return True
         return False
 
-    return not extend((1 << n) - 1, 0, a)
+    below = ()  # rows of the vertices below r that are no representative
+    after = 0  # the vertex after the previous representative
+    for r in reps:
+        below += adj[after:r]
+        after = r + 1
+        rows = below + adj[after:]
+        if len(rows) < a - 1:
+            break
+        left -= 1
+        if left < 0:
+            raise ScaleLimitError(refusal)
+        if adj[r].bit_count() >= b and (a == 1 or extend(adj[r], rows, 0, a - 1)):
+            return False
+    return True
 
 
 class ConstructionRefused(ValueError):
@@ -369,6 +427,35 @@ def counterexample_graph(spec: CounterexampleSpec) -> Graph:
     return Graph._from_adj(2 * N, adj)
 
 
+class _MeteredSide:
+    """A side graph as a host for ``SubgraphMatcher.exists_in``, whose
+    adjacency rows count their reads against one budget.
+
+    The search reads one row for each candidate image it tries and one for
+    each placed neighbour when it narrows the candidates, so the reads
+    measure its work, the same on every run; the read past the limit
+    raises ScaleLimitError with refusal.
+    """
+
+    __slots__ = ("n", "rows", "left", "refusal")
+
+    def __init__(self, side: Graph, limit: int, refusal: str):
+        self.n = side.n
+        self.rows = side.adj
+        self.left = limit
+        self.refusal = refusal
+
+    @property
+    def adj(self) -> "_MeteredSide":
+        return self
+
+    def __getitem__(self, v: int) -> int:
+        self.left -= 1
+        if self.left < 0:
+            raise ScaleLimitError(self.refusal)
+        return self.rows[v]
+
+
 def join_contains_blowup(side: Graph, m: int, *,
                          kss_free: Optional[int] = None) -> bool:
     """Does the join of two copies of side contain K(m, m, m)?
@@ -381,9 +468,18 @@ def join_contains_blowup(side: Graph, m: int, *,
     the other two sum to >= s is ruled out without a search: K(x) contains
     K_{s,s}, with that part as one side and the other two as the other.
     An x is also ruled out when K(x) contains a K(y) already found absent.
+
+    The budget counts the adjacency rows of side that the K(x) searches
+    read, all questions together, and the check raises ScaleLimitError as
+    soon as they have read more than _JOIN_MAX_ROW_READS; the questions and
+    each search run in a fixed order, so the same input always answers or
+    always stops at the same read.
     """
     if m < 1:
         raise ValueError("class size must be positive")
+    limit = _JOIN_MAX_ROW_READS
+    host = _MeteredSide(side, limit, f"K({m},{m},{m}) check read more than {limit} "
+                                     f"adjacency rows of the {side.n}-vertex side")
     known: dict[tuple[int, ...], bool] = {}
 
     def contains(x: tuple[int, ...]) -> bool:
@@ -395,7 +491,7 @@ def join_contains_blowup(side: Graph, m: int, *,
             known[x] = not any(
                 not hit and all(a <= b for a, b in zip(y, x))
                 for y, hit in known.items()
-            ) and SubgraphMatcher(complete_multipartite(x)).exists_in(side)
+            ) and SubgraphMatcher(complete_multipartite(x)).exists_in(host)
         return known[x]
 
     for x0 in range(m + 1):

@@ -7,7 +7,8 @@ labeled graph; the witness oracles also read off the least optimal
 maximal edge bitstring, the log oracle by integer degree products, so
 that its ties are exact. The norm graph is built by field-element
 subtraction and K_{a,b}-freeness by scanning every a-subset; the budget of
-the library's scan has a set-by-set reference, per_set_kab_scan. The
+the library's scan has a set-by-set reference, per_set_kab_scan, which
+follows the same representative rule. The
 multipartite optimum has two references, the full-table DP and the
 generator enumeration; both add the integer part values of
 weights.tabulate, so their ties are exact and their float values are
@@ -303,28 +304,42 @@ def per_set_kab_scan(G: Graph, a: int, b: int, max_subsets: int) -> tuple[bool, 
     """normgraphs.kab_free_check's scan, charging its budget one examined
     set at a time at every level, the last member's included.
 
-    Returns (K_{a,b}-free, sets examined), and raises ScaleLimitError with
-    the library's message at the first set past max_subsets.
+    The first member runs over G.orbit_reps, ascending (every vertex when
+    it is None), and the others, ascending, over the vertices that are not
+    a representative <= the first member. Returns (K_{a,b}-free, sets
+    examined), and raises ScaleLimitError with the library's message at
+    the first set past max_subsets.
     """
     from dwturan import ScaleLimitError
 
     n = G.n
+    reps = list(range(n)) if G.orbit_reps is None else sorted(G.orbit_reps)
     left = max_subsets
 
-    def extend(common: int, start: int, need: int) -> bool:
+    def charge():
         nonlocal left
-        for v in range(start, n - need + 1):
-            left -= 1
-            if left < 0:
-                raise ScaleLimitError(
-                    f"K_{{{a},{b}}} scan examined more than {max_subsets} sets")
-            shared = common & G.adj[v]
-            if shared.bit_count() >= b and (need == 1 or extend(shared, v + 1, need - 1)):
+        left -= 1
+        if left < 0:
+            raise ScaleLimitError(
+                f"K_{{{a},{b}}} scan examined more than {max_subsets} sets")
+
+    def extend(common: int, pool: list[int], need: int) -> bool:
+        # need >= 1 members still to add, ascending from pool
+        for i in range(len(pool) - need + 1):
+            charge()
+            shared = common & G.adj[pool[i]]
+            if shared.bit_count() >= b and (need == 1 or extend(shared, pool[i + 1:], need - 1)):
                 return True
         return False
 
-    free = not extend((1 << n) - 1, 0, a)
-    return free, max_subsets - left
+    for r in reps:
+        pool = [v for v in range(n) if v not in reps or v > r]
+        if len(pool) < a - 1:
+            break
+        charge()
+        if G.degrees[r] >= b and (a == 1 or extend(G.adj[r], pool, a - 1)):
+            return False, max_subsets - left
+    return True, max_subsets - left
 
 
 def join(H: Graph, K: Graph) -> Graph:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -145,6 +146,19 @@ class TestCommands:
         assert code == 0
         assert report["result"]["n"] == 338
         assert report["result"]["forbidden_free"] is True
+
+    @pytest.mark.parametrize("q,t,checks", [
+        (7, 3, {"3,3": False, "3,7": True}),
+        (5, 4, {"4,4": False, "4,25": True}),
+    ])
+    def test_normgraph_past_the_plain_scan(self, schema, q, t, checks):
+        # the K_{t,t!+1} scan from every vertex runs past the 5e6-set
+        # budget; from one vertex per orbit of x -> u*x, N(u) = 1, it fits
+        code, report = run_json(["normgraph", "--q", str(q), "--t", str(t)])
+        assert code == 0
+        assert report["result"]["n"] == q ** t
+        assert report["result"]["kab_free"] == checks
+        jsonschema.validate(report, schema)
 
     def test_checkf(self, schema):
         code, report = run_json(
@@ -461,6 +475,18 @@ class TestExitCodes:
              "--f", "half"])
         assert code == 2
         assert "contains a K_{3,3}" in report["error"]
+
+    def test_join_budget_refuses_343_vertex_side(self):
+        # the K_{7,7} gate passes, and the K(x) questions of the K(9,9,9)
+        # check run past the join budget within seconds
+        start = time.perf_counter()
+        code, report = run_json(
+            ["counterexample", "--q", "7", "--t", "3", "--s", "7",
+             "--f", "half"])
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert report["error"] == ("K(9,9,9) check read more than 5000000 "
+                                   "adjacency rows of the 343-vertex side")
 
     def test_refused_construction(self):
         code, report = run_json(

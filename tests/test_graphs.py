@@ -20,9 +20,11 @@ from dwturan import (
     cycle_graph,
     e_f,
     empty_graph,
+    graph6_decode,
     graph6_encode,
     half,
     log_family,
+    path_graph,
     petersen_graph,
     power,
     turan_graph,
@@ -99,6 +101,15 @@ class TestConstruction:
         g = blowup_k3(5)
         assert g.n == 15 and g.num_edges == 75
         assert chromatic_number(g) == 3
+
+    def test_constructors_give_no_orbit_hint(self):
+        # a hint on a graph without that symmetry would cut the K_{a,b}
+        # scan short: P3 hinted (0,) would read as K_{1,2}-free
+        for g in (Graph(3, [(0, 1)]), empty_graph(4), complete_graph(4), cycle_graph(5),
+                  path_graph(3), complete_bipartite(2, 3), complete_multipartite([2, 2, 2]),
+                  turan_graph(3, 7), blowup_k3(2), petersen_graph(),
+                  graph6_decode(graph6_encode(petersen_graph())), parse_graph_spec("K3s:2")):
+            assert g.orbit_reps is None, g
 
 
 class TestObjective:

@@ -32,6 +32,7 @@ from dwturan import (
     staircase,
     blowup_k3,
 )
+from dwturan import normgraphs
 from oracles import all_graphs, join, naive_kab_free, naive_norm_graph, per_set_kab_scan
 
 # the norm graphs and K_{a,b} checks of the benchmark's construct workload
@@ -177,21 +178,27 @@ class TestKabFree:
             kab_free_check(norm_graph(5, 2), 2, 3, max_subsets=10)
 
     def test_budget_counts_examined_sets(self):
-        # on the 169-vertex norm graph nothing is cut at a = 2, b = 3: the
-        # scan examines 168 single vertices and all C(169, 2) = 14196 pairs
+        # on the 169-vertex norm graph nothing is cut at a = 2, b = 3. With
+        # no hint the scan examines 168 single vertices and all
+        # C(169, 2) = 14196 pairs; from the 13 representatives r_k it
+        # examines the sum over k of 1 + 169 - k = 2119 sets
         G = norm_graph(13, 2)
-        assert kab_free_check(G, 2, 3, max_subsets=14364)
-        with pytest.raises(ScaleLimitError):
-            kab_free_check(G, 2, 3, max_subsets=14363)
+        plain = Graph._from_adj(G.n, G.adj)
+        for H, used in ((plain, 14364), (G, 2119)):
+            assert kab_free_check(H, 2, 3, max_subsets=used)
+            with pytest.raises(ScaleLimitError):
+                kab_free_check(H, 2, 3, max_subsets=used - 1)
 
     def test_k33_gate_on_343_vertices(self):
         # C(343, 3) > 5e6 sets exist, but the scan meets a K_{3,3} after
-        # examining six
+        # examining six; vertex 0 is the first representative, so the
+        # hinted scan examines the same six
         G = norm_graph(7, 3)
-        assert not kab_free_check(G, 3, 3)
-        assert not kab_free_check(G, 3, 3, max_subsets=6)
-        with pytest.raises(ScaleLimitError):
-            kab_free_check(G, 3, 3, max_subsets=5)
+        for H in (Graph._from_adj(G.n, G.adj), G):
+            assert not kab_free_check(H, 3, 3)
+            assert not kab_free_check(H, 3, 3, max_subsets=6)
+            with pytest.raises(ScaleLimitError):
+                kab_free_check(H, 3, 3, max_subsets=5)
 
     PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
 
@@ -216,6 +223,67 @@ class TestKabFree:
             assert kab_free_check(G, a, b) == naive_kab_free(G, a, b)
 
 
+def _is_prime(q):
+    return q > 1 and all(q % d for d in range(2, q))
+
+
+# every field with t >= 2 and q^t <= 625 that FiniteField accepts
+HINTED_FIELDS = [(q, t) for t in (2, 3, 4) for q in range(2, 26)
+                 if _is_prime(q) and q ** t <= 625]
+
+
+class TestOrbitReps:
+    """norm_graph's hint: one vertex per orbit of x -> u*x, norm(u) = 1."""
+
+    @pytest.mark.parametrize("q,t", HINTED_FIELDS)
+    def test_one_representative_per_orbit(self, q, t):
+        G = norm_graph(q, t)
+        fld = FiniteField(q, t)
+        K = (fld.size - 1) // (q - 1)
+        units = [x for x in fld.elements() if norm(x) == fld.one]
+
+        def order(x):
+            k, y = 1, x
+            while y != fld.one:
+                k, y = k + 1, y * x
+            return k
+
+        h = next(x for x in units if order(x) == K)
+        image = [fld.index(h * x) for x in fld.elements()]
+        assert G.relabel(image) == G
+        reps = G.orbit_reps
+        assert list(reps) == sorted(set(reps)) and len(reps) == q
+        seen = set()
+        for v in range(G.n):
+            orbit = {v}
+            while image[v] not in orbit:
+                v = image[v]
+                orbit.add(v)
+            if not orbit & seen:
+                assert len(orbit & set(reps)) == 1, (q, t, orbit)
+                seen |= orbit
+        assert len(seen) == G.n
+
+    def test_hint_ignored_by_equality_and_dropped_by_relabeling(self):
+        G = norm_graph(5, 2)
+        plain = Graph._from_adj(G.n, G.adj)
+        assert plain.orbit_reps is None and G.orbit_reps is not None
+        assert G == plain and hash(G) == hash(plain)
+        assert graph6_encode(G) == graph6_encode(plain)
+        assert G.relabel(range(G.n)).orbit_reps is None
+        assert G.induced_subgraph(range(G.n)).orbit_reps is None
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("q,t,a,b", [(7, 3, 3, 7), (5, 4, 4, 25)])
+    def test_matches_plain_scan_past_the_budget(self, q, t, a, b):
+        # the plain scan needs more than the default budget on these sides
+        G = norm_graph(q, t)
+        plain = Graph._from_adj(G.n, G.adj)
+        with pytest.raises(ScaleLimitError):
+            kab_free_check(plain, a, b)
+        assert kab_free_check(G, a, b) == kab_free_check(plain, a, b, max_subsets=10 ** 9)
+
+
 def _outcome(scan):
     """scan()'s answer, or the message of its refusal."""
     try:
@@ -227,9 +295,11 @@ def _outcome(scan):
 class TestKabBudget:
     """kab_free_check charges the last member's sets in one step; its answers
     and refusals equal those of a scan charging one set at a time, on each
-    side of the budget a full scan needs and far from it."""
+    side of the budget a full scan needs and far from it: on norm graphs
+    with their hint and on hint-free copies of them."""
 
-    GRAPHS = ([norm_graph(q, t) for q, t in ((2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3))]
+    NORM = [norm_graph(q, t) for q, t in ((2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3))]
+    GRAPHS = (NORM + [Graph._from_adj(G.n, G.adj) for G in NORM]
               + [_random_graph(n, random.Random(n)) for n in range(4, 13)])
     PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
 
@@ -280,6 +350,18 @@ class TestJoinBlowup:
     def test_rejects_empty_class(self):
         with pytest.raises(ValueError):
             join_contains_blowup(norm_graph(3, 2), 0)
+
+    def test_row_budget(self, monkeypatch):
+        # the K(x) searches of the K(5,5,5) check on the GF(25) side read
+        # 4707 rows in all; the budget is counted read by read
+        side = norm_graph(5, 2)
+        monkeypatch.setattr(normgraphs, "_JOIN_MAX_ROW_READS", 4707)
+        assert not join_contains_blowup(side, 5, kss_free=3)
+        monkeypatch.setattr(normgraphs, "_JOIN_MAX_ROW_READS", 4706)
+        with pytest.raises(ScaleLimitError) as err:
+            join_contains_blowup(side, 5, kss_free=3)
+        assert str(err.value) == ("K(5,5,5) check read more than 4706 adjacency rows "
+                                  "of the 25-vertex side")
 
 
 def _toy_staircase():
