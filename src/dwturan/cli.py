@@ -254,10 +254,9 @@ def _cmd_counterexample(args) -> dict:
     f = parse_weight(args.f)
     spec = CounterexampleSpec(q=args.q, t=args.t, s=args.s, f=f)
     # runs the K_{s,s} gate on the side graph and raises ConstructionRefused
-    # if it fails, so side_kab_free below is that gate's result, and the side
-    # read back off G may be declared K_{s,s}-free to the blow-up check
-    G = counterexample_graph(spec)
-    side = G.induced_subgraph(range(spec.side_size))
+    # if it fails, so side_kab_free below is that gate's result, and the
+    # gated side may be declared K_{s,s}-free to the blow-up check
+    G, side = counterexample_graph(spec)
     gap = gap_report(spec, G)
     return {
         "n": G.n,

@@ -34,7 +34,8 @@ class Graph:
     stands for the trivial group (every vertex its own orbit). Only
     ``normgraphs.norm_graph`` sets it; every other constructor, ``relabel``
     and ``induced_subgraph`` leave it None. Equality, hashing and graph6
-    ignore it. ``normgraphs.kab_free_check`` reads it.
+    ignore it. ``normgraphs._multipartite_scan``, the scan behind both
+    ``kab_free_check`` and ``join_contains_blowup``, reads it.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):

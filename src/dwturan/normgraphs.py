@@ -21,7 +21,9 @@ and any such pair of copies combines into one, because the join supplies
 every edge between the sides. The search is therefore for small patterns
 K(x) in H. The assembly gate makes H K_{s,s}-free, and K(x) contains
 K_{s,s} as soon as one part has s vertices and the other two together
-have s; those x are ruled out without a search.
+have s; those x are ruled out without a search. The gate's K_{s,s} and
+the K(x) are asked of one common-neighborhood scan, ``_multipartite_scan``,
+which takes its first vertex from the side's orbit representatives.
 """
 
 from __future__ import annotations
@@ -29,19 +31,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InvariantViolation, Record, ScaleLimitError
-from .graphs import (
-    Graph,
-    SubgraphMatcher,
-    complete_multipartite,
-    e_f,
-)
+from .graphs import Graph, _bits, e_f
 from .weights import ObjectiveValue, WeightFunction, degree_sum
 
 _FIELD_MAX_P = 100
 _FIELD_MAX_T = 4
 _NORM_GRAPH_MAX_SIZE = 4096
-_KAB_MAX_SUBSETS = 5_000_000
-_JOIN_MAX_ROW_READS = 5_000_000
+_SCAN_MAX_SETS = 5_000_000
 
 
 def _is_prime(p: int) -> bool:
@@ -311,49 +307,40 @@ def norm_graph(q: int, t: int) -> Graph:
     return Graph._from_adj(fld.size, adj, _orbit_reps(fld, units))
 
 
-def kab_free_check(G: Graph, a: int, b: int, *,
-                   max_subsets: int = _KAB_MAX_SUBSETS) -> bool:
-    """True iff no a-set of vertices has b or more common neighbors.
+def _multipartite_scan(G: Graph, max_sets: int, refusal: str):
+    """contains(parts): is K(p_1, ..., p_k) in G, for 0 < p_1 <= ... <= p_k?
 
-    The scan takes the first member of an a-set from ``G.orbit_reps``,
-    ascending, and the other members, ascending, from the vertices that
-    are no representative <= the first member; None stands for every
-    vertex being its own representative, so the others are the vertices
-    after the first. That is sound: an automorphism maps any qualifying
-    a-set onto one holding a representative, and if r is the least
-    representative lying in a qualifying a-set, that set holds no smaller
-    one, so the scan from r meets it. Each set carries the common
-    neighborhood of its members; a branch ends as soon as that
-    neighborhood has fewer than b vertices, since adding members only
-    shrinks it.
+    The scan picks a p_1-set, carries its common neighborhood C and looks
+    for K(p_2, ..., p_k) in C the same way, until the last part only needs
+    C to hold p_k vertices: the Kovari-Sos-Turan count, one part at a time.
+    A branch ends once C holds fewer vertices than the parts still to
+    place. The first member of the p_1-set runs over ``G.orbit_reps``
+    (None: every vertex), ascending, and its other members, ascending, over
+    the vertices that are no representative <= the first. That is sound:
+    an automorphism maps any copy of K(p) onto one whose p_1-set holds a
+    representative, and from the least representative r in that set, which
+    holds no smaller one, the scan meets it. Later parts run over C.
 
-    The budget counts the sets the scan examines, of every size from 1 to
-    a, and the scan raises ScaleLimitError as soon as it has examined more
-    than max_subsets; the order is fixed, so the same input always answers
-    or always stops at the same set. Sets smaller than a count too, so a
-    scan that cuts nothing examines somewhat more than C(n, a) sets with
-    no representatives given: at a = 2, C(n, 2) + n - 1. Under
-    representatives r_1 < r_2 < ..., the first members are the r_k and a
-    scan that cuts nothing at a = 2 examines the sum over k of 1 + n - k.
-    Below the first level, the last member is found by a plain loop, and
-    the sets it examined, up to its first hit or all of them, are charged
-    in one step; a scan that would go over budget there is refused as if
-    charged set by set.
+    Every call of contains draws on one budget of max_sets examined sets,
+    of every size in every part; past it the scan raises ScaleLimitError
+    with refusal. The order is fixed, so the same questions always answer
+    or always stop at the same set. The last member of the last part but
+    one is a plain loop, and the sets it examined, to its first hit or all
+    of them, are charged in one step, which refuses exactly when charging
+    set by set would.
     """
-    if a > b:
-        raise ValueError("call with a <= b")
-    if a < 1:
-        raise ValueError("subset size must be positive")
     adj = G.adj
     reps = range(G.n) if G.orbit_reps is None else G.orbit_reps
-    left = max_subsets
-    refusal = f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
+    left = max_sets
 
-    def extend(common: int, rows: tuple[int, ...], start: int, need: int) -> bool:
-        # need >= 1 members still to add, from the vertices of rows[start:]
+    def extend(common: int, rows: tuple[int, ...], start: int, need: int,
+               rest: tuple[int, ...]) -> bool:
+        # need >= 1 members of this part still to add, from the vertices of
+        # rows[start:]; then K(rest) inside their common neighborhood
         nonlocal left
         end = len(rows)
-        if need == 1:
+        if need == 1 and len(rest) == 1:
+            b = rest[0]
             hit = False
             for i in range(start, end):
                 if (common & rows[i]).bit_count() >= b:
@@ -363,29 +350,62 @@ def kab_free_check(G: Graph, a: int, b: int, *,
             if left < 0:
                 raise ScaleLimitError(refusal)
             return hit
+        total = sum(rest)
         for i in range(start, end - need + 1):
             left -= 1
             if left < 0:
                 raise ScaleLimitError(refusal)
             shared = common & rows[i]
-            if shared.bit_count() >= b and extend(shared, rows, i + 1, need - 1):
+            if shared.bit_count() >= total and (
+                    extend(shared, rows, i + 1, need - 1, rest) if need > 1
+                    else within(shared, rest)):
                 return True
         return False
 
-    below = ()  # rows of the vertices below r that are no representative
-    after = 0  # the vertex after the previous representative
-    for r in reps:
-        below += adj[after:r]
-        after = r + 1
-        rows = below + adj[after:]
-        if len(rows) < a - 1:
-            break
-        left -= 1
-        if left < 0:
-            raise ScaleLimitError(refusal)
-        if adj[r].bit_count() >= b and (a == 1 or extend(adj[r], rows, 0, a - 1)):
-            return False
-    return True
+    def within(allowed: int, parts: tuple[int, ...]) -> bool:
+        # K(parts) on the vertices of allowed, which number sum(parts) or more
+        return len(parts) == 1 or extend(allowed, tuple(adj[v] for v in _bits(allowed)),
+                                         0, parts[0], parts[1:])
+
+    def contains(parts: tuple[int, ...]) -> bool:
+        nonlocal left
+        if len(parts) < 2:
+            return G.n >= sum(parts)
+        first, rest = parts[0], parts[1:]
+        total = sum(rest)
+        below = ()  # rows of the vertices below r that are no representative
+        after = 0  # the vertex after the previous representative
+        for r in reps:
+            below += adj[after:r]
+            after = r + 1
+            rows = below + adj[after:]
+            if len(rows) < first - 1:
+                break
+            left -= 1
+            if left < 0:
+                raise ScaleLimitError(refusal)
+            if adj[r].bit_count() >= total and (
+                    extend(adj[r], rows, 0, first - 1, rest) if first > 1
+                    else within(adj[r], rest)):
+                return True
+        return False
+
+    return contains
+
+
+def kab_free_check(G: Graph, a: int, b: int, *,
+                   max_subsets: int = _SCAN_MAX_SETS) -> bool:
+    """True iff no a-set of vertices has b or more common neighbors: no
+    K(a, b), asked of ``_multipartite_scan``. With nothing cut at a = 2 it
+    examines C(n, 2) + n - 1 sets when G has no representatives, and the
+    sum over k of 1 + n - k from representatives r_1 < r_2 < ....
+    """
+    if a > b:
+        raise ValueError("call with a <= b")
+    if a < 1:
+        raise ValueError("subset size must be positive")
+    refusal = f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
+    return not _multipartite_scan(G, max_subsets, refusal)((a, b))
 
 
 class ConstructionRefused(ValueError):
@@ -407,8 +427,9 @@ class CounterexampleSpec(Record):
         return self.q ** self.t
 
 
-def counterexample_graph(spec: CounterexampleSpec) -> Graph:
-    """Complete bipartite K_{N,N} with a norm graph glued inside each side.
+def counterexample_graph(spec: CounterexampleSpec) -> tuple[Graph, Graph]:
+    """Complete bipartite K_{N,N} with a norm graph glued inside each side;
+    returns that graph and the side graph, orbit representatives kept.
 
     Refuses to build unless the side graph is K_{s,s}-free: that gate is
     what keeps the blown-up triangle with class size s + 2 out of the
@@ -424,36 +445,7 @@ def counterexample_graph(spec: CounterexampleSpec) -> Graph:
     full = (1 << N) - 1
     # row u: its side neighbors and all of the other copy; row N + u alike
     adj = [row | full << N for row in side.adj] + [row << N | full for row in side.adj]
-    return Graph._from_adj(2 * N, adj)
-
-
-class _MeteredSide:
-    """A side graph as a host for ``SubgraphMatcher.exists_in``, whose
-    adjacency rows count their reads against one budget.
-
-    The search reads one row for each candidate image it tries and one for
-    each placed neighbour when it narrows the candidates, so the reads
-    measure its work, the same on every run; the read past the limit
-    raises ScaleLimitError with refusal.
-    """
-
-    __slots__ = ("n", "rows", "left", "refusal")
-
-    def __init__(self, side: Graph, limit: int, refusal: str):
-        self.n = side.n
-        self.rows = side.adj
-        self.left = limit
-        self.refusal = refusal
-
-    @property
-    def adj(self) -> "_MeteredSide":
-        return self
-
-    def __getitem__(self, v: int) -> int:
-        self.left -= 1
-        if self.left < 0:
-            raise ScaleLimitError(self.refusal)
-        return self.rows[v]
+    return Graph._from_adj(2 * N, adj), side
 
 
 def join_contains_blowup(side: Graph, m: int, *,
@@ -469,17 +461,17 @@ def join_contains_blowup(side: Graph, m: int, *,
     K_{s,s}, with that part as one side and the other two as the other.
     An x is also ruled out when K(x) contains a K(y) already found absent.
 
-    The budget counts the adjacency rows of side that the K(x) searches
-    read, all questions together, and the check raises ScaleLimitError as
-    soon as they have read more than _JOIN_MAX_ROW_READS; the questions and
-    each search run in a fixed order, so the same input always answers or
-    always stops at the same read.
+    The K(x) questions go to one ``_multipartite_scan`` of side, so they
+    share its budget of _SCAN_MAX_SETS examined sets, and its first
+    members come from ``side.orbit_reps``; the questions run in a fixed
+    order, so the same input always answers or always stops at the same
+    set.
     """
     if m < 1:
         raise ValueError("class size must be positive")
-    limit = _JOIN_MAX_ROW_READS
-    host = _MeteredSide(side, limit, f"K({m},{m},{m}) check read more than {limit} "
-                                     f"adjacency rows of the {side.n}-vertex side")
+    limit = _SCAN_MAX_SETS
+    scan = _multipartite_scan(side, limit, f"K({m},{m},{m}) check examined more than "
+                                           f"{limit} sets of the {side.n}-vertex side")
     known: dict[tuple[int, ...], bool] = {}
 
     def contains(x: tuple[int, ...]) -> bool:
@@ -491,7 +483,7 @@ def join_contains_blowup(side: Graph, m: int, *,
             known[x] = not any(
                 not hit and all(a <= b for a, b in zip(y, x))
                 for y, hit in known.items()
-            ) and SubgraphMatcher(complete_multipartite(x)).exists_in(host)
+            ) and scan(tuple(p for p in x if p))
         return known[x]
 
     for x0 in range(m + 1):

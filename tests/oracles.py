@@ -7,8 +7,9 @@ labeled graph; the witness oracles also read off the least optimal
 maximal edge bitstring, the log oracle by integer degree products, so
 that its ties are exact. The norm graph is built by field-element
 subtraction and K_{a,b}-freeness by scanning every a-subset; the budget of
-the library's scan has a set-by-set reference, per_set_kab_scan, which
-follows the same representative rule. The
+the library's scan has a set-by-set reference, per_set_scan, which
+follows the same representative rule for any complete multipartite
+pattern, and per_set_kab_scan asks it for K(a, b). The
 multipartite optimum has two references, the full-table DP and the
 generator enumeration; both add the integer part values of
 weights.tabulate, so their ties are exact and their float values are
@@ -302,44 +303,68 @@ def naive_kab_free(G: Graph, a: int, b: int) -> bool:
 
 def per_set_kab_scan(G: Graph, a: int, b: int, max_subsets: int) -> tuple[bool, int]:
     """normgraphs.kab_free_check's scan, charging its budget one examined
-    set at a time at every level, the last member's included.
+    set at a time: per_set_scan of K(a, b), answered as K_{a,b}-freeness,
+    with the library's message."""
+    found, used = per_set_scan(G, (a, b), max_subsets,
+                               f"K_{{{a},{b}}} scan examined more than {max_subsets} sets")
+    return not found, used
 
-    The first member runs over G.orbit_reps, ascending (every vertex when
-    it is None), and the others, ascending, over the vertices that are not
-    a representative <= the first member. Returns (K_{a,b}-free, sets
-    examined), and raises ScaleLimitError with the library's message at
-    the first set past max_subsets.
+
+def per_set_scan(G: Graph, parts: tuple[int, ...], max_sets: int,
+                 refusal: str) -> tuple[bool, int]:
+    """normgraphs._multipartite_scan on one question, positive parts
+    p_1 <= ... <= p_k, k >= 2, charging its budget one examined set at a
+    time at every level, the last member's included.
+
+    The first member of the p_1-set runs over G.orbit_reps, ascending
+    (every vertex when it is None), and its other members, ascending, over
+    the vertices that are not a representative <= the first member. Each
+    later part is a set of vertices of the common neighborhood of the
+    parts before it, ascending, and a set whose common neighborhood holds
+    fewer vertices than the parts after it is not extended. Returns
+    (K(parts) found, sets examined), and raises ScaleLimitError with
+    refusal at the first set past max_sets.
     """
     from dwturan import ScaleLimitError
 
     n = G.n
     reps = list(range(n)) if G.orbit_reps is None else sorted(G.orbit_reps)
-    left = max_subsets
+    left = max_sets
 
     def charge():
         nonlocal left
         left -= 1
         if left < 0:
-            raise ScaleLimitError(
-                f"K_{{{a},{b}}} scan examined more than {max_subsets} sets")
+            raise ScaleLimitError(refusal)
 
-    def extend(common: int, pool: list[int], need: int) -> bool:
-        # need >= 1 members still to add, ascending from pool
+    def later(common: int, rest: tuple[int, ...]) -> bool:
+        # K(rest) on the vertices of common, which hold sum(rest) or more
+        if len(rest) == 1:
+            return True
+        return extend(common, [v for v in range(n) if common >> v & 1], rest[0], rest[1:])
+
+    def extend(common: int, pool: list[int], need: int, rest: tuple[int, ...]) -> bool:
+        # need >= 1 members still to add, ascending from pool, then K(rest)
         for i in range(len(pool) - need + 1):
             charge()
             shared = common & G.adj[pool[i]]
-            if shared.bit_count() >= b and (need == 1 or extend(shared, pool[i + 1:], need - 1)):
+            if shared.bit_count() >= sum(rest) and (
+                    extend(shared, pool[i + 1:], need - 1, rest) if need > 1
+                    else later(shared, rest)):
                 return True
         return False
 
+    first, rest = parts[0], parts[1:]
     for r in reps:
         pool = [v for v in range(n) if v not in reps or v > r]
-        if len(pool) < a - 1:
+        if len(pool) < first - 1:
             break
         charge()
-        if G.degrees[r] >= b and (a == 1 or extend(G.adj[r], pool, a - 1)):
-            return False, max_subsets - left
-    return True, max_subsets - left
+        if G.degrees[r] >= sum(rest) and (
+                extend(G.adj[r], pool, first - 1, rest) if first > 1
+                else later(G.adj[r], rest)):
+            return True, max_sets - left
+    return False, max_sets - left
 
 
 def join(H: Graph, K: Graph) -> Graph:

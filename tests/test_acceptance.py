@@ -152,7 +152,7 @@ def test_criterion_07_counterexample_gap():
     t0 = time.time()
     f = staircase(StaircaseParams(0.5, (9,), 1))
     spec = CounterexampleSpec(q=3, t=2, s=3, f=f)
-    g = counterexample_graph(spec)
+    g, _ = counterexample_graph(spec)
     rep = gap_report(spec, g)
     free = not contains_subgraph(g, blowup_k3(5))
     dt = time.time() - t0

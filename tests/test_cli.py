@@ -13,6 +13,7 @@ import pytest
 import dwturan
 import dwturan.graphs
 from dwturan import (
+    Graph,
     cli,
     complete_graph,
     cycle_graph,
@@ -21,7 +22,6 @@ from dwturan import (
     search,
     weights,
 )
-from dwturan.graphs import SubgraphMatcher
 from dwturan.cli import parse_graph_spec
 
 
@@ -124,19 +124,21 @@ class TestCommands:
 
             monkeypatch.setattr(normgraphs, name, counted)
         hosts = []
-        exists_in = SubgraphMatcher.exists_in
+        scan = normgraphs._multipartite_scan
 
-        def recorded(self, host):
-            hosts.append(host.n)
-            return exists_in(self, host)
+        def recorded(host, *args):
+            hosts.append(host)
+            return scan(host, *args)
 
-        monkeypatch.setattr(SubgraphMatcher, "exists_in", recorded)
+        monkeypatch.setattr(normgraphs, "_multipartite_scan", recorded)
         code, _ = run_json(["counterexample", "--q", "3", "--t", "2", "--s", "3",
                             "--f", "staircase:c=0.5,seeds=9,base=1"])
         assert code == 0
         assert calls == {"norm_graph": 1, "kab_free_check": 1, "counterexample_graph": 1}
-        # the blow-up is looked for in one side at a time, never in the whole graph
-        assert hosts and set(hosts) == {9}
+        # the gate and the blow-up check scan the one side graph that was
+        # built, orbit representatives kept, never the whole graph
+        assert len(hosts) == 2 and hosts[0] is hosts[1]
+        assert hosts[0].n == 9 and hosts[0].orbit_reps is not None
 
     def test_counterexample_reach(self):
         # a 338-vertex construction: the direct search for K(5,5,5) in the
@@ -145,6 +147,18 @@ class TestCommands:
                                  "--f", "staircase:c=0.5,seeds=9,base=1"])
         assert code == 0
         assert report["result"]["n"] == 338
+        assert report["result"]["forbidden_free"] is True
+
+    @pytest.mark.parametrize("q,t,s", [(5, 3, 4), (7, 3, 4), (7, 3, 7)])
+    def test_counterexample_on_t3_sides(self, q, t, s):
+        # the K_{s,s} gate passes on these sides, and the K(s+2, s+2, s+2)
+        # check scans from the orbit representatives within seconds
+        start = time.perf_counter()
+        code, report = run_json(["counterexample", "--q", str(q), "--t", str(t),
+                                 "--s", str(s), "--f", "half"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert report["result"]["n"] == 2 * q ** t
         assert report["result"]["forbidden_free"] is True
 
     @pytest.mark.parametrize("q,t,checks", [
@@ -476,17 +490,24 @@ class TestExitCodes:
         assert code == 2
         assert "contains a K_{3,3}" in report["error"]
 
-    def test_join_budget_refuses_343_vertex_side(self):
-        # the K_{7,7} gate passes, and the K(x) questions of the K(9,9,9)
-        # check run past the join budget within seconds
-        start = time.perf_counter()
+    def test_join_budget_refuses_hint_free_side(self, monkeypatch):
+        # the K(6,6,6) check on the 343-vertex side, its first members
+        # taken from every vertex instead of the 7 orbit representatives,
+        # runs past the 5e6-set budget
+        from dwturan import normgraphs
+
+        build = normgraphs.counterexample_graph
+
+        def hint_free(spec):
+            G, side = build(spec)
+            return G, Graph._from_adj(side.n, side.adj)
+
+        monkeypatch.setattr(normgraphs, "counterexample_graph", hint_free)
         code, report = run_json(
-            ["counterexample", "--q", "7", "--t", "3", "--s", "7",
-             "--f", "half"])
-        assert time.perf_counter() - start < 10
+            ["counterexample", "--q", "7", "--t", "3", "--s", "4", "--f", "half"])
         assert code == 2
-        assert report["error"] == ("K(9,9,9) check read more than 5000000 "
-                                   "adjacency rows of the 343-vertex side")
+        assert report["error"] == ("K(6,6,6) check examined more than 5000000 sets "
+                                   "of the 343-vertex side")
 
     def test_refused_construction(self):
         code, report = run_json(

@@ -16,6 +16,7 @@ from dwturan import (
     StaircaseParams,
     bipartite_upper_bound,
     complete_bipartite,
+    complete_multipartite,
     contains_subgraph,
     counterexample_graph,
     cycle_graph,
@@ -33,7 +34,14 @@ from dwturan import (
     blowup_k3,
 )
 from dwturan import normgraphs
-from oracles import all_graphs, join, naive_kab_free, naive_norm_graph, per_set_kab_scan
+from oracles import (
+    all_graphs,
+    join,
+    naive_kab_free,
+    naive_norm_graph,
+    per_set_kab_scan,
+    per_set_scan,
+)
 
 # the norm graphs and K_{a,b} checks of the benchmark's construct workload
 CONSTRUCT_FIELDS = ((13, 2), (11, 2), (7, 2), (5, 2), (3, 2), (2, 3), (3, 3), (5, 3), (2, 4))
@@ -318,6 +326,78 @@ class TestKabBudget:
         assert refusals > cases // 10
 
 
+def _sorted_parts(total):
+    """Every sorted tuple of positive parts summing to 1..total."""
+    def parts(left, least):
+        yield ()
+        for p in range(least, left + 1):
+            for tail in parts(left - p, p):
+                yield (p,) + tail
+    return [x for x in parts(total, 1) if x]
+
+
+def _one_per_class(n):
+    seen = set()
+    for H in all_graphs(n):
+        if H not in seen:
+            seen.update(H.relabel(p) for p in itertools.permutations(range(n)))
+            yield H
+
+
+class TestMultipartiteScan:
+    """The common-neighbourhood scan behind both norm-graph checks, against
+    the matcher, against itself without representatives, and against a
+    scan charging its budget one set at a time."""
+
+    PARTS = _sorted_parts(7)
+
+    @classmethod
+    def _agrees(cls, H):
+        for x in cls.PARTS:
+            expected = contains_subgraph(H, complete_multipartite(x))
+            assert normgraphs._multipartite_scan(H, 10 ** 9, "")(x) == expected, (H.adj, x)
+
+    def test_matches_matcher_small_graphs(self):
+        assert len(self.PARTS) == 44
+        for n in range(7):
+            for H in _one_per_class(n):
+                self._agrees(H)
+
+    def test_matches_matcher_random_graphs(self):
+        rng = random.Random(8)
+        for n in (7, 8):
+            for _ in range(15):
+                self._agrees(_random_graph(n, rng))
+
+    @pytest.mark.parametrize("q,t", [(3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+    def test_reps_change_no_answer(self, q, t):
+        # every K(x) a K(m, m, m) check with m <= 6 asks, and the checks
+        G = norm_graph(q, t)
+        plain = Graph._from_adj(G.n, G.adj)
+        limit = normgraphs._SCAN_MAX_SETS
+        for x in itertools.combinations_with_replacement(range(7), 3):
+            x = tuple(p for p in x if p)
+            assert (normgraphs._multipartite_scan(G, limit, "")(x)
+                    == normgraphs._multipartite_scan(plain, limit, "")(x)), (q, t, x)
+        for m in range(1, 7):
+            assert join_contains_blowup(G, m) == join_contains_blowup(plain, m), (q, t, m)
+
+    def test_matches_per_set_charging_three_parts_or_more(self):
+        cases = refusals = 0
+        for G in TestKabBudget.GRAPHS:
+            for x in (x for x in self.PARTS if len(x) >= 3):
+                _, used = per_set_scan(G, x, 10 ** 9, "")
+                budgets = {1, 2, 3, 5, 10, 30, 100, 1000, used - 1, used, used + 1, 10 ** 9}
+                for budget in sorted(budgets - {0}):
+                    refusal = f"over {budget}"
+                    expected = _outcome(lambda: per_set_scan(G, x, budget, refusal)[0])
+                    got = _outcome(lambda: normgraphs._multipartite_scan(G, budget, refusal)(x))
+                    assert got == expected, (G.adj, x, budget)
+                    cases += 1
+                    refusals += isinstance(expected, str)
+        assert refusals > cases // 10
+
+
 class TestJoinBlowup:
     """The decomposed check against a direct search of the join H + H."""
 
@@ -351,16 +431,16 @@ class TestJoinBlowup:
         with pytest.raises(ValueError):
             join_contains_blowup(norm_graph(3, 2), 0)
 
-    def test_row_budget(self, monkeypatch):
-        # the K(x) searches of the K(5,5,5) check on the GF(25) side read
-        # 4707 rows in all; the budget is counted read by read
+    def test_sets_budget(self, monkeypatch):
+        # the K(x) questions of the K(5,5,5) check on the GF(25) side examine
+        # 211 sets in all, on one budget counted set by set
         side = norm_graph(5, 2)
-        monkeypatch.setattr(normgraphs, "_JOIN_MAX_ROW_READS", 4707)
+        monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 211)
         assert not join_contains_blowup(side, 5, kss_free=3)
-        monkeypatch.setattr(normgraphs, "_JOIN_MAX_ROW_READS", 4706)
+        monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 210)
         with pytest.raises(ScaleLimitError) as err:
             join_contains_blowup(side, 5, kss_free=3)
-        assert str(err.value) == ("K(5,5,5) check read more than 4706 adjacency rows "
+        assert str(err.value) == ("K(5,5,5) check examined more than 210 sets "
                                   "of the 25-vertex side")
 
 
@@ -371,7 +451,7 @@ def _toy_staircase():
 class TestCounterexample:
     def test_assembly_shape(self):
         spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
-        g = counterexample_graph(spec)
+        g, _ = counterexample_graph(spec)
         assert g.n == 18
         assert g.num_edges == 81 + 2 * 16 == 113
         assert set(g.degrees) == {12, 13}
@@ -379,9 +459,9 @@ class TestCounterexample:
     def test_forbidden_blowup_absent(self):
         for s in (3, 4):
             spec = CounterexampleSpec(q=3, t=2, s=s, f=_toy_staircase())
-            g = counterexample_graph(spec)
-            side = g.induced_subgraph(range(spec.side_size))
-            assert side == norm_graph(3, 2)
+            g, side = counterexample_graph(spec)
+            assert side == g.induced_subgraph(range(spec.side_size)) == norm_graph(3, 2)
+            assert side.orbit_reps == norm_graph(3, 2).orbit_reps
             assert not contains_subgraph(g, blowup_k3(s + 2))
             assert not join_contains_blowup(side, s + 2, kss_free=s)
             assert not join_contains_blowup(side, s + 2)
@@ -390,7 +470,7 @@ class TestCounterexample:
     def test_assembly_is_the_join(self, q, s):
         spec = CounterexampleSpec(q=q, t=2, s=s, f=_toy_staircase())
         side = norm_graph(q, 2)
-        assert counterexample_graph(spec) == join(side, side)
+        assert counterexample_graph(spec) == (join(side, side), side)
 
     def test_refuses_s_two(self):
         # the GF(9) norm graph contains a K_{2,2}, so the s=2 gate fails
@@ -401,7 +481,7 @@ class TestCounterexample:
     def test_contains_smaller_blowups(self):
         # sanity: the construction is far from sparse; K3(2) does embed
         spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
-        g = counterexample_graph(spec)
+        g, _ = counterexample_graph(spec)
         assert contains_subgraph(g, blowup_k3(2))
 
 
@@ -439,8 +519,6 @@ class TestBipartiteBound:
     def test_bounds_actual_bipartite_graphs(self):
         # every bipartite graph on 2m vertices obeys the bound for
         # non-decreasing weights; spot-check complete bipartite splits
-        from dwturan import complete_multipartite
-
         f = power(2)
         m = 6
         cap = bipartite_upper_bound(m, f)
@@ -452,7 +530,7 @@ class TestBipartiteBound:
 class TestGapReport:
     def test_staircase_gap(self):
         spec = CounterexampleSpec(q=3, t=2, s=3, f=_toy_staircase())
-        rep = gap_report(spec, counterexample_graph(spec))
+        rep = gap_report(spec, counterexample_graph(spec)[0])
         assert rep.construction_value.exact == 36
         assert rep.bipartite_bound.exact == 27
         assert rep.exceeds
@@ -464,7 +542,7 @@ class TestGapReport:
 
     def test_linear_weight_shows_no_gap(self):
         spec = CounterexampleSpec(q=3, t=2, s=3, f=power(1))
-        rep = gap_report(spec, counterexample_graph(spec))
+        rep = gap_report(spec, counterexample_graph(spec)[0])
         assert rep.construction_value.exact == 226  # twice the edge count
         assert rep.bipartite_bound.exact == 234
         assert not rep.exceeds
@@ -474,7 +552,7 @@ class TestGapReport:
         # in the assembly is at least 30, so the doubled level applies
         f = staircase(StaircaseParams(0.5, (25,), 1))
         spec = CounterexampleSpec(q=5, t=2, s=3, f=f)
-        rep = gap_report(spec, counterexample_graph(spec))
+        rep = gap_report(spec, counterexample_graph(spec)[0])
         assert rep.construction_value.exact == 100
         assert rep.bipartite_bound.exact == 75
         assert rep.exceeds
