@@ -393,19 +393,19 @@ def _multipartite_scan(G: Graph, max_sets: int, refusal: str):
     return contains
 
 
-def kab_free_check(G: Graph, a: int, b: int, *,
-                   max_subsets: int = _SCAN_MAX_SETS) -> bool:
+def kab_free_check(G: Graph, a: int, b: int) -> bool:
     """True iff no a-set of vertices has b or more common neighbors: no
-    K(a, b), asked of ``_multipartite_scan``. With nothing cut at a = 2 it
-    examines C(n, 2) + n - 1 sets when G has no representatives, and the
-    sum over k of 1 + n - k from representatives r_1 < r_2 < ....
+    K(a, b), asked of ``_multipartite_scan`` on a budget of _SCAN_MAX_SETS
+    examined sets. With nothing cut at a = 2 it examines C(n, 2) + n - 1
+    sets when G has no representatives, and the sum over k of 1 + n - k
+    from representatives r_1 < r_2 < ....
     """
     if a > b:
         raise ValueError("call with a <= b")
     if a < 1:
         raise ValueError("subset size must be positive")
-    refusal = f"K_{{{a},{b}}} scan examined more than {max_subsets} sets"
-    return not _multipartite_scan(G, max_subsets, refusal)((a, b))
+    refusal = f"K_{{{a},{b}}} scan examined more than {_SCAN_MAX_SETS} sets"
+    return not _multipartite_scan(G, _SCAN_MAX_SETS, refusal)((a, b))
 
 
 class ConstructionRefused(ValueError):

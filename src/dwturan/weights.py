@@ -7,23 +7,21 @@ into the log of the degree product), staircase functions that double across
 short windows and stay flat in between, and explicit non-decreasing step
 tables.
 
-Each family is stated once. ``exact`` gives its value as a Fraction
-wherever that value is rational, and the float there is that Fraction
-rounded; a family keeps a float formula only for its irrational points
-(fractional powers, logarithms, staircase climbs). ``parse_weight`` is the
-one text form of a weight.
+Each family states each point once: ``value(n)`` is an int or a Fraction
+where f is rational at n, a float only at irrational points (fractional
+powers, logarithms, staircase climbs), and calling f rounds it to a float.
+``parse_weight`` is the one text form of a weight.
 
 The numeric layer lives here too. ``tabulate`` is the one place that turns
 a weight into numbers: integers over one common denominator in every mode,
-f's exact value where rational and its float, a dyadic rational, elsewhere
-(Shewchuk, Discrete Comput. Geom. 18, 1997). ``ObjectiveValue.scaled``
-turns a total of them into a value: exact, or in float mode correctly
-rounded. So every scorer of one multiset (``degree_sum``) agrees to the
-bit; rounding is monotone, so values order as exact totals do, up to ties.
-``float_slack`` is the margin of the labeled search's float-mode cutoff,
-whose decisions are all integer tests. The predicate
-checkers are finite-range scanners: they certify the scanned range and
-nothing beyond it.
+one ``value`` per point, a float being a dyadic rational (Shewchuk,
+Discrete Comput. Geom. 18, 1997). ``ObjectiveValue.scaled`` turns a total
+of them into a value: exact, or in float mode correctly rounded. So every
+scorer of one multiset (``degree_sum``) agrees to the bit; rounding is
+monotone, so values order as exact totals do, up to ties. ``float_slack``
+is the margin of the labeled search's float-mode cutoff, whose decisions
+are all integer tests. The predicate checkers are finite-range scanners:
+they certify the scanned range and nothing beyond it.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence
 
 from .errors import Record, ScaleLimitError
@@ -42,16 +41,34 @@ MAX_EXPONENT = 1000  # exact mode computes n ** mu as an integer
 class WeightFunction:
     """Base class: a function on non-negative integers.
 
-    Subclasses implement ``exact``, a Fraction, or None at points with no
-    rational value; ``__call__`` is its float. A family with irrational
-    points overrides ``__call__`` with its float formula.
+    Subclasses implement ``value(n)``: an int or a Fraction where f is
+    rational at n, else a float. ``__call__`` is its float, as ``_floats``
+    gives it for a run of points.
     """
 
     def __call__(self, n: int) -> float:
-        return float(self.exact(n))
+        try:
+            return float(self.value(n))
+        except OverflowError:
+            raise _overflow(self, n) from None
 
-    def exact(self, n: int) -> Optional[Fraction]:
-        return None
+    def value(self, n: int) -> int | Fraction | float:
+        raise NotImplementedError
+
+
+def _floats(f: WeightFunction, points):
+    """f(p) at each point, lazily, with no call of f per point. A value
+    past the largest float is refused, naming f and the point."""
+    value = f.value
+    for p in points:
+        try:
+            yield float(value(p))
+        except OverflowError:
+            raise _overflow(f, p) from None
+
+
+def _overflow(f: WeightFunction, n: int) -> OverflowError:
+    return OverflowError(f"{f!r} overflows float at degree {n}")
 
 
 class PowerWeight(WeightFunction, Record):
@@ -66,20 +83,11 @@ class PowerWeight(WeightFunction, Record):
             raise ScaleLimitError(f"pow parameter mu={mu:g} above limit {MAX_EXPONENT}")
         object.__setattr__(self, "mu", mu)
 
-    def __call__(self, n: int) -> float:
+    def value(self, n: int) -> int | float:
         # float ** float can land an ulp off n**mu (9749.0**4), so an integer
-        # mu rounds the exact integer, as float(self.exact(n)) would
-        try:
-            if self.mu != int(self.mu):
-                return float(n) ** self.mu
-            return float(n ** int(self.mu))
-        except OverflowError:
-            raise OverflowError(f"{self!r} overflows float at degree {n}") from None
-
-    def exact(self, n: int) -> Optional[Fraction]:
-        if self.mu != int(self.mu):
-            return None
-        return Fraction(n ** int(self.mu))
+        # mu gives the integer, which the float view rounds
+        k = int(self.mu)
+        return n ** k if k == self.mu else float(n) ** self.mu
 
 
 class HalfWeight(WeightFunction, Record):
@@ -87,7 +95,7 @@ class HalfWeight(WeightFunction, Record):
 
     __slots__ = ()
 
-    def exact(self, n: int) -> Optional[Fraction]:
+    def value(self, n: int) -> Fraction:
         return Fraction(n, 2)
 
 
@@ -107,10 +115,9 @@ class LogWeight(WeightFunction, Record):
             raise ValueError("value at 0 must be <= 0 to keep the family non-decreasing")
         object.__setattr__(self, "floor_at_zero", floor_at_zero)
 
-    def __call__(self, n: int) -> float:
-        if n == 0:
-            return self.floor_at_zero
-        return math.log(n)
+    def value(self, n: int) -> float:
+        # a float at 0 too: the family is inexact at every point
+        return math.log(n) if n else float(self.floor_at_zero)
 
 
 class StaircaseParams(Record):
@@ -159,41 +166,32 @@ class StaircaseWeight(WeightFunction, Record):
     """Doubling staircase built from StaircaseParams.
 
     f(n+1) = 2**(1/m_k) * f(n) for n in [n_k, n_k + m_k), f(n+1) = f(n)
-    elsewhere; each climb multiplies the value by exactly 2. Values are
-    dyadic-rational multiples of the base outside climbs, so ``exact`` is
-    available there; interior points of a climb with m_k >= 2 are
-    irrational and evaluate in float only.
+    elsewhere; each climb multiplies the value by exactly 2. Outside climbs
+    the value is the flat level base * 2**k after k climbs, cached in
+    ``_levels``; interior points of a climb with m_k >= 2 are irrational
+    and evaluate in float only.
     """
 
-    # _windows caches params.windows(); it is no field of its own
-    __slots__ = ("params", "_windows")
+    # _windows and _levels are derived caches, no fields of their own
+    __slots__ = ("params", "_windows", "_levels")
     _fields = ("params",)
 
     def __init__(self, params: StaircaseParams):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_windows", tuple(params.windows()))
+        object.__setattr__(self, "_levels",
+                           tuple(params.base * 2 ** k for k in range(len(params.seeds) + 1)))
 
-    def _locate(self, n: int) -> tuple[int, int, int]:
-        """(completed climbs, step offset, steps of current climb) at n."""
-        done = 0
+    def value(self, n: int) -> Fraction | float:
+        done = 0  # completed climbs
         for n_k, m_k in self._windows:
             if n >= n_k + m_k:
                 done += 1
             elif n > n_k:
-                return done, n - n_k, m_k
+                return float(self.params.base) * 2.0 ** (done + (n - n_k) / m_k)
             else:
                 break
-        return done, 0, 1
-
-    def __call__(self, n: int) -> float:
-        done, j, m = self._locate(n)
-        return float(self.params.base) * 2.0 ** (done + j / m)
-
-    def exact(self, n: int) -> Optional[Fraction]:
-        done, j, m = self._locate(n)
-        if j == 0:
-            return self.params.base * 2 ** done
-        return None
+        return self._levels[done]
 
 
 class StepWeight(WeightFunction, Record):
@@ -217,24 +215,12 @@ class StepWeight(WeightFunction, Record):
         if any(a >= b for a, b in zip(self.jumps, self.jumps[1:])):
             raise ValueError("jumps must strictly increase")
 
-    def exact(self, n: int) -> Optional[Fraction]:
+    def value(self, n: int) -> Fraction:
         return self.levels[bisect_right(self.jumps, n) - 1]
 
 
-def power(mu: float) -> WeightFunction:
-    return PowerWeight(mu)
-
-
-def half() -> WeightFunction:
-    return HalfWeight()
-
-
-def log_family(floor_at_zero: float = 0.0) -> WeightFunction:
-    return LogWeight(floor_at_zero)
-
-
-def staircase(params: StaircaseParams) -> WeightFunction:
-    return StaircaseWeight(params)
+# the families under their short names
+power, half, log_family, staircase = PowerWeight, HalfWeight, LogWeight, StaircaseWeight
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +305,24 @@ class ObjectiveValue(Record):
 def tabulate(f: WeightFunction, points: Sequence[int]) -> tuple[list[int], int, bool]:
     """f at each point, as integers over one common denominator.
 
-    Returns (values, den, exact) with values[i] == den * f(points[i]), as
-    ints, so sums and comparisons of values are exact integer work. A point
-    takes f.exact where that is rational, else the float f(p), p/q with q a
-    power of two; den is the lcm of their denominators. exact is True when
-    every point is rational. A point's value so depends on that point alone,
-    and one degree multiset has one exact total whatever else is tabulated.
-    A float that is not finite is refused, naming f and the point.
+    Returns (values, den, exact) with values[i] == den * f.value(points[i]),
+    as ints, so sums and comparisons of values are exact integer work. One
+    f.value per point: an int or a Fraction, or a float, p/q with q a power
+    of two; den is the lcm of their denominators, and exact is True when no
+    value is a float. A point's value so depends on that point alone, and
+    one degree multiset has one exact total whatever else is tabulated. A
+    value not finite or past the largest float is refused, naming f and the point.
     """
     ratios = []
     exact = True
+    value = f.value
     for p in points:
-        x = f.exact(p)
-        if x is None:
+        try:
+            x = value(p)
+        except OverflowError:
+            raise _overflow(f, p) from None
+        if type(x) is float:
             exact = False
-            x = f(p)
             if not math.isfinite(x):
                 raise ValueError(f"{f!r} is {x} at degree {p}, not a finite number")
         ratios.append(x.as_integer_ratio())
@@ -351,13 +340,16 @@ def degree_sum(f: WeightFunction, pairs: Sequence[tuple[int, int]]) -> Objective
     every degree given, else correctly rounded, so every scorer of one
     multiset gets the same bits.
     A negative degree or multiplicity is refused, before f is evaluated
-    anywhere.
+    anywhere; a total past the largest float is refused by naming f.
     """
     for d, m in pairs:
         if d < 0 or m < 0:
             raise ValueError(f"degree {d} with multiplicity {m}: both must be non-negative")
     values, den, exact = tabulate(f, [d for d, _m in pairs])
-    return ObjectiveValue.scaled(sum(v * m for v, (_d, m) in zip(values, pairs)), den, exact)
+    try:
+        return ObjectiveValue.scaled(sum(v * m for v, (_d, m) in zip(values, pairs)), den, exact)
+    except OverflowError:
+        raise OverflowError(f"the total of {f!r} overflows float") from None
 
 
 def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> float:
@@ -381,8 +373,8 @@ def float_slack(values: Sequence[int], den: int, exact: bool, terms: int) -> flo
 
 def is_nondecreasing(f: WeightFunction, rng: tuple[int, int]) -> bool:
     """True iff f(i) <= f(i+1) for every i with lo <= i < i+1 <= hi, on
-    tabulate's integers: each point is f.exact where that is rational, else
-    its float, the table the labeled search reads its monotonicity off."""
+    tabulate's integers: each point is f.value, exact where f is rational,
+    the table the labeled search reads its monotonicity off."""
     lo, hi = rng
     values, _den, _exact = tabulate(f, range(lo, hi + 1))
     return all(a <= b for a, b in zip(values, values[1:]))
@@ -395,24 +387,28 @@ def check_log_continuity(f: WeightFunction, eps: float, delta: float,
     Each n is tested against the largest f(m) in its window, which a
     sliding-window maximum keeps: both ends of the window move right as n
     grows, so each point of [lo, (1+delta) hi] enters the window once, and
-    the scan takes linear time whether or not f is monotone.
+    the scan takes linear time whether or not f is monotone. f is read once
+    per point, as it enters; f(n) waits in ``pending`` until n's turn.
     """
     _require_positive("eps", eps)
     _require_positive("delta", delta)
     lo, hi = rng
     window: deque = deque()  # (m, f(m)) in the window, values decreasing
+    pending: deque = deque()  # f(m) of the points entered, from f(n) on
+    values = _floats(f, count(lo))
     m = lo  # the next point to enter the window
     for n in range(lo, hi + 1):
         m_max = math.floor((1 + delta) * n)
         while m <= m_max:
-            value = f(m)
+            value = next(values)
             while window and window[-1][1] <= value:
                 window.pop()
             window.append((m, value))
+            pending.append(value)
             m += 1
         while window[0][0] < n:
             window.popleft()
-        if window[0][1] > (1 + eps) * f(n):
+        if window[0][1] > (1 + eps) * pending.popleft():
             return False
     return True
 
@@ -435,11 +431,12 @@ def growth_rows(f: WeightFunction, c: float, rng: tuple[int, int]):
 
 
 def _growth_rows(f: WeightFunction, c: float, lo: int, hi: int):
-    prev = f(lo)
+    values = _floats(f, count(lo))
+    prev = next(values)
     for n in range(lo, hi + 1):
         if prev <= 0:
             raise ValueError(f"growth ratio undefined: f({n}) = {prev} is not positive")
-        cur = f(n + 1)
+        cur = next(values)
         ratio = cur / prev
         bound = 1 + n ** (-c)
         yield n, ratio, bound, ratio <= bound

@@ -52,7 +52,7 @@ def _verdict(num: str, name: str, ok: bool, detail: str = ""):
 class _CappedExp(WeightFunction):
     """x -> 2**x with an inf cap far past every scanned point."""
 
-    def __call__(self, n):
+    def value(self, n):
         return 2.0 ** n if n < 1000 else math.inf
 
 

@@ -366,6 +366,22 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == "PowerWeight(mu=364.5) overflows float at degree 8"
 
+    @pytest.mark.parametrize("argv", [
+        ["--f", "staircase:c=0.5,seeds=9,base=1e400", "--range", "1:12", "--growth-c", "0.5"],
+        ["--f", "step:0:1e400", "--range", "1:3", "--eps", "0.5", "--delta", "0.5"],
+    ])
+    def test_checkf_overflow_names_weight_and_degree(self, argv):
+        code, report = run_json(["checkf", *argv])
+        assert code == 2
+        assert report["error"] == f"{weights.parse_weight(argv[1])!r} overflows float at degree 1"
+
+    def test_counterexample_total_overflow_names_weight(self):
+        f = "staircase:c=0.5,seeds=9,base=1e400"
+        code, report = run_json(
+            ["counterexample", "--q", "3", "--t", "2", "--s", "3", "--f", f])
+        assert code == 2
+        assert report["error"] == f"the total of {weights.parse_weight(f)!r} overflows float"
+
     def test_malformed_graph6(self):
         code, report = run_json(
             ["exact", "--n", "4", "--forbidden", "zzz~", "--f", "half"])

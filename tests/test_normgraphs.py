@@ -181,11 +181,12 @@ class TestKabFree:
     def test_c5_no_shared_pair(self):
         assert kab_free_check(cycle_graph(5), 2, 2)
 
-    def test_subset_budget(self):
+    def test_subset_budget(self, monkeypatch):
+        monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 10)
         with pytest.raises(ScaleLimitError):
-            kab_free_check(norm_graph(5, 2), 2, 3, max_subsets=10)
+            kab_free_check(norm_graph(5, 2), 2, 3)
 
-    def test_budget_counts_examined_sets(self):
+    def test_budget_counts_examined_sets(self, monkeypatch):
         # on the 169-vertex norm graph nothing is cut at a = 2, b = 3. With
         # no hint the scan examines 168 single vertices and all
         # C(169, 2) = 14196 pairs; from the 13 representatives r_k it
@@ -193,20 +194,25 @@ class TestKabFree:
         G = norm_graph(13, 2)
         plain = Graph._from_adj(G.n, G.adj)
         for H, used in ((plain, 14364), (G, 2119)):
-            assert kab_free_check(H, 2, 3, max_subsets=used)
+            monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", used)
+            assert kab_free_check(H, 2, 3)
+            monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", used - 1)
             with pytest.raises(ScaleLimitError):
-                kab_free_check(H, 2, 3, max_subsets=used - 1)
+                kab_free_check(H, 2, 3)
 
-    def test_k33_gate_on_343_vertices(self):
+    def test_k33_gate_on_343_vertices(self, monkeypatch):
         # C(343, 3) > 5e6 sets exist, but the scan meets a K_{3,3} after
         # examining six; vertex 0 is the first representative, so the
         # hinted scan examines the same six
         G = norm_graph(7, 3)
         for H in (Graph._from_adj(G.n, G.adj), G):
             assert not kab_free_check(H, 3, 3)
-            assert not kab_free_check(H, 3, 3, max_subsets=6)
+            monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 6)
+            assert not kab_free_check(H, 3, 3)
+            monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 5)
             with pytest.raises(ScaleLimitError):
-                kab_free_check(H, 3, 3, max_subsets=5)
+                kab_free_check(H, 3, 3)
+            monkeypatch.undo()
 
     PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
 
@@ -283,13 +289,15 @@ class TestOrbitReps:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("q,t,a,b", [(7, 3, 3, 7), (5, 4, 4, 25)])
-    def test_matches_plain_scan_past_the_budget(self, q, t, a, b):
+    def test_matches_plain_scan_past_the_budget(self, monkeypatch, q, t, a, b):
         # the plain scan needs more than the default budget on these sides
         G = norm_graph(q, t)
         plain = Graph._from_adj(G.n, G.adj)
         with pytest.raises(ScaleLimitError):
             kab_free_check(plain, a, b)
-        assert kab_free_check(G, a, b) == kab_free_check(plain, a, b, max_subsets=10 ** 9)
+        hinted = kab_free_check(G, a, b)
+        monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", 10 ** 9)
+        assert hinted == kab_free_check(plain, a, b)
 
 
 def _outcome(scan):
@@ -311,7 +319,7 @@ class TestKabBudget:
               + [_random_graph(n, random.Random(n)) for n in range(4, 13)])
     PAIRS = [(a, b) for b in range(1, 5) for a in range(1, b + 1)]
 
-    def test_matches_per_set_charging(self):
+    def test_matches_per_set_charging(self, monkeypatch):
         cases = refusals = 0
         for G in self.GRAPHS:
             for a, b in self.PAIRS:
@@ -319,7 +327,8 @@ class TestKabBudget:
                 budgets = {1, 2, 3, 5, 10, 30, 100, 1000, used - 1, used, used + 1, 10 ** 9}
                 for budget in sorted(budgets - {0}):
                     expected = _outcome(lambda: per_set_kab_scan(G, a, b, budget)[0])
-                    got = _outcome(lambda: kab_free_check(G, a, b, max_subsets=budget))
+                    monkeypatch.setattr(normgraphs, "_SCAN_MAX_SETS", budget)
+                    got = _outcome(lambda: kab_free_check(G, a, b))
                     assert got == expected, (G.adj, a, b, budget)
                     cases += 1
                     refusals += isinstance(expected, str)
@@ -538,7 +547,7 @@ class TestGapReport:
     def test_doubled_level_identity(self):
         # 36 is exactly 2 * side * f(climb end): all degrees sit past the climb
         f = _toy_staircase()
-        assert Fraction(36) == 2 * 9 * f.exact(10)
+        assert Fraction(36) == 2 * 9 * f.value(10)
 
     def test_linear_weight_shows_no_gap(self):
         spec = CounterexampleSpec(q=3, t=2, s=3, f=power(1))

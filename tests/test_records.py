@@ -167,7 +167,7 @@ class TestOwnMethods:
         assert "_windows" not in repr(f)
         assert repr(f) == ("StaircaseWeight(params=StaircaseParams(c=0.5, seeds=(9, 200), "
                            "base=Fraction(1, 1)))")
-        assert f.exact(13) == 2
+        assert f.value(13) == 2
 
 
 @pytest.mark.parametrize("text", [

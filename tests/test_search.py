@@ -152,7 +152,7 @@ class TestExExact:
     def test_non_monotone_weight_still_exact(self):
         class Dip(WeightFunction):
             # favors degree 1 over anything larger
-            def __call__(self, n):
+            def value(self, n):
                 return float({0: 0, 1: 5}.get(n, 1))
 
         res = ex_exact(4, complete_graph(3), Dip())
@@ -221,11 +221,8 @@ class _UlpApart(WeightFunction):
     """0 and 1 at degrees 0 and 1, exact; 1 + 2**-52 and 1 + 3 * 2**-52 at
     degrees 2 and 3, floats only."""
 
-    def __call__(self, n):
-        return (0.0, 1.0, 1 + 2.0 ** -52, 1 + 3 * 2.0 ** -52)[n]
-
-    def exact(self, n):
-        return Fraction(n) if n < 2 else None
+    def value(self, n):
+        return (0, 1, 1 + 2.0 ** -52, 1 + 3 * 2.0 ** -52)[n]
 
 
 class TestExactTies:
@@ -531,7 +528,7 @@ class TestVerifyTheorem1:
 
     def test_rejects_non_monotone(self):
         class Dip(WeightFunction):
-            def __call__(self, n):
+            def value(self, n):
                 return -float(n)
 
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Weight families, the staircase construction, and the predicate scanners."""
 
+import hashlib
 import math
 import random
 import re
@@ -23,6 +24,7 @@ from dwturan import (
     power,
     staircase,
 )
+from dwturan import weights
 from dwturan.weights import (
     MAX_EXPONENT,
     degree_sum,
@@ -36,40 +38,37 @@ from dwturan.weights import (
 class _Pow2(WeightFunction):
     """x -> 2**x, capped at inf to dodge float overflow; still blows every bound."""
 
-    def __call__(self, n):
+    def value(self, n):
         return 2.0 ** n if n < 1000 else math.inf
 
 
 class _NaNAt7(WeightFunction):
     """x -> x, but NaN at 7."""
 
-    def __call__(self, n):
+    def value(self, n):
         return math.nan if n == 7 else float(n)
 
 
 class _ThirdThenFloat(WeightFunction):
     """Exactly 1/3 at 0; from 1 on, irrational, with the float of 1/3."""
 
-    def __call__(self, n):
-        return 1 / 3
-
-    def exact(self, n):
-        return Fraction(1, 3) if n == 0 else None
+    def value(self, n):
+        return Fraction(1, 3) if n == 0 else 1 / 3
 
 
 class TestFamilies:
     def test_power_basic(self):
         assert power(2)(7) == 49
-        assert power(2).exact(7) == 49
+        assert power(2).value(7) == 49
 
     def test_power_zero_convention(self):
         # 0**0 = 1 so the zeroth power counts vertices
         assert power(0)(0) == 1
-        assert power(0).exact(0) == 1
+        assert power(0).value(0) == 1
 
     def test_power_fractional_no_exact(self):
         f = power(0.5)
-        assert f.exact(4) is None
+        assert isinstance(f.value(4), float)
         assert f(4) == 2.0
 
     def test_power_rejects_negative(self):
@@ -83,7 +82,7 @@ class TestFamilies:
 
     def test_power_exponent_limit(self):
         # exact mode would compute n ** mu as an integer
-        assert power(MAX_EXPONENT).exact(2) == 2 ** MAX_EXPONENT
+        assert power(MAX_EXPONENT).value(2) == 2 ** MAX_EXPONENT
         with pytest.raises(ScaleLimitError, match="mu="):
             power(MAX_EXPONENT + 1)
         with pytest.raises(ScaleLimitError):
@@ -96,7 +95,7 @@ class TestFamilies:
             power(mu)(degree)
 
     def test_half(self):
-        assert half().exact(5) == Fraction(5, 2)
+        assert half().value(5) == Fraction(5, 2)
 
     def test_log_family(self):
         f = log_family()
@@ -119,7 +118,7 @@ class TestFamilies:
 
     def test_step_weight(self):
         f = StepWeight([0, 5, 9], [1, 3, 7])
-        assert [f.exact(n) for n in (0, 4, 5, 8, 9, 100)] == [1, 1, 3, 3, 7, 7]
+        assert [f.value(n) for n in (0, 4, 5, 8, 9, 100)] == [1, 1, 3, 3, 7, 7]
 
 
 _STEP_2_3_7 = StepWeight([0, 2, 5, 9], [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), 3])
@@ -143,9 +142,7 @@ class TestFloatAgreesWithExact:
     @pytest.mark.parametrize("f", _SHIPPED)
     def test_float_is_rounded_exact(self, f):
         for n in range(10**4 + 1):
-            x = f.exact(n)
-            if x is not None:
-                assert f(n) == float(x), n
+            assert f(n) == float(f.value(n)), n
 
     def test_pow_rounds_its_integer_points(self):
         # 9749**4 = 9033172039086001 lies halfway between two floats; the
@@ -167,9 +164,131 @@ class TestFloatAgreesWithExact:
         assert log_family()(5) == math.log(5)
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+_FROZEN_POINTS = {"0..399": range(400),
+                  "scattered": [26, 0, 7, 10100, 3, 199, 200, 5100, 26, 1, 11000]}
+
+
+class TestFrozenTables:
+    """tabulate and the float view of every shipped family, frozen: the bit
+    length of den, the exact flag, and digests of (values, den, exact) and
+    of the floats' hex, over two fixed point sets."""
+
+    FROZEN = [
+        ("pow:mu=0", "0..399", 1, True, "075d314df6f96065", "efc7c34a392042e2"),
+        ("pow:mu=0", "scattered", 1, True, "ab3d5f748bfee996", "50429ec56877be25"),
+        ("pow:mu=1", "0..399", 1, True, "24cc9beee632ecd0", "11fbb3f9c9f7c13a"),
+        ("pow:mu=1", "scattered", 1, True, "b1a76005362fe017", "61dc00de6c397573"),
+        ("pow:mu=2", "0..399", 1, True, "0b9e8d025741a469", "3bbc82e9b07e2889"),
+        ("pow:mu=2", "scattered", 1, True, "9a7d0f3dc327713b", "be2970f6e7a99309"),
+        ("pow:mu=3", "0..399", 1, True, "8752c8a0144cd2e6", "f996c1593ad4d516"),
+        ("pow:mu=3", "scattered", 1, True, "4eb1ec126a35de33", "a70f1ecea21e8225"),
+        ("pow:mu=10", "0..399", 1, True, "80df5a3c031aea7b", "bf38169f5fb88994"),
+        ("pow:mu=10", "scattered", 1, True, "cc1363b6a29fb97d", "251120463b325e01"),
+        ("pow:mu=0.5", "0..399", 53, False, "3d2cce8e5cd1f179", "2d12c0aa766b0dff"),
+        ("pow:mu=0.5", "scattered", 52, False, "3f4d2caf636b9d24", "00493561f6de25a5"),
+        ("pow:mu=2.5", "0..399", 51, False, "2285bf6f8c61aa49", "1910fffbb17129ed"),
+        ("pow:mu=2.5", "scattered", 46, False, "d9be5f7cca8e9573", "9d4ff34f21088117"),
+        ("half", "0..399", 2, True, "2fa4be4479becfde", "a621fdd98f464c00"),
+        ("half", "scattered", 2, True, "ff72e21bb14a6850", "b1cb77e74cc6e0c7"),
+        ("log:floor=0", "0..399", 54, False, "7334d40fb2218485", "78cf98e410adf7f5"),
+        ("log:floor=0", "scattered", 53, False, "2f9bb6c06ea06363", "9f5aae44039dc1d7"),
+        ("log:floor=-2", "0..399", 54, False, "c2ce87c50c57cf5b", "eae37720d28c966d"),
+        ("log:floor=-2", "scattered", 53, False, "9bda7df2a340b64e", "2da5f5cd01295d98"),
+        ("log:floor=-5e-324", "0..399", 1075, False, "cdcc3d901e1c49c7", "e19407691b1acf52"),
+        ("log:floor=-5e-324", "scattered", 1075, False, "90d605e0510da6ad", "04d629b9afefd3c5"),
+        ("staircase:c=0.5,seeds=9;200;5000,base=1", "0..399", 52, False,
+         "cf11332ee0e515ff", "85c51dce803e5e1c"),
+        ("staircase:c=0.5,seeds=9;200;5000,base=1", "scattered", 1, True,
+         "8fa217a3735f95d0", "754228c752ff8b2b"),
+        ("staircase:c=0.3,seeds=25;400,base=1/3", "0..399", 2, True,
+         "a8449168acfd2c1a", "cff5199098352a78"),
+        ("staircase:c=0.3,seeds=25;400,base=1/3", "scattered", 2, True,
+         "1bea39634e90df54", "74d4b2ca71e0662e"),
+        ("staircase:c=0.5,seeds=9;100,base=1/3", "0..399", 55, False,
+         "11cfd13f9a0e21fe", "f145a2a381abe46c"),
+        ("staircase:c=0.5,seeds=9;100,base=1/3", "scattered", 2, True,
+         "940d880c69b783c7", "fa7fbd895f2915ef"),
+        ("staircase:c=0.9,seeds=5,base=0.3", "0..399", 57, False,
+         "d0ffcfa3f9650853", "d1db19606555031f"),
+        ("staircase:c=0.9,seeds=5,base=0.3", "scattered", 4, True,
+         "bdca1343961962be", "d66329422bcbd65a"),
+        ("step:0:1/2;2:2/3;5:5/7;9:3", "0..399", 6, True, "a148ec466f14580d", "508a7a0eee2ed5e3"),
+        ("step:0:1/2;2:2/3;5:5/7;9:3", "scattered", 6, True, "4c50b17527158660", "e590b074d30e0e06"),
+        ("step:0:0;3:1;5:3", "0..399", 1, True, "2c49bde3f94a7f66", "f00c94568ebf7b51"),
+        ("step:0:0;3:1;5:3", "scattered", 1, True, "0348d5f5b8eeb6e2", "f8e8deb5826dbf92"),
+    ]
+
+    @pytest.mark.parametrize("text,points,den_bits,exact,table,floats", FROZEN)
+    def test_table_and_floats_unchanged(self, text, points, den_bits, exact, table, floats):
+        f = parse_weight(text)
+        pts = _FROZEN_POINTS[points]
+        got = tabulate(f, pts)
+        assert (got[1].bit_length(), got[2]) == (den_bits, exact)
+        assert _digest(got) == table
+        assert _digest([f(p).hex() for p in pts]) == floats
+
+    def test_pow_refusal_unchanged(self):
+        with pytest.raises(OverflowError,
+                           match=r"^PowerWeight\(mu=364\.5\) overflows float at degree 8$"):
+            tabulate(parse_weight("pow:mu=364.5"), range(12))
+
+
+def test_families_state_each_point_once():
+    # every shipped family states value alone; the base class holds the one
+    # float view, so no family's float can disagree with its value
+    families = {cls for cls in vars(weights).values()
+                if isinstance(cls, type) and issubclass(cls, WeightFunction)
+                and cls is not WeightFunction}
+    assert len(families) == 5
+    for cls in families:
+        assert "value" in vars(cls), cls
+        assert "exact" not in vars(cls) and "__call__" not in vars(cls), cls
+
+
+class TestOverflowNamed:
+    """Past the largest float, tabulate, the float view and degree_sum name f
+    (and the degree, where one point is at fault) for every family."""
+
+    @pytest.mark.parametrize("text,points,degree", [
+        ("pow:mu=364.5", range(12), 8),
+        # seed 25 at c=1/2: degree 26 is the one irrational point
+        ("staircase:c=0.5,seeds=25,base=1e400", range(30), 26),
+    ])
+    def test_tabulate(self, text, points, degree):
+        f = parse_weight(text)
+        with pytest.raises(OverflowError,
+                           match=rf"^{re.escape(repr(f))} overflows float at degree {degree}$"):
+            tabulate(f, points)
+
+    @pytest.mark.parametrize("text,degree", [
+        ("pow:mu=364.5", 8), ("pow:mu=1000", 2000), ("staircase:c=0.5,seeds=9,base=1e400", 0),
+        ("staircase:c=0.5,seeds=25,base=1e400", 26), ("step:0:1;5:1e400", 5),
+    ])
+    def test_float_view(self, text, degree):
+        f = parse_weight(text)
+        with pytest.raises(OverflowError,
+                           match=rf"^{re.escape(repr(f))} overflows float at degree {degree}$"):
+            f(degree)
+
+    @pytest.mark.parametrize("text,pairs", [
+        ("half", [(10 ** 309, 1)]), ("step:0:1e308", [(11, 10)]),
+        ("staircase:c=0.5,seeds=9,base=1e308", [(11, 10)]),
+    ])
+    def test_degree_sum_total(self, text, pairs):
+        # every value is exact and finite; only the total passes the largest float
+        f = parse_weight(text)
+        with pytest.raises(OverflowError,
+                           match=rf"^the total of {re.escape(repr(f))} overflows float$"):
+            degree_sum(f, pairs)
+
+
 class TestTabulate:
-    """tabulate against per-point f.exact or f (float), each scaled to
-    integers over one denominator; den None below marks float mode."""
+    """tabulate against per-point f.value, scaled to integers over one
+    denominator; den None below marks float mode."""
 
     @pytest.mark.parametrize("f,points,den", [
         (power(2), range(0, 40), 1),
@@ -199,16 +318,16 @@ class TestTabulate:
         assert all(type(v) is int for v in vals)
         assert exact == (den is not None)
         if den is None:
-            assert any(f.exact(p) is None for p in points)
-            # f.exact where rational, else the float exactly, over the lcm
-            # of their denominators
-            want = [Fraction(f(p)) if f.exact(p) is None else f.exact(p) for p in points]
+            assert any(isinstance(f.value(p), float) for p in points)
+            # the rational values and the floats exactly, over the lcm of
+            # their denominators
+            want = [Fraction(f.value(p)) for p in points]
             assert got_den == math.lcm(*(x.denominator for x in want))
             assert [Fraction(v, got_den) for v in vals] == want
             assert [v / got_den for v in vals] == [f(p) for p in points]
         else:
             assert got_den == den
-            assert [Fraction(v, den) for v in vals] == [f.exact(p) for p in points]
+            assert [Fraction(v, den) for v in vals] == [f.value(p) for p in points]
 
     @pytest.mark.parametrize("f,point,shown", [(_Pow2(), 1000, "inf"), (_NaNAt7(), 7, "nan")])
     def test_non_finite_float_refused_by_name(self, f, point, shown):
@@ -236,7 +355,7 @@ class TestDegreeSum:
             pairs = [(rng.randrange(0, 12), rng.randrange(0, 5))
                      for _ in range(rng.randrange(0, 5))]
             value = degree_sum(f, pairs)
-            assert value.exact == sum((m * f.exact(d) for d, m in pairs), Fraction(0))
+            assert value.exact == sum((m * f.value(d) for d, m in pairs), Fraction(0))
 
     @pytest.mark.parametrize("weight", ["log:floor=0", "pow:mu=0.5", "pow:mu=3.3"])
     def test_float_total_ignores_grouping(self, weight):
@@ -259,7 +378,7 @@ class TestDegreeSum:
     @pytest.mark.parametrize("pairs", [[(-1, 0)], [(3, -1)], [(2, 2), (-5, -2)]])
     def test_negative_refused_before_evaluating_f(self, pairs):
         class Refuses(WeightFunction):
-            def exact(self, n):
+            def value(self, n):
                 raise AssertionError(f"evaluated f({n})")
 
         with pytest.raises(ValueError, match="must be non-negative"):
@@ -289,17 +408,17 @@ class TestFloatSlack:
 class TestStaircase:
     def test_seed_nine(self):
         f = staircase(StaircaseParams(0.5, (9,), 1))
-        assert f.exact(8) == 1
-        assert f.exact(9) == 1
-        assert f.exact(10) == 2
-        assert all(f.exact(n) == 2 for n in range(10, 19))
+        assert f.value(8) == 1
+        assert f.value(9) == 1
+        assert f.value(10) == 2
+        assert all(f.value(n) == 2 for n in range(10, 19))
 
     def test_doubling_law_exact(self):
         # m=2 window (seed 25 at c=1/2): endpoints stay dyadic
         f = staircase(StaircaseParams(0.5, (25,), 1))
-        assert f.exact(25) == 1
-        assert f.exact(27) == 2
-        assert f.exact(26) is None  # interior point, factor sqrt(2)
+        assert f.value(25) == 1
+        assert f.value(27) == 2
+        assert isinstance(f.value(26), float)  # interior point, factor sqrt(2)
         assert f(26) == pytest.approx(math.sqrt(2))
 
     def test_doubling_law_float(self):
@@ -317,8 +436,8 @@ class TestStaircase:
 
     def test_multiple_seeds_stack(self):
         f = staircase(StaircaseParams(0.5, (9, 19), 1))
-        assert f.exact(18) == 2
-        assert f.exact(21) == 4  # m_2 = floor(sqrt(19)/2) = 2, climb ends at 21
+        assert f.value(18) == 2
+        assert f.value(21) == 4  # m_2 = floor(sqrt(19)/2) = 2, climb ends at 21
 
     def test_monotone(self):
         f = staircase(StaircaseParams(0.5, (9, 100, 300), 1))
@@ -343,7 +462,7 @@ class TestNondecreasing:
 
     def test_decreasing_detected(self):
         class Neg(WeightFunction):
-            def __call__(self, n):
+            def value(self, n):
                 return -float(n)
 
         assert not is_nondecreasing(Neg(), (0, 10))
@@ -427,7 +546,7 @@ class TestLogContinuity:
         calls = []
 
         class Alternating(WeightFunction):
-            def __call__(self, n):
+            def value(self, n):
                 calls.append(n)
                 return 1.0 + n % 2
 
@@ -501,8 +620,8 @@ class TestParser:
 
     def test_parse_staircase(self):
         f = parse_weight("staircase:c=0.5,seeds=9;200;5000,base=1")
-        assert f.exact(10) == 2
-        assert f.exact(2 * 5000 + 100) == 8
+        assert f.value(10) == 2
+        assert f.value(2 * 5000 + 100) == 8
 
     @pytest.mark.parametrize("bad", [
         "pow", "pow:mu=", "pow:nu=2", "half:x=1", "nosuch:a=1",
