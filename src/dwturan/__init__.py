@@ -45,10 +45,9 @@ _EXPORTS = {
         "RatioRow", "SearchResult", "ex_exact", "ratio_table", "verify_theorem1",
     ), "search"),
     **dict.fromkeys((
-        "ObjectiveValue", "StaircaseParams", "StaircaseWeight", "StepWeight",
-        "WeightFunction", "check_growth_bound", "check_log_continuity", "half",
-        "is_nondecreasing", "least_growth_seed", "log_family", "parse_weight",
-        "power", "staircase",
+        "ObjectiveValue", "StaircaseWeight", "StepWeight", "WeightFunction",
+        "check_growth_bound", "check_log_continuity", "half", "is_nondecreasing",
+        "least_growth_seed", "log_family", "parse_weight", "power", "staircase",
     ), "weights"),
 }
 

@@ -290,10 +290,14 @@ def _cmd_checkf(args) -> dict:
     if args.eps is not None:
         _require_positive("eps", args.eps)
         _require_positive("delta", args.delta)
-    # the log-continuity scan reads f up to (1 + delta) * hi
-    top = hi if args.delta is None else (1 + args.delta) * hi
+    # the growth rows read f up to hi + 1, the log-continuity scan up to
+    # (1 + delta) * hi
+    top, stretch = hi, ""
+    if args.growth_c is not None:
+        top, stretch = hi + 1, f" with --growth-c {args.growth_c}"
+    if args.delta is not None and (1 + args.delta) * hi > top:
+        top, stretch = (1 + args.delta) * hi, f" with --delta {args.delta}"
     if top - lo + 1 > CHECKF_MAX_POINTS:
-        stretch = "" if top == hi else f" with --delta {args.delta}"
         raise ScaleLimitError(f"checkf evaluates f at no more than {CHECKF_MAX_POINTS} "
                               f"degrees; --range {args.scan_range}{stretch} needs more")
     # asked for before the monotonicity scan, so a bad exponent is refused first

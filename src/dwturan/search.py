@@ -319,16 +319,16 @@ def ratio_table(n_range: tuple[int, int], F: Graph, f: WeightFunction, *,
     are correctly rounded and rounding is monotone. An order where it is
     not defined, or passes the largest float, is refused with a ValueError
     naming n and both optima, and an order over the limit is refused
-    before any search.
+    before chi(F) or any search.
     """
+    lo, hi = n_range
+    _check_limit(hi, limit)
     chi = chromatic_number(F)
     if chi < 3:
         raise ValueError(
             "ratio table requires a non-bipartite forbidden graph "
             f"(chromatic number >= 3, got {chi})"
         )
-    lo, hi = n_range
-    _check_limit(hi, limit)
     rows = []
     for n in range(lo, hi + 1):
         full = ex_exact(n, F, f, limit=limit, workers=workers)

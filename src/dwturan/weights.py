@@ -120,23 +120,34 @@ class LogWeight(WeightFunction, Record):
         return math.log(n) if n else float(self.floor_at_zero)
 
 
-class StaircaseParams(Record):
-    """Parameters of a doubling staircase.
+def climb_steps(n_k: int, c: float) -> int:
+    """Length m_k = floor(n_k**c / 2) of the staircase climb at seed n_k."""
+    return math.floor(n_k ** c / 2)
 
-    Around each seed n_k the function climbs by the factor 2**(1/m_k) for
-    exactly m_k = climb_steps(n_k, c) steps, and is flat everywhere
-    else. Seeds must be spread out (2*n_k < n_{k+1}) so that the flat run
-    after a climb reaches at least 2*n_k before the next climb starts.
+
+class StaircaseWeight(WeightFunction, Record):
+    """Doubling staircase with exponent c, seeds n_k and value base before
+    the first climb.
+
+    f(n+1) = 2**(1/m_k) * f(n) for n in [n_k, n_k + m_k), with
+    m_k = climb_steps(n_k, c), and f(n+1) = f(n) elsewhere; each climb
+    multiplies the value by exactly 2. Seeds are positive integers spread
+    out (2*n_k < n_{k+1}), so the flat run after a climb reaches at least
+    2*n_k before the next climb starts. Outside climbs the value is the
+    flat level base * 2**k after k climbs, cached in ``_levels``; interior
+    points of a climb with m_k >= 2 are irrational and evaluate in float only.
     """
 
-    __slots__ = ("c", "seeds", "base")
+    # _windows and _levels are derived caches, no fields of their own
+    __slots__ = ("c", "seeds", "base", "_windows", "_levels")
+    _fields = ("c", "seeds", "base")
     c: float
     seeds: tuple[int, ...]
     base: Fraction
 
     def __init__(self, c: float, seeds: Sequence[int], base=1):
         object.__setattr__(self, "c", float(c))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        object.__setattr__(self, "seeds", tuple(seeds))
         object.__setattr__(self, "base", Fraction(base))
         if not 0 < self.c < 1:
             raise ValueError("exponent c must lie in (0, 1)")
@@ -144,43 +155,24 @@ class StaircaseParams(Record):
             raise ValueError("base value must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for n_k in self.seeds:
+            if not isinstance(n_k, int) or n_k < 1:
+                raise ValueError(f"seed {n_k!r} is not a positive integer")
+        windows = tuple(self.windows())
         prev = None
-        for n_k, m_k in self.windows():
+        for n_k, m_k in windows:
             if m_k < 1:
                 raise ValueError(f"seed {n_k} too small: its window would be empty")
             if prev is not None and 2 * prev >= n_k:
                 raise ValueError(f"seeds {prev} and {n_k} too close: need 2*{prev} < {n_k}")
             prev = n_k
+        object.__setattr__(self, "_windows", windows)
+        object.__setattr__(self, "_levels",
+                           tuple(self.base * 2 ** k for k in range(len(self.seeds) + 1)))
 
     def windows(self) -> list[tuple[int, int]]:
         """(seed, step count) per seed; the climb occupies [seed, seed + steps)."""
         return [(n_k, climb_steps(n_k, self.c)) for n_k in self.seeds]
-
-
-def climb_steps(n_k: int, c: float) -> int:
-    """Length m_k = floor(n_k**c / 2) of the staircase climb at seed n_k."""
-    return math.floor(n_k ** c / 2)
-
-
-class StaircaseWeight(WeightFunction, Record):
-    """Doubling staircase built from StaircaseParams.
-
-    f(n+1) = 2**(1/m_k) * f(n) for n in [n_k, n_k + m_k), f(n+1) = f(n)
-    elsewhere; each climb multiplies the value by exactly 2. Outside climbs
-    the value is the flat level base * 2**k after k climbs, cached in
-    ``_levels``; interior points of a climb with m_k >= 2 are irrational
-    and evaluate in float only.
-    """
-
-    # _windows and _levels are derived caches, no fields of their own
-    __slots__ = ("params", "_windows", "_levels")
-    _fields = ("params",)
-
-    def __init__(self, params: StaircaseParams):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_windows", tuple(params.windows()))
-        object.__setattr__(self, "_levels",
-                           tuple(params.base * 2 ** k for k in range(len(params.seeds) + 1)))
 
     def value(self, n: int) -> Fraction | float:
         done = 0  # completed climbs
@@ -188,7 +180,7 @@ class StaircaseWeight(WeightFunction, Record):
             if n >= n_k + m_k:
                 done += 1
             elif n > n_k:
-                return float(self.params.base) * 2.0 ** (done + (n - n_k) / m_k)
+                return float(self.base) * 2.0 ** (done + (n - n_k) / m_k)
             else:
                 break
         return self._levels[done]
@@ -503,7 +495,7 @@ def parse_weight(text: str) -> WeightFunction:
             raise ValueError(f"staircase needs {sorted(missing)}")
         seeds = [int(s) for s in kv["seeds"].split(";") if s]
         base = _parse_rational(kv.get("base", "1"))
-        return StaircaseWeight(StaircaseParams(float(kv["c"]), seeds, base))
+        return StaircaseWeight(kv["c"], seeds, base)
     if head == "step":
         pairs = []
         for item in tail.split(";"):

@@ -13,7 +13,6 @@ import time
 
 from dwturan import (
     CounterexampleSpec,
-    StaircaseParams,
     WeightFunction,
     bipartite_upper_bound,
     blowup_k3,
@@ -150,7 +149,7 @@ def test_criterion_06_norm_graph_facts():
 
 def test_criterion_07_counterexample_gap():
     t0 = time.time()
-    f = staircase(StaircaseParams(0.5, (9,), 1))
+    f = staircase(0.5, (9,), 1)
     spec = CounterexampleSpec(q=3, t=2, s=3, f=f)
     g, _ = counterexample_graph(spec)
     rep = gap_report(spec, g)
@@ -184,9 +183,8 @@ def test_criterion_08c_staircase_growth_at_own_exponent():
     # stretches around a climb meet it.
     c = 0.5
     seed = least_growth_seed(c, 1_000_000)
-    params = StaircaseParams(c, (250_000,), 1)
-    f = staircase(params)
-    (n_k, m_k), = params.windows()
+    f = staircase(c, (250_000,), 1)
+    (n_k, m_k), = f.windows()
     profile = growth_bound_profile(f, c, (1, 500_000))
     climb = range(n_k, n_k + m_k)
     climb_fails = all(f(n + 1) > (1 + n ** (-c)) * f(n) for n in climb)

@@ -9,6 +9,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dwturan
 import dwturan.graphs
@@ -445,6 +446,24 @@ class TestExitCodes:
         assert report["error"].startswith("order 9 above limit 8")
         assert calls == []
 
+    def test_ratio_over_limit_refused_before_colouring(self, monkeypatch):
+        # chi(F) of a large F can take longer than the refusal is worth
+        def no_colouring(F):
+            raise AssertionError("coloured F before the limit check")
+
+        monkeypatch.setattr(search, "chromatic_number", no_colouring)
+        code, report = run_json(
+            ["ratio", "--nmin", "3", "--nmax", "9", "--forbidden", "K3", "--f", "pow:mu=2"])
+        assert code == 2
+        assert report["error"].startswith("order 9 above limit 8")
+
+    def test_staircase_seed_not_positive(self):
+        code, report = run_json(
+            ["checkf", "--f", "staircase:c=0.5,seeds=-4", "--range", "1:5"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert report["error"] == "seed -4 is not a positive integer"
+
     @pytest.mark.parametrize("spec,order", [("C5000", 5000), ("K3s:2000", 6000),
                                             ("K2,5000", 5002)])
     def test_shorthand_over_cap_refused_before_building(self, monkeypatch, spec, order):
@@ -557,6 +576,8 @@ class TestExitCodes:
         ["--range", f"0:{cli.CHECKF_MAX_POINTS}"],
         ["--range", "1:60000", "--eps", "1", "--delta", "1"],
         ["--range", "1:4", "--eps", "1", "--delta", "1e300"],
+        # the growth rows read f(hi + 1) too
+        ["--range", f"1:{cli.CHECKF_MAX_POINTS}", "--growth-c", "0.5"],
     ])
     def test_checkf_range_over_budget(self, monkeypatch, scan):
         def no_scan(*args):
@@ -603,12 +624,40 @@ class TestExitCodes:
         assert code == 0
         assert report["result"]["nondecreasing"] is True
 
+    def test_checkf_growth_range_at_budget(self):
+        code, report = run_json(["checkf", "--f", "pow:mu=1", "--range",
+                                 f"1:{cli.CHECKF_MAX_POINTS - 1}", "--growth-c", "0.5"])
+        assert code == 0
+        assert report["result"]["growth"]["rows"][-1]["n"] == cli.CHECKF_MAX_POINTS - 1
+
     def test_growth_scan_rejects_zero_weight(self):
         code, report = run_json(
             ["checkf", "--f", "step:0:0;5:1", "--range", "1:10",
              "--growth-c", "0.5"])
         assert code == 2
         assert "not positive" in report["error"]
+
+
+# each family's spec with one parameter left open, and the strings put there:
+# bad, degenerate, or at the edge of a float
+_SPEC_TEMPLATES = [
+    "pow:mu={}", "log:floor={}", "half:{}", "staircase:c={},seeds=9;100",
+    "staircase:c=0.5,seeds={};100", "staircase:c=0.5,seeds=9;{}",
+    "staircase:c=0.5,seeds=9,base={}", "step:{}:1;5:3", "step:0:{};5:3", "step:0:1;5:{}",
+]
+_PARAMS = ["-4", "0", "nan", "inf", "1e400", "1/0", "0.5", ""]
+
+
+@given(st.sampled_from(_SPEC_TEMPLATES), st.sampled_from(_PARAMS))
+@settings(max_examples=100, deadline=None)
+def test_weight_specs_fail_only_with_exit_2(template, param):
+    spec = template.format(param)
+    try:
+        weights.parse_weight(spec)
+    except ValueError:
+        pass
+    code, _report = cli.run(["--workers", "1", "checkf", "--f", spec, "--range", "1:12"])
+    assert code in (0, 2)
 
 
 class TestDeterminism:

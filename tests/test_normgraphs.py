@@ -13,7 +13,6 @@ from dwturan import (
     FiniteField,
     Graph,
     ScaleLimitError,
-    StaircaseParams,
     bipartite_upper_bound,
     complete_bipartite,
     complete_multipartite,
@@ -454,7 +453,7 @@ class TestJoinBlowup:
 
 
 def _toy_staircase():
-    return staircase(StaircaseParams(0.5, (9,), 1))
+    return staircase(0.5, (9,), 1)
 
 
 class TestCounterexample:
@@ -559,7 +558,7 @@ class TestGapReport:
     def test_gap_scales_to_gf25(self):
         # seed = side size 25; the climb ends at 27 and every degree
         # in the assembly is at least 30, so the doubled level applies
-        f = staircase(StaircaseParams(0.5, (25,), 1))
+        f = staircase(0.5, (25,), 1)
         spec = CounterexampleSpec(q=5, t=2, s=3, f=f)
         rep = gap_report(spec, counterexample_graph(spec)[0])
         assert rep.construction_value.exact == 100

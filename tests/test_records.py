@@ -26,7 +26,6 @@ from dwturan import (
     RatioRow,
     ScaleLimitError,
     SearchResult,
-    StaircaseParams,
     StaircaseWeight,
     StepWeight,
     complete_graph,
@@ -47,10 +46,8 @@ RECORDS = [
     (LogWeight, ["floor_at_zero"], [-1.0], [-2.0]),
     (StepWeight, ["jumps", "levels"], [(0, 5), (Fraction(1), Fraction(3))],
      [(0, 6), (Fraction(1), Fraction(3))]),
-    (StaircaseParams, ["c", "seeds", "base"], [0.5, (9,), Fraction(1)],
+    (StaircaseWeight, ["c", "seeds", "base"], [0.5, (9,), Fraction(1)],
      [0.6, (9,), Fraction(1)]),
-    (StaircaseWeight, ["params"], [StaircaseParams(0.5, [9])],
-     [StaircaseParams(0.5, [9, 200])]),
     (ObjectiveValue, ["approx", "exact"], [1.0, Fraction(1)], [2.0, Fraction(2)]),
     (PartSizes, ["sizes"], [(3, 1)], [(4, 1)]),
     (PartitionOptimum, ["value", "witness", "n", "k", "f", "ties_flag"],
@@ -134,7 +131,7 @@ class TestDefaults:
 
     def test_log_floor_and_staircase_base(self):
         assert LogWeight().floor_at_zero == 0.0
-        assert StaircaseParams(0.5, [9]).base == 1
+        assert StaircaseWeight(0.5, [9]).base == 1
 
     def test_missing_or_unknown_argument(self):
         with pytest.raises(TypeError):
@@ -165,8 +162,7 @@ class TestOwnMethods:
     def test_staircase_repr_hides_windows(self):
         f = parse_weight("staircase:c=0.5,seeds=9;200,base=1")
         assert "_windows" not in repr(f)
-        assert repr(f) == ("StaircaseWeight(params=StaircaseParams(c=0.5, seeds=(9, 200), "
-                           "base=Fraction(1, 1)))")
+        assert repr(f) == "StaircaseWeight(c=0.5, seeds=(9, 200), base=Fraction(1, 1))"
         assert f.value(13) == 2
 
 
@@ -191,13 +187,16 @@ def test_parsed_weights_equal_and_hash_alike(text):
     (lambda: LogWeight(float("nan")), ValueError, "log parameter floor must be finite, got nan"),
     (lambda: LogWeight(0.5), ValueError,
      "value at 0 must be <= 0 to keep the family non-decreasing"),
-    (lambda: StaircaseParams(1.0, [9]), ValueError, "exponent c must lie in (0, 1)"),
-    (lambda: StaircaseParams(0.5, [9], base=0), ValueError, "base value must be positive"),
-    (lambda: StaircaseParams(0.5, []), ValueError, "need at least one seed"),
-    (lambda: StaircaseParams(0.5, [2]), ValueError,
+    (lambda: StaircaseWeight(1.0, [9]), ValueError, "exponent c must lie in (0, 1)"),
+    (lambda: StaircaseWeight(0.5, [9], base=0), ValueError, "base value must be positive"),
+    (lambda: StaircaseWeight(0.5, []), ValueError, "need at least one seed"),
+    (lambda: StaircaseWeight(0.5, [2]), ValueError,
      "seed 2 too small: its window would be empty"),
-    (lambda: StaircaseParams(0.5, [9, 16]), ValueError,
+    (lambda: StaircaseWeight(0.5, [9, 16]), ValueError,
      "seeds 9 and 16 too close: need 2*9 < 16"),
+    # n**c of a negative seed is complex, and int() would truncate 100.7
+    (lambda: StaircaseWeight(0.5, [-4]), ValueError, "seed -4 is not a positive integer"),
+    (lambda: StaircaseWeight(0.5, [100.7]), ValueError, "seed 100.7 is not a positive integer"),
     (lambda: StepWeight([0, 5], [1]), ValueError,
      "need matching, non-empty jump and level sequences"),
     (lambda: StepWeight([], []), ValueError,

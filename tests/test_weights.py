@@ -11,7 +11,6 @@ import pytest
 
 from dwturan import (
     ScaleLimitError,
-    StaircaseParams,
     StepWeight,
     WeightFunction,
     check_growth_bound,
@@ -160,7 +159,7 @@ class TestFloatAgreesWithExact:
     def test_irrational_points_keep_the_float_formula(self):
         assert power(2.5)(7) == 7.0 ** 2.5
         # seed 25 at c=1/2 climbs in two steps through 2**(1/2)
-        assert staircase(StaircaseParams(0.5, (25,), 1))(26) == 2.0 ** 0.5
+        assert staircase(0.5, (25,), 1)(26) == 2.0 ** 0.5
         assert log_family()(5) == math.log(5)
 
 
@@ -300,17 +299,17 @@ class TestTabulate:
         (log_family(), range(0, 40), None),
         (log_family(-2.0), [0], None),
         # seed 25 at c=1/2 climbs in two steps: 26 is irrational, 25 and 27 are not
-        (staircase(StaircaseParams(0.5, (25,), 1)), [*range(0, 26), *range(27, 60)], 1),
-        (staircase(StaircaseParams(0.5, (25,), 1)), range(0, 60), None),
-        (staircase(StaircaseParams(0.5, (9, 100), Fraction(1, 3))), range(0, 101), 3),
-        (staircase(StaircaseParams(0.5, (9, 100), 1)), range(0, 102), None),
+        (staircase(0.5, (25,), 1), [*range(0, 26), *range(27, 60)], 1),
+        (staircase(0.5, (25,), 1), range(0, 60), None),
+        (staircase(0.5, (9, 100), Fraction(1, 3)), range(0, 101), 3),
+        (staircase(0.5, (9, 100), 1), range(0, 102), None),
         (_STEP_2_3_7, range(0, 12), 42),
         (_STEP_2_3_7, [5, 0, 5, 2], 42),
         (_STEP_2_3_7, [9, 10, 11], 1),
         (_STEP_2_3_7, [], 1),
         # float mode keeps the rational points' values: 1/3 and 3/10, not
         # their floats
-        (staircase(StaircaseParams(0.5, (9, 100), Fraction(1, 3))), range(0, 102), None),
+        (staircase(0.5, (9, 100), Fraction(1, 3)), range(0, 102), None),
         (parse_weight("staircase:c=0.9,seeds=5,base=0.3"), range(0, 8), None),
     ])
     def test_matches_per_point_values(self, f, points, den):
@@ -407,7 +406,7 @@ class TestFloatSlack:
 
 class TestStaircase:
     def test_seed_nine(self):
-        f = staircase(StaircaseParams(0.5, (9,), 1))
+        f = staircase(0.5, (9,), 1)
         assert f.value(8) == 1
         assert f.value(9) == 1
         assert f.value(10) == 2
@@ -415,45 +414,43 @@ class TestStaircase:
 
     def test_doubling_law_exact(self):
         # m=2 window (seed 25 at c=1/2): endpoints stay dyadic
-        f = staircase(StaircaseParams(0.5, (25,), 1))
+        f = staircase(0.5, (25,), 1)
         assert f.value(25) == 1
         assert f.value(27) == 2
         assert isinstance(f.value(26), float)  # interior point, factor sqrt(2)
         assert f(26) == pytest.approx(math.sqrt(2))
 
     def test_doubling_law_float(self):
-        params = StaircaseParams(0.5, (100, 300, 1000), 1)
-        f = staircase(params)
-        for n_k, m_k in params.windows():
+        f = staircase(0.5, (100, 300, 1000), 1)
+        for n_k, m_k in f.windows():
             assert f(n_k + m_k) == pytest.approx(2 * f(n_k), rel=1e-12)
 
     def test_flat_between_climb_end_and_double(self):
-        params = StaircaseParams(0.5, (100, 300), 1)
-        f = staircase(params)
-        for n_k, m_k in params.windows():
+        f = staircase(0.5, (100, 300), 1)
+        for n_k, m_k in f.windows():
             level = f(n_k + m_k)
             assert all(f(n) == level for n in range(n_k + m_k, 2 * n_k + 1))
 
     def test_multiple_seeds_stack(self):
-        f = staircase(StaircaseParams(0.5, (9, 19), 1))
+        f = staircase(0.5, (9, 19), 1)
         assert f.value(18) == 2
         assert f.value(21) == 4  # m_2 = floor(sqrt(19)/2) = 2, climb ends at 21
 
     def test_monotone(self):
-        f = staircase(StaircaseParams(0.5, (9, 100, 300), 1))
+        f = staircase(0.5, (9, 100, 300), 1)
         assert is_nondecreasing(f, (0, 600))
 
     def test_rejects_crowded_seeds(self):
         with pytest.raises(ValueError):
-            StaircaseParams(0.5, (9, 15), 1)
+            staircase(0.5, (9, 15), 1)
 
     def test_rejects_tiny_seed(self):
         with pytest.raises(ValueError):
-            StaircaseParams(0.5, (3,), 1)  # floor(sqrt(3)/2) = 0
+            staircase(0.5, (3,), 1)  # floor(sqrt(3)/2) = 0
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            StaircaseParams(0.5, (100, 9), 1)
+            staircase(0.5, (100, 9), 1)
 
 
 class TestNondecreasing:
@@ -468,8 +465,7 @@ class TestNondecreasing:
         assert not is_nondecreasing(Neg(), (0, 10))
 
     def test_staircase_over_double_range(self):
-        params = StaircaseParams(0.5, (9, 19, 100), 1)
-        f = staircase(params)
+        f = staircase(0.5, (9, 19, 100), 1)
         assert is_nondecreasing(f, (0, 2 * 100))
 
     def test_exact_values_compared_exactly(self):
@@ -568,13 +564,13 @@ class TestGrowthBound:
     def test_staircase_passes_below_its_exponent(self):
         # with seeds this large the climb ratio 2**(1/m) ~ 1 + 1.386*n^-0.5
         # sits under the looser bound 1 + n^-0.4
-        f = staircase(StaircaseParams(0.5, (10_000,), 1))
+        f = staircase(0.5, (10_000,), 1)
         assert check_growth_bound(f, 0.4, (1, 20_000))
 
     def test_staircase_fails_at_own_exponent(self):
         # 2**(1/m) - 1 >= ln2/m >= 2*ln2*n^-c > n^-c for m = floor(n^c/2),
         # so every climb step violates the bound at the staircase's own c
-        f = staircase(StaircaseParams(0.5, (10_000,), 1))
+        f = staircase(0.5, (10_000,), 1)
         assert not check_growth_bound(f, 0.5, (1, 20_000))
 
     def test_ratio_equal_to_bound_passes(self):
@@ -585,7 +581,7 @@ class TestGrowthBound:
         assert growth_bound_profile(power(1), 1, (47, 47)) == (True, None)
 
     def test_profile_reads_the_rows(self):
-        f = staircase(StaircaseParams(0.5, (9, 100), 1))
+        f = staircase(0.5, (9, 100), 1)
         rows = list(growth_rows(f, 0.5, (1, 300)))
         first = next(n for n, _ratio, _bound, ok in rows if not ok)
         assert growth_bound_profile(f, 0.5, (1, 300)) == (False, first) == (False, 9)
