@@ -25,8 +25,8 @@ _EXPORTS = {
     **dict.fromkeys((
         "Graph", "PartSizes", "blowup_k3", "chromatic_number",
         "complete_bipartite", "complete_graph", "complete_multipartite",
-        "contains_subgraph", "cycle_graph", "e_f", "empty_graph", "graph6_decode",
-        "graph6_encode", "path_graph", "petersen_graph", "turan_graph",
+        "contains_subgraph", "cycle_graph", "e_f", "graph6_decode", "graph6_encode",
+        "path_graph",
     ), "graphs"),
     **dict.fromkeys((
         "ChainReport", "MajorizerResult", "erdos_majorizer", "random_kr_free_graph",
@@ -38,8 +38,7 @@ _EXPORTS = {
         "join_contains_blowup", "kab_free_check", "norm", "norm_graph",
     ), "normgraphs"),
     **dict.fromkeys((
-        "ChainCheckReport", "PartitionOptimum", "ex_prime", "ex_prime_enumerated",
-        "multipartite_value", "turan_chain_check",
+        "PartitionOptimum", "ex_prime", "ex_prime_enumerated", "multipartite_value",
     ), "partitions"),
     **dict.fromkeys((
         "RatioRow", "SearchResult", "ex_exact", "ratio_table", "verify_theorem1",

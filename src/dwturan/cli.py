@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dwturan")
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--out", default=None, help="write the report to a file")
-    top.add_argument("--workers", "--threads", type=int, default=None,
+    top.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: DWTURAN_WORKERS or the usable CPUs); "
                           "at most min(workers, usable CPUs) run, and the search "
                           "split, so the node count, follows the workers alone")

@@ -32,9 +32,9 @@ class Graph:
     ``orbit_reps`` is an optional symmetry hint: an ascending tuple holding
     one vertex of each orbit of some group of automorphisms, or None, which
     stands for the trivial group (every vertex its own orbit). Only
-    ``normgraphs.norm_graph`` sets it; every other constructor, ``relabel``
-    and ``induced_subgraph`` leave it None. Equality, hashing and graph6
-    ignore it. ``normgraphs._multipartite_scan``, the scan behind both
+    ``normgraphs.norm_graph`` sets it; every other constructor leaves it
+    None. Equality, hashing and graph6 ignore it.
+    ``normgraphs._multipartite_scan``, the scan behind both
     ``kab_free_check`` and ``join_contains_blowup``, reads it.
     """
 
@@ -70,9 +70,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degrees) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
 
@@ -84,31 +81,6 @@ class Graph:
             for k in _bits(rest):
                 out.append((u, u + 1 + k))
         return out
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under the permutation v -> perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        adj = [0] * self.n
-        for u in range(self.n):
-            row = 0
-            for w in _bits(self.adj[u]):
-                row |= 1 << perm[w]
-            adj[perm[u]] = row
-        return Graph._from_adj(self.n, adj)
-
-    def induced_subgraph(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph, relabeled to 0..k-1 in the given vertex order."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        if len(pos) != len(vertices):
-            raise ValueError("duplicate vertices")
-        adj = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            for w in _bits(self.adj[v]):
-                j = pos.get(w)
-                if j is not None:
-                    adj[i] |= 1 << j
-        return Graph._from_adj(len(vertices), adj)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -135,10 +107,6 @@ class PartSizes(Record):
             raise ValueError("part sizes must be non-negative")
         object.__setattr__(self, "sizes", tup)
 
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
     def __iter__(self):
         return iter(self.sizes)
 
@@ -156,10 +124,6 @@ def e_f(G: Graph, f) -> ObjectiveValue:
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def complete_graph(r: int) -> Graph:
@@ -220,30 +184,11 @@ def complete_multipartite(parts: Iterable[int] | PartSizes) -> Graph:
     return multipartite_on_classes(start, classes)
 
 
-def turan_graph(k: int, n: int) -> Graph:
-    """Complete k-partite graph on n vertices with part sizes as equal as possible."""
-    if k < 1:
-        raise ValueError("need at least one part")
-    return complete_multipartite(turan_part_sizes(k, n))
-
-
-def turan_part_sizes(k: int, n: int) -> PartSizes:
-    q, r = divmod(n, k)
-    return PartSizes([q + 1] * r + [q] * (k - r))
-
-
 def blowup_k3(s: int) -> Graph:
     """Triangle with every vertex duplicated s times: complete 3-partite (s,s,s)."""
     if s < 1:
         raise ValueError("class size must be positive")
     return complete_multipartite([s, s, s])
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from operator import add
 from typing import Optional
 
 from .errors import InvariantViolation, Record, ScaleLimitError
-from .graphs import PartSizes, turan_part_sizes
+from .graphs import PartSizes
 from .weights import ObjectiveValue, WeightFunction, degree_sum, tabulate
 
 _ENUM_MAX_N = 200
@@ -191,61 +191,3 @@ def ex_prime_enumerated(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     ties = second == best
     return PartitionOptimum(value=_optimum_value(best, den, exact, n, k, f),
                             witness=PartSizes(best_vec), n=n, k=k, f=f, ties_flag=ties)
-
-
-class ChainCheckReport(Record):
-    """Numeric evaluation of the lower-bound chain under a balanced split.
-
-    The chain compares, at order n with r-1 parts:
-      optimum >= balanced-split score >= n*f(min degree) >= gamma1*n*f(n).
-    Two floor terms are reported because the min degree of the balanced
-    (r-1)-partite graph is floor(n(r-2)/(r-1)); the alternative floor
-    n(r-1)/r corresponds to r balanced parts and need not bound the
-    (r-1)-part score from below. Each value is its exact total, correctly
-    rounded in float mode, and rounding is monotone, so the first three
-    comparisons are plain comparisons of values in every mode.
-    """
-
-    __slots__ = ("n", "r", "gamma1", "optimum", "balanced_value", "floor_term_r",
-                 "floor_term_rm1", "gamma_term", "holds_first", "holds_middle_r",
-                 "holds_middle_rm1", "holds_tail_r", "holds_tail_rm1")
-    n: int
-    r: int
-    gamma1: float
-    optimum: ObjectiveValue
-    balanced_value: ObjectiveValue
-    floor_term_r: ObjectiveValue          # n * f(floor(n(r-1)/r))
-    floor_term_rm1: ObjectiveValue        # n * f(floor(n(r-2)/(r-1)))
-    gamma_term: float                     # gamma1 * n * f(n)
-    holds_first: bool                     # optimum >= balanced_value
-    holds_middle_r: bool                  # balanced_value >= floor_term_r
-    holds_middle_rm1: bool                # balanced_value >= floor_term_rm1
-    holds_tail_r: bool                    # floor_term_r >= gamma_term
-    holds_tail_rm1: bool                  # floor_term_rm1 >= gamma_term
-
-
-def turan_chain_check(n: int, r: int, f: WeightFunction,
-                      gamma1: float) -> ChainCheckReport:
-    """Evaluate each term of the balanced-split lower-bound chain at one n."""
-    if r < 3:
-        raise ValueError("need r >= 3")
-    if gamma1 <= 0:
-        raise ValueError("gamma1 must be positive")
-    opt = ex_prime(n, r - 1, f)
-    balanced = multipartite_value(turan_part_sizes(r - 1, n), f)
-    term_r = degree_sum(f, [(n * (r - 1) // r, n)])
-    term_rm1 = degree_sum(f, [(n * (r - 2) // (r - 1), n)])
-    gamma_term = gamma1 * n * f(n)
-    return ChainCheckReport(
-        n=n, r=r, gamma1=gamma1,
-        optimum=opt.value,
-        balanced_value=balanced,
-        floor_term_r=term_r,
-        floor_term_rm1=term_rm1,
-        gamma_term=gamma_term,
-        holds_first=balanced <= opt.value,
-        holds_middle_r=term_r <= balanced,
-        holds_middle_rm1=term_rm1 <= balanced,
-        holds_tail_r=term_r.approx >= gamma_term,
-        holds_tail_rm1=term_rm1.approx >= gamma_term,
-    )

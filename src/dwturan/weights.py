@@ -484,25 +484,28 @@ def parse_weight(text: str) -> WeightFunction:
         kv = _parse_kv(tail, {"mu"})
         if "mu" not in kv:
             raise ValueError("pow needs mu=<non-negative real>")
-        return PowerWeight(float(kv["mu"]))
+        return PowerWeight(_parse_number("pow", "mu", kv["mu"], float))
     if head == "log":
         kv = _parse_kv(tail, {"floor"})
-        return LogWeight(float(kv.get("floor", "0")))
+        return LogWeight(_parse_number("log", "floor", kv.get("floor", "0"), float))
     if head == "staircase":
         kv = _parse_kv(tail, {"c", "seeds", "base"})
         missing = {"c", "seeds"} - kv.keys()
         if missing:
             raise ValueError(f"staircase needs {sorted(missing)}")
-        seeds = [int(s) for s in kv["seeds"].split(";") if s]
-        base = _parse_rational(kv.get("base", "1"))
-        return StaircaseWeight(kv["c"], seeds, base)
+        c = _parse_number("staircase", "c", kv["c"], float)
+        seeds = [_parse_number("staircase", "seeds", s, int)
+                 for s in kv["seeds"].split(";") if s]
+        base = _parse_number("staircase", "base", kv.get("base", "1"), Fraction)
+        return StaircaseWeight(c, seeds, base)
     if head == "step":
         pairs = []
         for item in tail.split(";"):
             if not item:
                 continue
             j, _, v = item.partition(":")
-            pairs.append((int(j), _parse_rational(v)))
+            pairs.append((_parse_number("step", "jump", j, int),
+                          _parse_number("step", "value", v, Fraction)))
         if not pairs:
             raise ValueError("step needs jump:value pairs")
         return StepWeight([j for j, _ in pairs], [v for _, v in pairs])
@@ -523,8 +526,13 @@ def _parse_kv(tail: str, allowed: set[str]) -> dict[str, str]:
     return out
 
 
-def _parse_rational(text: str) -> Fraction:
+_NUMBER_KINDS = {int: "an integer", float: "a real number", Fraction: "a rational"}
+
+
+def _parse_number(family: str, key: str, text: str, kind):
+    """kind(text), refused with a message naming the family and parameter."""
     try:
-        return Fraction(text)
+        return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+        raise ValueError(f"{family} parameter {key} must be {_NUMBER_KINDS[kind]}, "
+                         f"got {text!r}") from exc

@@ -25,7 +25,9 @@ tie rule, leaves compared by the integer total of their tabulated values
 in every mode, as naive_ex_exact_witness does, and a pruning of its own:
 in float mode the caps' float sum in vertex order against the incumbent's
 rounded value less the margin weights.float_slack, where the library
-tests one integer bound.
+tests one integer bound. The small graphs that tests take as data (the
+empty graph, Petersen, Turan graphs), relabelings and induced subgraphs
+are built here too.
 """
 
 import math
@@ -38,6 +40,7 @@ from dwturan import (
     ObjectiveValue,
     PartitionOptimum,
     PartSizes,
+    complete_multipartite,
     e_f,
     norm,
 )
@@ -45,12 +48,40 @@ from dwturan.graphs import SubgraphMatcher
 from dwturan.weights import float_slack, tabulate
 
 
+def empty_graph(n: int) -> Graph:
+    return Graph(n)
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def turan_graph(k: int, n: int) -> Graph:
+    """Complete k-partite graph on n vertices, part sizes as equal as possible."""
+    q, r = divmod(n, k)
+    return complete_multipartite([q + 1] * r + [q] * (k - r))
+
+
+def relabel(G: Graph, perm) -> Graph:
+    """Image of G under the permutation v -> perm[v]."""
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def induced_subgraph(G: Graph, vertices) -> Graph:
+    """Subgraph induced on vertices, relabeled 0..k-1 in the given order."""
+    pairs = combinations(enumerate(vertices), 2)
+    return Graph(len(vertices), [(i, j) for (i, u), (j, v) in pairs if G.adj[u] >> v & 1])
+
+
 def naive_contains(G: Graph, F: Graph) -> bool:
     if F.n > G.n:
         return False
     f_edges = F.edges()
     for images in permutations(range(G.n), F.n):
-        if all(G.has_edge(images[u], images[v]) for u, v in f_edges):
+        if all(G.adj[images[u]] >> images[v] & 1 for u, v in f_edges):
             return True
     return False
 
@@ -62,7 +93,7 @@ def naive_contains_through_edge(G: Graph, F: Graph, a: int, b: int) -> bool:
     f_edges = F.edges()
     ends = ((a, b), (b, a))
     for images in permutations(range(G.n), F.n):
-        if (all(G.has_edge(images[u], images[v]) for u, v in f_edges)
+        if (all(G.adj[images[u]] >> images[v] & 1 for u, v in f_edges)
                 and any((images[u], images[v]) in ends for u, v in f_edges)):
             return True
     return False

@@ -283,14 +283,6 @@ class TestConfigEmbedding:
         assert report["result"]["nodes"] == nodes
         assert report["result"]["witness_graph6"] == "DFw"
 
-    def test_threads_alias(self):
-        code, report = cli.run(
-            ["--threads", "2", "exact", "--n", "4", "--forbidden", "K3",
-             "--f", "pow:mu=1"])
-        assert code == 0
-        assert report["config"]["workers"] == 2
-        assert report["result"]["value"] == 8
-
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: maps in this process."""
@@ -463,6 +455,19 @@ class TestExitCodes:
         assert code == 2
         assert report["kind"] == "input"
         assert report["error"] == "seed -4 is not a positive integer"
+
+    @pytest.mark.parametrize("spec,family,key", [
+        ("staircase:c=0.5,seeds=100.7", "staircase", "seeds"),
+        ("step:0.5:1", "step", "jump"),
+        ("pow:mu=abc", "pow", "mu"),
+        ("log:floor=abc", "log", "floor"),
+        ("staircase:c=abc,seeds=9", "staircase", "c"),
+    ])
+    def test_unparsable_number_names_family_and_parameter(self, spec, family, key):
+        code, report = run_json(["checkf", "--f", spec, "--range", "1:5"])
+        assert code == 2
+        assert report["kind"] == "input"
+        assert f"{family} parameter {key} " in report["error"]
 
     @pytest.mark.parametrize("spec,order", [("C5000", 5000), ("K3s:2000", 6000),
                                             ("K2,5000", 5002)])

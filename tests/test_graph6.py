@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from dwturan import Graph, complete_graph, empty_graph, graph6_decode, graph6_encode
+from dwturan import Graph, complete_graph, graph6_decode, graph6_encode
 
 
 def random_graph(n, p, rng):
@@ -18,7 +18,7 @@ def test_k3_is_Bw():
 
 
 def test_single_vertex_is_at():
-    assert graph6_encode(empty_graph(1)) == "@"
+    assert graph6_encode(Graph(1)) == "@"
 
 
 def test_decode_header_prefix():

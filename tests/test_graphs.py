@@ -19,24 +19,25 @@ from dwturan import (
     contains_subgraph,
     cycle_graph,
     e_f,
-    empty_graph,
     graph6_decode,
     graph6_encode,
     half,
     log_family,
     path_graph,
-    petersen_graph,
     power,
-    turan_graph,
 )
 import dwturan.graphs as core
 from dwturan.cli import parse_graph_spec
 from dwturan.graphs import SubgraphMatcher
 from oracles import (
     all_graphs,
+    empty_graph,
     naive_chromatic_number,
     naive_contains,
     naive_contains_through_edge,
+    petersen_graph,
+    relabel,
+    turan_graph,
 )
 
 
@@ -88,10 +89,6 @@ class TestConstruction:
         g = complete_multipartite([3, 0, 2])
         assert g == complete_bipartite(3, 2)
 
-    def test_turan_graph_parts(self):
-        assert sorted(turan_graph(2, 5).degrees) == sorted(complete_bipartite(3, 2).degrees)
-        assert turan_graph(3, 6) == blowup_k3(2)
-
     def test_turan_mantel_value(self):
         v = e_f(turan_graph(2, 4), power(1))
         assert v.exact == 8 == 2 * (4 * 4 // 4)
@@ -105,9 +102,8 @@ class TestConstruction:
     def test_constructors_give_no_orbit_hint(self):
         # a hint on a graph without that symmetry would cut the K_{a,b}
         # scan short: P3 hinted (0,) would read as K_{1,2}-free
-        for g in (Graph(3, [(0, 1)]), empty_graph(4), complete_graph(4), cycle_graph(5),
-                  path_graph(3), complete_bipartite(2, 3), complete_multipartite([2, 2, 2]),
-                  turan_graph(3, 7), blowup_k3(2), petersen_graph(),
+        for g in (Graph(3, [(0, 1)]), complete_graph(4), cycle_graph(5), path_graph(3),
+                  complete_bipartite(2, 3), complete_multipartite([2, 2, 2]), blowup_k3(2),
                   graph6_decode(graph6_encode(petersen_graph())), parse_graph_spec("K3s:2")):
             assert g.orbit_reps is None, g
 
@@ -154,14 +150,14 @@ class TestObjective:
     def test_isomorphism_invariance(self, g, rnd):
         perm = list(range(g.n))
         rnd.shuffle(perm)
-        assert e_f(g.relabel(perm), power(2)).exact == e_f(g, power(2)).exact
+        assert e_f(relabel(g, perm), power(2)).exact == e_f(g, power(2)).exact
 
     @given(graphs(max_n=7))
     def test_monotone_under_edge_addition(self, g):
         f = power(2)
         base = e_f(g, f)
         for u, v in combinations(range(g.n), 2):
-            if not g.has_edge(u, v):
+            if not g.adj[u] >> v & 1:
                 bigger = Graph(g.n, g.edges() + [(u, v)])
                 assert e_f(bigger, f) >= base
                 break
@@ -199,7 +195,7 @@ class TestContainment:
         if not contains_subgraph(g, f):
             return
         for u, v in combinations(range(g.n), 2):
-            if not g.has_edge(u, v):
+            if not g.adj[u] >> v & 1:
                 assert contains_subgraph(Graph(g.n, g.edges() + [(u, v)]), f)
                 return
 
@@ -437,24 +433,7 @@ class TestPartSizes:
     def test_canonical_order(self):
         assert PartSizes([1, 3, 2]).sizes == (3, 2, 1)
 
-    def test_total(self):
-        assert PartSizes([2, 0, 2]).total == 4
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             PartSizes([2, -1])
 
-
-def test_induced_subgraph_relabels():
-    g = cycle_graph(5)
-    sub = g.induced_subgraph([1, 2, 3])
-    assert sub.edges() == [(0, 1), (1, 2)]
-
-
-def test_random_relabel_preserves_edge_count():
-    rng = random.Random(7)
-    g = petersen_graph()
-    for _ in range(5):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        assert g.relabel(perm).num_edges == g.num_edges

@@ -11,7 +11,6 @@ from dwturan import (
     complete_graph,
     cycle_graph,
     e_f,
-    empty_graph,
     erdos_majorizer,
     graph6_encode,
     log_family,
@@ -21,6 +20,7 @@ from dwturan import (
     theorem1_chain,
     verify_majorization,
 )
+from oracles import empty_graph, turan_graph
 
 
 class TestConstruction:
@@ -153,8 +153,6 @@ class TestChain:
         assert rep.holds_first and rep.holds_second
 
     def test_balanced_split_is_tight(self):
-        from dwturan import turan_graph
-
         rep = theorem1_chain(turan_graph(2, 6), 3, power(1))
         assert rep.value_graph.exact == rep.value_majorized.exact
         assert rep.holds_first and rep.holds_second
@@ -166,14 +164,10 @@ class TestChain:
 
     def test_float_turan_graph_reaches_optimum(self):
         # e_f sums 21 degrees, the DP two parts: one exact total, rounded once
-        from dwturan import turan_graph
-
         rep = theorem1_chain(turan_graph(2, 21), 3, log_family())
         assert rep.holds_first and rep.holds_second
 
     def test_float_turan_graphs(self):
-        from dwturan import turan_graph
-
         # base=0.7: the Turan graph's degrees are rational (7/10, 7/5), the
         # DP's table is not (f(6) is irrational), and both give one total
         for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=2.5",

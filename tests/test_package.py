@@ -8,26 +8,25 @@ import dwturan
 from dwturan import search
 
 PUBLIC_NAMES = [
-    "ChainCheckReport", "ChainReport", "ConstructionRefused", "CounterexampleSpec",
+    "ChainReport", "ConstructionRefused", "CounterexampleSpec",
     "FieldElement", "FiniteField", "GapReport", "Graph", "InvariantViolation",
     "MajorizerResult", "ObjectiveValue", "PartSizes", "PartitionOptimum", "RatioRow",
     "ScaleLimitError", "SearchResult", "StaircaseWeight", "StepWeight",
     "WeightFunction", "bipartite_upper_bound", "blowup_k3",
     "check_growth_bound", "check_log_continuity", "chromatic_number",
     "complete_bipartite", "complete_graph", "complete_multipartite",
-    "contains_subgraph", "counterexample_graph", "cycle_graph", "e_f", "empty_graph",
+    "contains_subgraph", "counterexample_graph", "cycle_graph", "e_f",
     "erdos_majorizer", "ex_exact", "ex_prime", "ex_prime_enumerated", "gap_report",
     "graph6_decode", "graph6_encode", "half", "is_nondecreasing",
     "join_contains_blowup", "kab_free_check", "least_growth_seed", "log_family",
     "multipartite_value", "norm", "norm_graph", "parse_weight", "path_graph",
-    "petersen_graph", "power", "random_kr_free_graph", "ratio_table", "staircase",
-    "theorem1_chain", "turan_chain_check", "turan_graph", "verify_majorization",
-    "verify_theorem1",
+    "power", "random_kr_free_graph", "ratio_table", "staircase",
+    "theorem1_chain", "verify_majorization", "verify_theorem1",
 ]
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 55
     assert dwturan.__all__ == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(dwturan))
 

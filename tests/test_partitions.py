@@ -1,4 +1,4 @@
-"""Multipartite optimizer: DP against enumeration, witnesses, chain report."""
+"""Multipartite optimizer: DP against enumeration, witnesses."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from dwturan import (
     PartSizes,
-    log_family,
     ScaleLimitError,
     StepWeight,
     complete_multipartite,
@@ -18,9 +17,8 @@ from dwturan import (
     multipartite_value,
     parse_weight,
     power,
-    turan_chain_check,
 )
-from oracles import full_table_ex_prime, generator_ex_prime, random_step_weight
+from oracles import full_table_ex_prime, generator_ex_prime, random_step_weight, turan_graph
 
 # integer, scaled-rational and float weights, monotone and not
 REFERENCE_WEIGHTS = [
@@ -107,8 +105,6 @@ class TestExPrime:
             assert e_f(complete_multipartite(res.witness), power(mu)).exact == res.value.exact
 
     def test_dominates_balanced_split(self):
-        from dwturan import turan_graph
-
         for n in range(0, 30):
             res = ex_prime(n, 3, power(2))
             assert res.value >= e_f(turan_graph(3, n), power(2))
@@ -318,64 +314,3 @@ class TestEnumeratedOracle:
             assert a.value.approx == pytest.approx(b.value.approx, rel=1e-12)
             assert a.witness == b.witness
 
-
-class TestChainCheck:
-    def test_square_weight_at_12(self):
-        rep = turan_chain_check(12, 3, power(2), 0.5)
-        assert rep.balanced_value.exact == 432
-        assert rep.holds_first
-
-    def test_edge_count_formula(self):
-        for n in range(2, 20):
-            rep = turan_chain_check(n, 3, power(1), 0.5)
-            assert rep.balanced_value.exact == 2 * (n * n // 4)
-
-    def test_constant_all_equal(self):
-        rep = turan_chain_check(6, 3, StepWeight([0], [1]), 1.0)
-        assert rep.optimum.exact == 6
-        assert rep.balanced_value.exact == 6
-        assert rep.floor_term_r.exact == 6
-        assert rep.floor_term_rm1.exact == 6
-        assert rep.holds_first and rep.holds_middle_r and rep.holds_middle_rm1
-        assert rep.holds_tail_r and rep.holds_tail_rm1
-
-    def test_min_degree_reading_always_holds(self):
-        # n*f(min degree of the balanced split) is a true lower bound;
-        # the other floor reading can fail, which is why both are reported.
-        # base=0.7: the balanced split's degrees are rational (7/10, 7/5),
-        # the DP's table is not (f(6) is irrational); both round one total
-        for n in range(3, 40):
-            for f in (power(1), power(2), power(3),
-                      parse_weight("staircase:c=0.9,seeds=5,base=0.7")):
-                rep = turan_chain_check(n, 3, f, 0.1)
-                assert rep.holds_first, (n, f)
-                assert rep.holds_middle_rm1, (n, f)
-
-    def test_float_balanced_split_at_its_own_floor(self):
-        # 33 + 33 + 33: every vertex has degree 66, so the balanced value
-        # and the floor term score one multiset, 99 copies of ln 66, and
-        # its correctly rounded sum is the same bits on both sides
-        rep = turan_chain_check(99, 4, log_family(), 0.1)
-        assert rep.balanced_value.approx == rep.floor_term_rm1.approx
-        assert rep.holds_first and rep.holds_middle_rm1
-
-    def test_float_min_degree_reading_holds(self):
-        for weight in ("log:floor=0", "pow:mu=0.5", "pow:mu=1.5"):
-            f = parse_weight(weight)
-            for r in (3, 4, 5):
-                for n in range(3, 120, 4):
-                    rep = turan_chain_check(n, r, f, 0.1)
-                    assert rep.holds_first and rep.holds_middle_rm1, (weight, r, n)
-
-    def test_other_reading_can_fail(self):
-        failures = sum(
-            not turan_chain_check(n, 3, power(3), 0.1).holds_middle_r
-            for n in range(3, 40)
-        )
-        assert failures > 0
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            turan_chain_check(10, 2, power(1), 0.5)
-        with pytest.raises(ValueError):
-            turan_chain_check(10, 3, power(1), 0.0)

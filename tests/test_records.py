@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from dwturan import (
-    ChainCheckReport,
     ChainReport,
     CounterexampleSpec,
     FieldElement,
@@ -53,12 +52,6 @@ RECORDS = [
     (PartitionOptimum, ["value", "witness", "n", "k", "f", "ties_flag"],
      [_V(84), PartSizes([3, 1]), 4, 2, _F, True],
      [_V(85), PartSizes([3, 1]), 4, 2, _F, True]),
-    (ChainCheckReport,
-     ["n", "r", "gamma1", "optimum", "balanced_value", "floor_term_r",
-      "floor_term_rm1", "gamma_term", "holds_first", "holds_middle_r",
-      "holds_middle_rm1", "holds_tail_r", "holds_tail_rm1"],
-     [6, 3, 0.1, _V(72), _V(72), _V(54), _V(54), 3.6, True, True, True, True, True],
-     [7, 3, 0.1, _V(72), _V(72), _V(54), _V(54), 3.6, True, True, True, True, True]),
     (SearchResult, ["value", "witness", "nodes_explored", "n", "forbidden", "f"],
      [_V(4), cycle_graph(4), 17, 4, complete_graph(3), _F],
      [_V(5), cycle_graph(4), 17, 4, complete_graph(3), _F]),

@@ -33,10 +33,12 @@ from dwturan.cli import parse_graph_spec
 from dwturan.graphs import SubgraphMatcher
 from dwturan.search import _ceil_scaled, _search_tree
 from oracles import (
+    empty_graph,
     naive_ex_exact,
     naive_ex_exact_witness,
     naive_log_witness,
     reference_search_tree,
+    relabel,
 )
 from test_graphs import CLI_SHORTHANDS, _refuse
 from test_weights import _ThirdThenFloat
@@ -46,7 +48,7 @@ class TestExExact:
     def test_mantel_five(self):
         res = ex_exact(5, complete_graph(3), power(1))
         assert res.value.exact == 12
-        assert res.witness == complete_bipartite(2, 3).relabel([3, 4, 0, 1, 2])
+        assert res.witness == relabel(complete_bipartite(2, 3), [3, 4, 0, 1, 2])
 
     def test_no_c5_on_four_vertices(self):
         res = ex_exact(4, cycle_graph(5), power(2))
@@ -73,7 +75,7 @@ class TestExExact:
         assert res.value.exact == 12
 
     def test_rejects_degenerate_forbidden(self):
-        from dwturan import Graph, empty_graph
+        from dwturan import Graph
 
         with pytest.raises(ValueError):
             ex_exact(3, Graph(0), power(1))
@@ -81,8 +83,6 @@ class TestExExact:
             ex_exact(3, empty_graph(2), power(1))
 
     def test_edgeless_forbidden_larger_than_host(self):
-        from dwturan import empty_graph
-
         res = ex_exact(3, empty_graph(4), power(1))
         assert res.witness == complete_graph(3)
 
