@@ -13,7 +13,6 @@ degree sequence. This package computes, exactly at small orders:
     score no bipartite graph can match under staircase weights.
 """
 
-import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -51,15 +50,6 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS keeps
-    one, else os.cpu_count(). It is the CLI's default worker count and caps
-    the processes a search starts."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def __getattr__(name: str):

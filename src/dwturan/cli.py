@@ -19,7 +19,6 @@ import re
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from . import _usable_cpus
 from .errors import InvariantViolation, ScaleLimitError
 
 if TYPE_CHECKING:
@@ -31,6 +30,8 @@ CHECKF_MAX_POINTS = 100_000
 EXPRIME_MAX_K = 100_000
 # the most vertices a shorthand names, as for norm graphs; rows grow as order^2
 SHORTHAND_MAX_ORDER = 4096
+# the most workers; a search splits into up to 8 * workers unshared subtrees
+MAX_WORKERS = 64
 
 _SHORTHAND = re.compile(
     r"^(?:K(?P<r>\d+)|C(?P<cyc>\d+)|P(?P<path>\d+)|K(?P<a>\d+),(?P<b>\d+)|K3s:(?P<s>\d+))$"
@@ -88,7 +89,7 @@ def _default_workers() -> int:
         except ValueError:
             raise ValueError(
                 f"DWTURAN_WORKERS must be an integer, got {env!r}") from None
-    return _usable_cpus()
+    return 1
 
 
 def _histogram(G: Graph) -> dict[str, int]:
@@ -103,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--out", default=None, help="write the report to a file")
     top.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: DWTURAN_WORKERS or the usable CPUs); "
-                          "at most min(workers, usable CPUs) run, and the search "
-                          "split, so the node count, follows the workers alone")
+                     help="N > 1 splits the search on its first ceil(log2(4N)) slots: "
+                          f"subtrees of the split, searched in this process; 1 to "
+                          f"{MAX_WORKERS} (default: DWTURAN_WORKERS, else 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="maximize sum f(deg) over forbidden-free graphs")
@@ -362,6 +363,8 @@ def run(argv: Optional[list[str]] = None) -> tuple[int, Optional[dict]]:
             args.workers = _default_workers()
         if args.workers < 1:
             raise ValueError("worker count must be >= 1")
+        if args.workers > MAX_WORKERS:
+            raise ValueError(f"worker count must be <= {MAX_WORKERS}, got {args.workers}")
         result = _DISPATCH[args.command](args)
     except InvariantViolation as exc:
         return 1, {"error": str(exc), "kind": "invariant"}

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import Record
+from .errors import Record, ScaleLimitError
 from .weights import ObjectiveValue, degree_sum
 
 
@@ -539,45 +539,58 @@ def creates_clique(adj: Sequence[int], r: int, a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # chromatic number
 
+# the most colour placements one chromatic_number call makes; G(50, 1/2)
+# needs millions
+CHROMATIC_MAX_PLACEMENTS = 100_000
+
 
 def chromatic_number(F: Graph) -> int:
-    """Least k admitting a proper k-coloring; exact backtracking from a clique bound."""
+    """Least k admitting a proper k-coloring; exact backtracking from the
+    size of a greedy clique, which bounds k below. Past
+    CHROMATIC_MAX_PLACEMENTS colour placements, F is refused by a
+    ScaleLimitError naming its order."""
     n = F.n
     if n == 0:
         raise ValueError("chromatic number of the empty-order graph is undefined")
     if F.num_edges == 0:
         return 1
     adj = F.adj
-    lower = 2
-    while mask_has_clique(adj, (1 << n) - 1, lower + 1):
-        lower += 1
     order = sorted(range(n), key=lambda v: (-F.degrees[v], v))
+    # in degree order, each vertex adjacent to all taken so far; an edge
+    # makes it at least 2
+    clique = 0
+    for v in order:
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    placements = 0
 
     def colorable(k: int) -> bool:
-        colors = [-1] * n
+        # the vertices of each colour, as a mask
+        classes = [0] * k
 
         def place(idx: int, used: int) -> bool:
+            nonlocal placements
             if idx == n:
                 return True
             v = order[idx]
-            forbidden = 0
-            for w in _bits(adj[v]):
-                c = colors[w]
-                if c >= 0:
-                    forbidden |= 1 << c
-            limit = min(k, used + 1)
-            for c in range(limit):
-                if forbidden >> c & 1:
-                    continue
-                colors[v] = c
-                if place(idx + 1, max(used, c + 1)):
-                    return True
-            colors[v] = -1
+            nbrs = adj[v]
+            bit = 1 << v
+            for c in range(min(k, used + 1)):
+                if not nbrs & classes[c]:
+                    placements += 1
+                    if placements > CHROMATIC_MAX_PLACEMENTS:
+                        raise ScaleLimitError(
+                            f"chromatic number of a graph on {n} vertices needs more "
+                            f"than {CHROMATIC_MAX_PLACEMENTS} colour placements")
+                    classes[c] |= bit
+                    if place(idx + 1, max(used, c + 1)):
+                        return True
+                    classes[c] ^= bit
             return False
 
         return place(0, 0)
 
-    k = lower
+    k = clique.bit_count()
     while not colorable(k):
         k += 1
     return k

@@ -36,17 +36,16 @@ witnesses. No bitstring is kept: include-first order meets the leaves in
 descending bitstring order, so the last optimal leaf met is the least, and
 a leaf of equal total replaces the incumbent. Results are independent of
 the worker count: a run partitions the tree by its first few slot
-decisions (none for one worker), whose subtrees in ascending prefix order
-hold ascending bitstrings, so reducing their totals in that order keeps
-the first best, whichever processes searched them.
+decisions (none for one worker) and searches the subtrees in this
+process, one after another, each with its own incumbent. Subtrees in
+ascending prefix order hold ascending bitstrings, so reducing their
+totals in that order keeps the first best.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
-from . import _usable_cpus
 from .errors import InvariantViolation, Record, ScaleLimitError
 from .graphs import (
     Graph,
@@ -74,18 +73,19 @@ class SearchResult(Record):
     f: WeightFunction
 
 
-def _search_tree(n: int, F: Graph, f: WeightFunction,
-                 prefix: tuple[int, ...] = ()):
-    """Run the pruned enumeration below one prefix of slot decisions.
+def _search_tree(n: int, F: Graph, f: WeightFunction, depth: int = 0):
+    """Run the pruned enumeration below each prefix p < 2**depth, in order.
 
-    Returns (best total or None, its value, adjacency rows of the best
-    leaf, nodes). A leaf's total is the sum of weights.tabulate(f, 0..n-1),
-    integers over scale, and leaves compare by total in every mode; the
-    value is the best total / scale, exact, or in float mode correctly
-    rounded. Include-first order meets the leaves in descending bitstring
-    order, so a leaf that ties the incumbent has the smaller bitstring and
-    replaces it; the rows kept are those of the least optimal bitstring.
-    A value past the largest float is refused by name.
+    p decides slot j by its bit depth-1-j, 1 including it. The table, slot
+    plan and edge test are set up once; each subtree keeps an incumbent of
+    its own and yields (best total or None, its value, adjacency rows of
+    the best leaf, nodes). A leaf's total is the sum of
+    weights.tabulate(f, 0..n-1), integers over scale, and leaves compare by
+    total in every mode; the value is the best total / scale, exact, or in
+    float mode correctly rounded. Include-first order meets the leaves in
+    descending bitstring order, so a leaf that ties the incumbent has the
+    smaller bitstring and replaces it; the rows kept are those of the least
+    optimal bitstring. A value past the largest float is refused by name.
     """
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     M = len(slots)
@@ -117,11 +117,6 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
     adj = [0] * n
     # cap[x] = degree of x + undecided slots at x
     cap = [n - 1] * n
-    nodes = 0
-    best_total = None
-    best_rows = None
-    # the least bound that can still tie the incumbent, up to the margin
-    lo = -math.inf
 
     def leaf_is_maximal() -> bool:
         for u, v, bu, bv in plan:
@@ -173,28 +168,36 @@ def _search_tree(n: int, F: Graph, f: WeightFunction,
             cap[u] = cu + 1
             cap[v] = cv + 1
 
-    best = None
-    # apply the prefix decisions, bailing out if they already force a copy;
-    # the root is counted like any child, and no leaf has set lo yet
-    for decision, (u, v, bu, bv) in zip(prefix, plan):
-        if decision:
-            if creates_forbidden(adj, k, u, v):
-                break
-            adj[u] |= bv
-            adj[v] |= bu
+    for p in range(1 << depth):
+        # rec holds adj and cap, so they are reset in place
+        adj[:] = [0] * n
+        cap[:] = [n - 1] * n
+        nodes = 0
+        best_total = best_rows = best = None
+        # the least bound that can still tie the incumbent, up to the margin
+        lo = -math.inf
+        # apply the prefix decisions, bailing out if they already force a
+        # copy; the root is counted like any child
+        for j in range(depth):
+            u, v, bu, bv = plan[j]
+            if p >> (depth - 1 - j) & 1:
+                if creates_forbidden(adj, k, u, v):
+                    break
+                adj[u] |= bv
+                adj[v] |= bu
+            else:
+                cap[u] -= 1
+                cap[v] -= 1
         else:
-            cap[u] -= 1
-            cap[v] -= 1
-    else:
-        nodes += 1
-        try:
-            rec(len(prefix), sum(map(itable.__getitem__, cap)))
-            if best_total is not None:
-                best = ObjectiveValue.scaled(best_total, scale, exact)
-        except OverflowError:
-            raise ValueError(f"the optimum at n={n} free of {graph6_encode(F)!r} "
-                             f"(graph6) under {f!r} overflows float") from None
-    return best_total, best, best_rows, nodes
+            nodes += 1
+            try:
+                rec(depth, sum(map(itable.__getitem__, cap)))
+                if best_total is not None:
+                    best = ObjectiveValue.scaled(best_total, scale, exact)
+            except OverflowError:
+                raise ValueError(f"the optimum at n={n} free of {graph6_encode(F)!r} "
+                                 f"(graph6) under {f!r} overflows float") from None
+        yield best_total, best, best_rows, nodes
 
 
 def _ceil_scaled(x: float, scale: int) -> int:
@@ -219,17 +222,14 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     Refuses orders above the limit (the tree has up to 2**C(n,2) leaves).
     One worker searches the whole tree, the subtree below the empty prefix.
     With workers > 1 the tree is split on its first ceil(log2(4 * workers))
-    slot decisions (at least 2, at most C(n,2)), one subtree per prefix.
-    At most min(workers, usable CPUs) processes search the subtrees: a
-    process pool when that is more than one, else this process, in prefix
-    order. Usable CPUs are the process's affinity set, or os.cpu_count()
-    where the OS keeps none. Every bitstring below prefix p is smaller than
-    every one below p + 1, so the subtree results, reduced once in prefix
-    order keeping the first best total, give the least optimal bitstring:
-    value and witness do not depend on the worker count. The node count
-    does, since subtrees do not share their incumbents; it follows the
-    split, so the worker count alone, never the number of CPUs. An optimum
-    past the largest float is refused with a ValueError naming n, F and f.
+    slot decisions (at least 2, at most C(n,2)), one subtree per prefix,
+    and this process searches the subtrees in prefix order. Every bitstring
+    below prefix p is smaller than every one below p + 1, so the subtree
+    results, reduced in prefix order keeping the first best total, give the
+    least optimal bitstring: value and witness do not depend on the worker
+    count. The node count does, since subtrees do not share their
+    incumbents. An optimum past the largest float is refused with a
+    ValueError naming n, F and f.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -244,24 +244,10 @@ def ex_exact(n: int, F: Graph, f: WeightFunction, *,
     M = n * (n - 1) // 2
     depth = (min(M, max(2, math.ceil(math.log2(4 * workers))))
              if workers > 1 and M > 2 else 0)
-    prefixes = [tuple((p >> (depth - 1 - j)) & 1 for j in range(depth))
-                for p in range(1 << depth)]
-    searches = (repeat(n), repeat(F), repeat(f), prefixes)
-    procs = min(workers, _usable_cpus()) if depth else 1
-    if procs > 1:
-        # imported here: it pulls in multiprocessing, which a run on one
-        # CPU would otherwise load for nothing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # pool.map keeps prefix order, which the reduce below relies on
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(_search_tree, *searches))
-    else:
-        results = map(_search_tree, *searches)
     best_total = best = best_rows = None
     nodes = 0
     # strict >: an equal total from a later prefix has a larger bitstring
-    for total, value, rows, sub_nodes in results:
+    for total, value, rows, sub_nodes in _search_tree(n, F, f, depth):
         nodes += sub_nodes
         if total is not None and (best_total is None or total > best_total):
             best_total, best, best_rows = total, value, rows

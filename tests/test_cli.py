@@ -24,6 +24,7 @@ from dwturan import (
     weights,
 )
 from dwturan.cli import parse_graph_spec
+from test_graphs import dense_random_graph
 
 
 def run_json(argv):
@@ -246,27 +247,19 @@ class TestConfigEmbedding:
         assert cfg["format"] == "json"
 
     def test_workers_env(self, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("exprime started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("DWTURAN_WORKERS", "3")
         code, report = cli.run(["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"])
         assert code == 0
         assert report["config"]["workers"] == 3
         assert "out" not in report["config"]
 
-    @pytest.mark.parametrize("affinity,cpu_count,workers,nodes", [
-        ({0}, 2, 1, 408), ({0, 1}, 1, 2, 515), (None, 2, 2, 515), (None, None, 1, 408),
+    @pytest.mark.parametrize("affinity,cpu_count", [
+        ({0}, 2), ({0, 1}, 1), (None, 2), (None, None),
     ], ids=["one-of-two", "two-pinned", "no-affinity", "no-count"])
     def test_default_workers_are_the_usable_cpus(self, monkeypatch, affinity,
-                                                 cpu_count, workers, nodes):
-        # no --workers and no DWTURAN_WORKERS: the affinity set, where the OS
-        # keeps one, decides, not the machine's core count
-        import concurrent.futures
-
+                                                 cpu_count):
+        # no --workers and no DWTURAN_WORKERS: the whole tree, unsplit, however
+        # many CPUs the affinity set or the machine offers
         monkeypatch.delenv("DWTURAN_WORKERS", raising=False)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -274,30 +267,12 @@ class TestConfigEmbedding:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        # the pool itself is not under test; its subtrees run here in order
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         code, report = cli.run(["exact", "--n", "5", "--forbidden", "K3",
                                 "--f", "pow:mu=1"])
         assert code == 0
-        assert report["config"]["workers"] == workers
-        assert report["result"]["nodes"] == nodes
+        assert report["config"]["workers"] == 1
+        assert report["result"]["nodes"] == 408
         assert report["result"]["witness_graph6"] == "DFw"
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: maps in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
 
 
 def _refuse_build(*args):
@@ -449,6 +424,14 @@ class TestExitCodes:
         assert code == 2
         assert report["error"].startswith("order 9 above limit 8")
 
+    def test_ratio_refuses_a_forbidden_graph_too_hard_to_colour(self):
+        code, report = run_json(["ratio", "--nmin", "3", "--nmax", "3", "--forbidden",
+                                 graph6_encode(dense_random_graph()), "--f", "pow:mu=2"])
+        assert code == 2
+        cap = dwturan.graphs.CHROMATIC_MAX_PLACEMENTS
+        assert report == {"error": "chromatic number of a graph on 50 vertices needs "
+                                   f"more than {cap} colour placements", "kind": "input"}
+
     def test_staircase_seed_not_positive(self):
         code, report = run_json(
             ["checkf", "--f", "staircase:c=0.5,seeds=-4", "--range", "1:5"])
@@ -501,6 +484,25 @@ class TestExitCodes:
                                 "--f", "pow:mu=1"])
         assert code == 2
         assert report["error"] == "worker count must be >= 1"
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_worker_count_above_max(self, monkeypatch, source):
+        # refused before any search: the split would have 2^ceil(log2(4 *
+        # workers)) subtrees, none sharing another's incumbent
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the worker check")
+
+        monkeypatch.setattr(search, "ex_exact", no_search)
+        count = str(cli.MAX_WORKERS + 1)
+        argv = ["exact", "--n", "5", "--forbidden", "K3", "--f", "pow:mu=1"]
+        if source == "flag":
+            argv = ["--workers", count] + argv
+        else:
+            monkeypatch.setenv("DWTURAN_WORKERS", count)
+        code, report = cli.run(argv)
+        assert code == 2
+        assert report == {"error": f"worker count must be <= {cli.MAX_WORKERS}, "
+                                   f"got {count}", "kind": "input"}
 
     def test_worker_env_not_a_number(self, monkeypatch):
         monkeypatch.setenv("DWTURAN_WORKERS", "abc")
@@ -716,40 +718,24 @@ class TestDeterminism:
         assert data["result"]["value"] == 84
 
 
-# runs cli.main in a fresh interpreter, pinned to the CPUs listed in its
-# first argument (JSON; null leaves it unpinned), and reports its stdout and
-# what it left in sys.modules
+# runs cli.main in a fresh interpreter and reports its exit code and what it
+# left in sys.modules
 _FOOTPRINT = """
-import contextlib, io, json, os, sys
-cpus = json.loads(sys.argv[1])
-if cpus is not None:
-    os.sched_setaffinity(0, cpus)
+import contextlib, io, json, sys
 from dwturan import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = cli.main(sys.argv[2:])
+    code = cli.main(sys.argv[1:])
 print(json.dumps({
     "code": code,
     "layers": sorted(m for m in sys.modules if m.startswith("dwturan.")),
-    "pool": "concurrent.futures" in sys.modules,
+    "processes": [m for m in ("concurrent.futures", "multiprocessing")
+                  if m in sys.modules],
     # dataclasses imports inspect, which imports ast, dis and tokenize
     "slow_imports": [m for m in ("dataclasses", "inspect") if m in sys.modules],
-    "stdout": out.getvalue(),
 }))
 """
 _SRC = os.path.dirname(os.path.dirname(dwturan.__file__))
-
-
-def _pin_cpus(count):
-    """The first count CPUs this process may run on; skips the test if fewer."""
-    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(usable) < count:
-        pytest.skip(f"needs {count} usable CPUs to pin a child to")
-    return usable[:count]
-
-
-_EXACT_TWO_WORKERS = ["--workers", "2", "exact", "--n", "4", "--forbidden", "K3",
-                      "--f", "pow:mu=1"]
 
 
 def _fresh_python(*args):
@@ -761,47 +747,36 @@ def _fresh_python(*args):
 
 
 class TestImportFootprint:
-    """A command loads only the layers it runs, and the pool module only for a
-    pool, which needs more than one usable CPU. Children that can start a pool
-    pin their own CPUs, so the runner's affinity does not decide the outcome."""
+    """A command loads only the layers it runs, and no command, a split
+    search included, loads a process pool's modules."""
 
-    @pytest.mark.parametrize("argv, layers, pool, cpus", [
-        (["checkf", "--f", "pow:mu=1", "--range", "1:5"], {"weights"}, False, None),
+    @pytest.mark.parametrize("argv, layers", [
+        (["checkf", "--f", "pow:mu=1", "--range", "1:5"], {"weights"}),
         (["exprime", "--n", "4", "--k", "2", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions"}, False, None),
-        (["normgraph", "--q", "3", "--t", "2"], {"weights", "graphs", "normgraphs"},
-         False, None),
+         {"weights", "graphs", "partitions"}),
+        (["normgraph", "--q", "3", "--t", "2"], {"weights", "graphs", "normgraphs"}),
         (["counterexample", "--q", "3", "--t", "2", "--s", "3",
           "--f", "staircase:c=0.5,seeds=9,base=1"],
-         {"weights", "graphs", "normgraphs"}, False, None),
+         {"weights", "graphs", "normgraphs"}),
         (["majorize", "--graph", "Dhc", "--r", "3"],
-         {"weights", "graphs", "partitions", "majorize"}, False, None),
+         {"weights", "graphs", "partitions", "majorize"}),
         (["exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions", "search"}, False, None),
+         {"weights", "graphs", "partitions", "search"}),
         (["ratio", "--nmin", "3", "--nmax", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
-         {"weights", "graphs", "partitions", "search"}, False, None),
-        (_EXACT_TWO_WORKERS, {"weights", "graphs", "partitions", "search"}, True, 2),
-        (_EXACT_TWO_WORKERS, {"weights", "graphs", "partitions", "search"}, False, 1),
+         {"weights", "graphs", "partitions", "search"}),
+        (["--workers", "2", "exact", "--n", "4", "--forbidden", "K3", "--f", "pow:mu=1"],
+         {"weights", "graphs", "partitions", "search"}),
     ], ids=["checkf", "exprime", "normgraph", "counterexample", "majorize", "exact",
-            "ratio", "exact-pool", "exact-one-cpu"])
-    def test_command_loads_its_layers(self, argv, layers, pool, cpus):
+            "ratio", "exact-split"])
+    def test_command_loads_its_layers(self, argv, layers):
         if argv[0] != "--workers":
             argv = ["--workers", "1"] + argv
-        pin = None if cpus is None else _pin_cpus(cpus)
-        seen = _fresh_python("-c", _FOOTPRINT, json.dumps(pin), *argv)
+        seen = _fresh_python("-c", _FOOTPRINT, *argv)
         assert seen["code"] == 0
         assert seen["layers"] == sorted(
             {"dwturan.cli", "dwturan.errors"} | {f"dwturan.{m}" for m in layers})
-        assert seen["pool"] is pool
+        assert seen["processes"] == []
         assert seen["slow_imports"] == []
-
-    def test_one_cpu_prints_the_pool_report(self):
-        pooled = _fresh_python("-c", _FOOTPRINT, json.dumps(_pin_cpus(2)),
-                               *_EXACT_TWO_WORKERS)
-        alone = _fresh_python("-c", _FOOTPRINT, json.dumps(_pin_cpus(1)),
-                              *_EXACT_TWO_WORKERS)
-        assert (pooled["pool"], alone["pool"]) == (True, False)
-        assert alone["stdout"] == pooled["stdout"]
 
     def test_package_import_loads_no_layer(self):
         seen = _fresh_python("-c", "import dwturan, json, sys; print(json.dumps("

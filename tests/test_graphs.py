@@ -1,6 +1,7 @@
 """Graph core: construction, weighted totals, containment, coloring."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from dwturan import (
     Graph,
     ObjectiveValue,
     PartSizes,
+    ScaleLimitError,
     blowup_k3,
     chromatic_number,
     complete_bipartite,
@@ -405,6 +407,13 @@ class TestCreatesClique:
                 self._check(G, *rng.choice(G.edges()))
 
 
+def dense_random_graph() -> Graph:
+    """G(50, 1/2) from random.Random(1), each slot u < v kept in order."""
+    rng = random.Random(1)
+    return Graph(50, [(u, v) for u in range(50) for v in range(u + 1, 50)
+                      if rng.random() < 0.5])
+
+
 class TestChromaticNumber:
     @pytest.mark.parametrize("g,chi", [
         (complete_graph(4), 4),
@@ -421,6 +430,15 @@ class TestChromaticNumber:
     def test_empty_order_rejected(self):
         with pytest.raises(ValueError):
             chromatic_number(Graph(0))
+
+    def test_dense_random_graph_refused_within_a_second(self):
+        # chi = 9, which takes millions of colour placements to settle
+        start = time.perf_counter()
+        with pytest.raises(ScaleLimitError, match=(
+                r"^chromatic number of a graph on 50 vertices needs more than "
+                rf"{core.CHROMATIC_MAX_PLACEMENTS} colour placements$")):
+            chromatic_number(dense_random_graph())
+        assert time.perf_counter() - start < 1
 
     def test_every_labeled_graph_up_to_five_vertices(self):
         for n in range(1, 6):

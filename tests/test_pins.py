@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dwturan import cli, ex_exact, graph6_encode, parse_weight, search
+from dwturan import cli, ex_exact, graph6_encode, parse_weight
 from dwturan.cli import parse_graph_spec
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
@@ -65,11 +65,8 @@ def test_search_pin_holds(name):
 def test_command_pin_holds(name, monkeypatch, capsys):
     runner, argv = COMMAND.fullmatch(name).groups()
     if runner == "cli":
-        # the fresh process runs with DWTURAN_WORKERS=2; one usable CPU
-        # searches the same subtrees here, since the split, and so the
-        # report, follows the worker count alone
+        # the fresh process runs with DWTURAN_WORKERS=2
         monkeypatch.setenv("DWTURAN_WORKERS", "2")
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     code = cli.main(argv.split(" "))
     assert {"exit": code, "stdout_sha256": _sha(capsys.readouterr().out)} == COMMAND_PINS[name]
 

@@ -1,8 +1,6 @@
 """Exhaustive search: frozen values, naive-oracle agreement, determinism."""
 
-import concurrent.futures
 import math
-import os
 import random
 import re
 from fractions import Fraction
@@ -26,7 +24,6 @@ from dwturan import (
     path_graph,
     power,
     ratio_table,
-    search,
     verify_theorem1,
 )
 from dwturan.cli import parse_graph_spec
@@ -230,11 +227,9 @@ class TestExactTies:
     two totals that round to one float do not tie."""
 
     @pytest.mark.parametrize("workers,nodes", [(1, 77), (2, 83), (8, 66)])
-    def test_totals_rounding_together_do_not_tie(self, monkeypatch, workers, nodes):
+    def test_totals_rounding_together_do_not_tie(self, workers, nodes):
         # K_{2,2} totals 4 + 4 * 2**-52 and K_{1,3} 4 + 3 * 2**-52, and both
-        # round to 4 + 2**-50; the split follows the worker count alone, so
-        # one usable CPU searches the same subtrees in this process
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        # round to 4 + 2**-50
         f = _UlpApart()
         res = ex_exact(4, complete_graph(3), f, workers=workers)
         assert graph6_encode(res.witness) == "C]"
@@ -318,17 +313,18 @@ class TestReferenceSearch:
         for weight in REFERENCE_WEIGHTS:
             f = parse_weight(weight)
             for n in range(7):
-                assert _search_tree(n, F, f) == _reference_rows(n, F, f), (weight, n)
+                assert [*_search_tree(n, F, f)] == [_reference_rows(n, F, f)], (weight, n)
 
     @pytest.mark.parametrize("shorthand", CLI_SHORTHANDS + ["K1,4"])
     def test_every_three_slot_prefix(self, shorthand):
+        # one depth-3 call yields its eight subtrees in prefix order, each
+        # searched from the set-up the call made once
         F = parse_graph_spec(shorthand)
+        prefixes = [(p >> 2 & 1, p >> 1 & 1, p & 1) for p in range(8)]
         for weight in REFERENCE_WEIGHTS:
             f = parse_weight(weight)
-            for p in range(8):
-                prefix = (p >> 2 & 1, p >> 1 & 1, p & 1)
-                assert (_search_tree(5, F, f, prefix)
-                        == _reference_rows(5, F, f, prefix)), (weight, prefix)
+            assert ([*_search_tree(5, F, f, 3)]
+                    == [_reference_rows(5, F, f, prefix) for prefix in prefixes]), weight
 
     def test_scaled_band_is_exact(self):
         # the float-mode cutoff is the incumbent's value less the margin, in
@@ -352,7 +348,7 @@ class TestReferenceSearch:
         # each other, K4 under pow:mu=0.5 899 times
         F = complete_graph(r)
         f = parse_weight(weight)
-        assert _search_tree(7, F, f) == _reference_rows(7, F, f)
+        assert [*_search_tree(7, F, f)] == [_reference_rows(7, F, f)]
 
 
 class TestFrozenPatternValues:
@@ -457,42 +453,16 @@ class TestFrozenCliqueValues:
         assert graph6_encode(res.witness) == witness
         assert res.nodes_explored == nodes
 
-    @pytest.mark.parametrize("workers,nodes,one_cpu", [
-        (1, 408, False), (2, 515, False), (2, 515, True),
-    ], ids=["1-408", "2-515", "2-515-one-cpu"])
-    def test_pool_prefixes(self, monkeypatch, workers, nodes, one_cpu):
+    @pytest.mark.parametrize("workers,nodes", [(1, 408), (2, 515)],
+                             ids=["1-408", "2-515"])
+    def test_pool_prefixes(self, workers, nodes):
         # two workers split the tree on its first three slots, so the
-        # subtrees start from prefix decisions that exclude slots; the
-        # split follows the worker count alone, so one CPU searches the
-        # same subtrees in this process
-        if one_cpu:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
+        # subtrees start from prefix decisions that exclude slots
         res = ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"),
                        workers=workers)
         assert res.value.exact == 12
         assert graph6_encode(res.witness) == "DFw"
         assert res.nodes_explored == nodes
-
-    @pytest.mark.parametrize("cpu_count,pool", [(None, False), (1, False), (2, True)])
-    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count, pool):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_pool)
-        if pool:
-            with pytest.raises(_PoolStarted):
-                ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"), workers=2)
-        else:
-            res = ex_exact(5, complete_graph(3), parse_weight("pow:mu=1"), workers=2)
-            assert res.nodes_explored == 515
-
-
-class _PoolStarted(Exception):
-    pass
-
-
-def _refuse_pool(*args, **kwargs):
-    raise _PoolStarted
 
 
 class TestVerifyTheorem1:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dwturan.graphs
+import dwturan.search
 from dwturan import (
     blowup_k3,
     complete_bipartite,
@@ -96,3 +97,23 @@ def test_one_matcher_question_per_include_decision(n, F, nodes, matcher_calls,
         assert tracer.calls["graphs.matcher.init"] == matchers
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_set_up_per_search_call(monkeypatch, workers):
+    # the split's subtrees share one table and one matcher: the search
+    # builds that matcher and the witness re-check the other one counted
+    tables = []
+    tabulate = dwturan.search.tabulate
+    monkeypatch.setattr(dwturan.search, "tabulate",
+                        lambda *args: tables.append(args) or tabulate(*args))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        ex_exact(6, cycle_graph(4), parse_weight("pow:mu=2"), workers=workers)
+        assert tracer.calls["graphs.matcher.init"] == 2
+    finally:
+        tracer.uninstall()
+    assert len(tables) == 1
