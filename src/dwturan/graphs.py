@@ -546,7 +546,8 @@ CHROMATIC_MAX_PLACEMENTS = 100_000
 
 def chromatic_number(F: Graph) -> int:
     """Least k admitting a proper k-coloring; exact backtracking from the
-    size of a greedy clique, which bounds k below. Past
+    size of a greedy clique, which bounds k below, run as a loop so that
+    no order of F is too deep for it. Past
     CHROMATIC_MAX_PLACEMENTS colour placements, F is refused by a
     ScaleLimitError naming its order."""
     n = F.n
@@ -565,30 +566,42 @@ def chromatic_number(F: Graph) -> int:
     placements = 0
 
     def colorable(k: int) -> bool:
+        nonlocal placements
         # the vertices of each colour, as a mask
         classes = [0] * k
-
-        def place(idx: int, used: int) -> bool:
-            nonlocal placements
+        # colour[i]: the colour of order[i], -1 while unplaced; used[i]: the
+        # colours order[:i] take, so order[i] tries at most one new colour
+        colour = [-1] * n
+        used = [0] * (n + 1)
+        idx = 0
+        while True:
+            v = order[idx]
+            c = colour[idx]
+            if c >= 0:
+                classes[c] ^= 1 << v
+            nbrs = adj[v]
+            limit = min(k, used[idx] + 1)
+            c += 1
+            while c < limit and nbrs & classes[c]:
+                c += 1
+            if c == limit:
+                # no colour left for order[idx]: move the vertex before it on
+                colour[idx] = -1
+                if idx == 0:
+                    return False
+                idx -= 1
+                continue
+            placements += 1
+            if placements > CHROMATIC_MAX_PLACEMENTS:
+                raise ScaleLimitError(
+                    f"chromatic number of a graph on {n} vertices needs more "
+                    f"than {CHROMATIC_MAX_PLACEMENTS} colour placements")
+            classes[c] |= 1 << v
+            colour[idx] = c
+            idx += 1
             if idx == n:
                 return True
-            v = order[idx]
-            nbrs = adj[v]
-            bit = 1 << v
-            for c in range(min(k, used + 1)):
-                if not nbrs & classes[c]:
-                    placements += 1
-                    if placements > CHROMATIC_MAX_PLACEMENTS:
-                        raise ScaleLimitError(
-                            f"chromatic number of a graph on {n} vertices needs more "
-                            f"than {CHROMATIC_MAX_PLACEMENTS} colour placements")
-                    classes[c] |= bit
-                    if place(idx + 1, max(used, c + 1)):
-                        return True
-                    classes[c] ^= bit
-            return False
-
-        return place(0, 0)
+            used[idx] = max(used[idx - 1], c + 1)
 
     k = clique.bit_count()
     while not colorable(k):

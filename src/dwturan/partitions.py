@@ -9,8 +9,11 @@ non-increasing vectors serves as an independent cross-check.
 
 The DP fills only the cells its result reads. With k > n it runs on n
 parts (at most n parts are non-empty) and pads the witness with zeros.
-Each row j scans only a largest last part t >= ceil(m/j) and stops at
-m = n*j/k, the most vertices a descent leaves for j parts.
+Each row j scans only a largest last part t from ceil(m/j) up to
+(n-m)/(k-j), as the k-j parts placed above it are each at least t, and
+stops at m = n*j/k, the most vertices a descent leaves for j parts. One
+pass over a row gives both its values and the smallest part that leads
+each of them.
 
 Arithmetic runs in exact integers in every mode: weights.tabulate scales
 f(0..n-1) to a common denominator, the lcm of the denominators of f's
@@ -88,7 +91,14 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     Rows 1..kk-1 are filled, and row kk at m = n only. Row j scans
     t >= ceil(m/j) only, as integer sums do not depend on order and so may
     put the largest part last; a descent then never leaves more than
-    n*j/kk vertices for j parts, so row j stops at m = n*j//kk.
+    n*j/kk vertices for j parts, so row j stops at m = n*j//kk. Below row
+    kk, t is also at most (n-m)//(kk-j), since the kk-j parts above it are
+    each at least t and hold the other n-m vertices: every non-increasing
+    vector is still scanned and every scanned one is a k-partition, so
+    value, witness and ties are those of the uncapped scan. A cell with no
+    t is -inf.
+    One pass over a cell's sums gives its value, their maximum, and its
+    min_max entry: the first maximal t whose rest has min_max at most t.
     The witness is rebuilt by descending through the table, taking at each
     level the smallest feasible maximal part, which yields the
     lexicographically smallest non-increasing optimal vector.
@@ -101,34 +111,45 @@ def ex_prime(n: int, k: int, f: WeightFunction) -> PartitionOptimum:
     kk = min(k, max(n, 1))
     neg = -math.inf
     rows = [[0] + [neg] * n]
-
-    def cell(j: int, m: int):
-        """best[j][m] from row j-1, over t from ceil(m/j)."""
-        lo = -(-m // j)
-        # pairs rows[j-1][m - t] with vals[t] for t = lo..m
-        return max(map(add, rows[j - 1][m - lo::-1], vals[lo:m + 1]))
-
+    # min_max[j][m]: smallest possible largest part over optimal fillings;
+    # the descent reads it for j < kk only
+    min_max: list[list[Optional[int]]] = [[0] + [None] * n]
     for j in range(1, kk):
-        rows.append([cell(j, m) for m in range(n * j // kk + 1)])
-    opt = cell(kk, n)
+        prev, prev_mm, room = rows[j - 1], min_max[j - 1], kk - j
+        row: list = []
+        row_mm: list[Optional[int]] = []
+        for m in range(n * j // kk + 1):
+            lo = -(-m // j)
+            # sums[i] = prev[m - t] + vals[t] for t = lo + i, up to
+            # (n - m) // room: the room parts above are each at least t
+            sums = list(map(add, prev[m - lo::-1], vals[lo:min(m, (n - m) // room) + 1]))
+            if not sums:
+                row.append(neg)
+                row_mm.append(None)
+                continue
+            # a t in range admits the balanced filling, so best is finite;
+            # an optimal filling, sorted, stays in range, so some maximal t
+            # has a rest whose min_max is at most t
+            best = max(sums)
+            i = sums.index(best)
+            while prev_mm[m - lo - i] > lo + i:
+                i = sums.index(best, i + 1)
+            row.append(best)
+            row_mm.append(lo + i)
+        rows.append(row)
+        min_max.append(row_mm)
+    lo = -(-n // kk)
+    opt = max(map(add, rows[kk - 1][n - lo::-1], vals[lo:n + 1]))
 
     def leaders(j: int, m: int, target):
         """Ascending t that lead an optimal non-increasing filling of j parts
         with m vertices, of value target: a largest part t, after an optimal
         filling of the rest whose largest part is at most t."""
-        for t in range(-(-m // j), m + 1):  # from ceil(m / j)
-            p = rows[j - 1][m - t]
-            if p != neg and p + vals[t] == target:
-                mm = min_max[j - 1][m - t]
-                if mm is not None and mm <= t:
-                    yield t
-
-    # min_max[j][m]: smallest possible largest part over optimal fillings,
-    # over the m of row j; the descent reads it for j < kk only
-    min_max: list[list[Optional[int]]] = [[0] + [None] * n]
-    for j in range(1, kk):
-        min_max.append([next(leaders(j, m, target), None)
-                         for m, target in enumerate(rows[j])])
+        hi = m if j == kk else min(m, (n - m) // (kk - j))
+        for t in range(-(-m // j), hi + 1):  # from ceil(m / j)
+            # a -inf cell misses the finite target; the others have a min_max
+            if rows[j - 1][m - t] + vals[t] == target and min_max[j - 1][m - t] <= t:
+                yield t
 
     witness: list[int] = []
     ties = False

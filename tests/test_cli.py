@@ -432,6 +432,21 @@ class TestExitCodes:
         assert report == {"error": "chromatic number of a graph on 50 vertices needs "
                                    f"more than {cap} colour placements", "kind": "input"}
 
+    @pytest.mark.parametrize("forbidden", ["C999", "K3s:330"])
+    def test_ratio_colours_a_forbidden_graph_of_a_thousand_vertices(self, forbidden):
+        # a fresh interpreter, at its default recursion limit, colours F
+        # (chi = 3, so the rows compare against 2-partite graphs) within
+        # the budget and without a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwturan.cli", "--workers", "1", "ratio", "--nmin", "3",
+             "--nmax", "4", "--forbidden", forbidden, "--f", "pow:mu=2"],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        f = weights.parse_weight("pow:mu=2")
+        assert [row["ex_prime"] for row in json.loads(proc.stdout)["result"]["rows"]] == [
+            partitions.ex_prime(n, 2, f).value.exact for n in (3, 4)]
+
     def test_staircase_seed_not_positive(self):
         code, report = run_json(
             ["checkf", "--f", "staircase:c=0.5,seeds=-4", "--range", "1:5"])
@@ -738,10 +753,13 @@ print(json.dumps({
 _SRC = os.path.dirname(os.path.dirname(dwturan.__file__))
 
 
-def _fresh_python(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _fresh_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+
+
+def _fresh_python(*args):
+    proc = subprocess.run([sys.executable, *args], env=_fresh_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
 

@@ -447,6 +447,12 @@ class TestChromaticNumber:
                     graph6_encode(G)
 
 
+@pytest.mark.parametrize("n,chi", [(999, 3), (1000, 2), (4097, 3)])
+def test_colouring_deeper_than_the_recursion_limit(n, chi):
+    # one backtracking level per vertex, past sys.getrecursionlimit()
+    assert chromatic_number(cycle_graph(n)) == chi
+
+
 class TestPartSizes:
     def test_canonical_order(self):
         assert PartSizes([1, 3, 2]).sizes == (3, 2, 1)

@@ -36,6 +36,12 @@ REFERENCE_WEIGHTS = [
 ]
 
 
+def _falling_step_weight(rng):
+    """Random step table whose levels rise and fall, some below zero."""
+    jumps = [0] + sorted(rng.sample(range(1, 60), rng.randrange(0, 8)))
+    return StepWeight(jumps, [rng.randrange(-20, 60) for _ in jumps])
+
+
 def _bits(res):
     """Value (exact, or the float's hex), witness and ties_flag."""
     value = res.value.exact if res.value.is_exact else res.value.approx.hex()
@@ -150,6 +156,36 @@ class TestAgainstFullTable:
         for n in [*range(42), 57, 101, 150]:
             for k in range(1, 9):
                 assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), (n, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_step_tables(self, seed):
+        # the oracle's non-decreasing tables, and tables whose levels fall
+        # and go negative
+        rng = random.Random(seed)
+        for _ in range(3):
+            for f in (random_step_weight(rng), _falling_step_weight(rng)):
+                for n in [*range(31), 57]:
+                    for k in range(1, 9):
+                        assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), \
+                            (f, n, k)
+
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
+    def test_parts_near_n(self, weight):
+        # kk reaches n - 1 or n, where the cap on a part, the vertices
+        # left over the parts above, is tightest
+        f = parse_weight(weight)
+        for n in range(31):
+            for k in (n - 1, n, n + 3):
+                if k >= 1:
+                    assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), \
+                        (n, k)
+
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS)
+    def test_many_parts_against_generators(self, weight):
+        f = parse_weight(weight)
+        for n in range(15):
+            for k in (6, 7, 8):
+                assert _bits(ex_prime(n, k, f)) == _bits(generator_ex_prime(n, k, f)), (n, k)
 
     @pytest.mark.parametrize("weight", ["pow:mu=2", "log:floor=0"])
     def test_parts_past_n_are_zero(self, weight):
