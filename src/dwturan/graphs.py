@@ -29,13 +29,21 @@ def _bits(mask: int):
 class Graph:
     """Immutable simple graph: no loops, symmetric adjacency, cached degrees.
 
-    ``orbit_reps`` is an optional symmetry hint: an ascending tuple holding
-    one vertex of each orbit of some group of automorphisms, or None, which
-    stands for the trivial group (every vertex its own orbit). Only
-    ``normgraphs.norm_graph`` sets it; every other constructor leaves it
-    None. Equality, hashing and graph6 ignore it.
-    ``normgraphs._multipartite_scan``, the scan behind both
-    ``kab_free_check`` and ``join_contains_blowup``, reads it.
+    Two optional hints carry facts that the constructor proved, so that no
+    reader proves them again. Every constructor but the two named here
+    leaves both None, and equality, hashing and graph6 ignore both.
+
+    ``orbit_reps`` is a symmetry hint: an ascending tuple holding one vertex
+    of each orbit of some group of automorphisms, or None, which stands for
+    the trivial group (every vertex its own orbit). Only
+    ``normgraphs.norm_graph`` sets it. ``normgraphs._multipartite_scan``,
+    the scan behind both ``kab_free_check`` and ``join_contains_blowup``,
+    reads it.
+
+    ``clique_free`` is an r such that the graph has no K_r, or None, which
+    claims nothing. Only ``majorize.random_kr_free_graph`` sets it, to its
+    r. ``majorize.erdos_majorizer`` reads it and skips its clique search
+    when the hint is at most the r it is asked for.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -53,17 +61,21 @@ class Graph:
         self.adj = tuple(adj)
         self.degrees = tuple(m.bit_count() for m in adj)
         self.orbit_reps = None
+        self.clique_free = None
 
     @classmethod
     def _from_adj(cls, n: int, adj: Sequence[int],
-                  orbit_reps: Optional[tuple[int, ...]] = None) -> "Graph":
-        # trusted internal path: rows already symmetric and loop-free, and
-        # orbit_reps, if given, one vertex per orbit of automorphisms
+                  orbit_reps: Optional[tuple[int, ...]] = None, *,
+                  clique_free: Optional[int] = None) -> "Graph":
+        # trusted internal path: rows already symmetric and loop-free,
+        # orbit_reps, if given, one vertex per orbit of automorphisms, and
+        # clique_free, if given, an r with no K_r in the rows
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(adj)
         g.degrees = tuple(m.bit_count() for m in adj)
         g.orbit_reps = orbit_reps
+        g.clique_free = clique_free
         return g
 
     @property

@@ -38,12 +38,15 @@ class MajorizerResult(Record):
 def erdos_majorizer(G: Graph, r: int) -> MajorizerResult:
     """Degree-dominating complete (r-1)-partite graph on V(G).
 
-    Requires r >= 2 and G free of K_r. Maximum-degree ties break toward the
+    Requires r >= 2 and G free of K_r. The clique search that checks this
+    is skipped only when ``G.clique_free`` is at most r: a graph with no
+    K_r' for some r' <= r has no K_r. Maximum-degree ties break toward the
     smallest vertex index, so the output is deterministic.
     """
     if r < 2:
         raise ValueError("need r >= 2")
-    if mask_has_clique(G.adj, (1 << G.n) - 1, r):
+    proved = G.clique_free is not None and G.clique_free <= r
+    if not proved and mask_has_clique(G.adj, (1 << G.n) - 1, r):
         raise ValueError(f"graph contains a clique of size {r}")
 
     adj = G.adj
@@ -54,7 +57,12 @@ def erdos_majorizer(G: Graph, r: int) -> MajorizerResult:
             return [list(_bits(mask))]
         if not mask:
             return [[] for _ in range(depth - 1)]
-        x = max(_bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), -v))
+        # strict > keeps the first, so the smallest, vertex of top degree
+        x = best = -1
+        for v in _bits(mask):
+            d = (adj[v] & mask).bit_count()
+            if d > best:
+                x, best = v, d
         return [list(_bits(mask & ~adj[x]))] + build(mask & adj[x], depth - 1)
 
     classes = build((1 << G.n) - 1, r)
@@ -115,8 +123,9 @@ def random_kr_free_graph(n: int, r: int, edge_prob: float,
 
     Visits all slots in a random order, keeps each with the given
     probability, and skips any addition that would complete a K_r, asking
-    creates_clique before the edge is written. The result
-    is K_r-free by construction; sweeping edge_prob sweeps density.
+    creates_clique before the edge is written. The result is K_r-free by
+    construction and says so in ``clique_free``, so ``erdos_majorizer``
+    does not search it for a K_r again; sweeping edge_prob sweeps density.
     """
     if r < 3:
         raise ValueError("need r >= 3")
@@ -128,4 +137,4 @@ def random_kr_free_graph(n: int, r: int, edge_prob: float,
             continue
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph._from_adj(n, adj)
+    return Graph._from_adj(n, adj, clique_free=r)

@@ -92,6 +92,13 @@ class TestCommands:
         assert sorted(len(c) for c in report["result"]["classes"]) == [2, 3]
         jsonschema.validate(report, schema)
 
+    def test_majorize_refuses_a_clique(self):
+        # graph6 input carries no clique-freeness hint, so the gate runs
+        code, report = run_json(["majorize", "--graph", graph6_encode(complete_graph(4)),
+                                 "--r", "4"])
+        assert code == 2
+        assert "clique of size 4" in report["error"]
+
     def test_normgraph(self, schema):
         code, report = run_json(["normgraph", "--q", "3", "--t", "2"])
         assert code == 0

@@ -109,6 +109,17 @@ class TestConstruction:
                   graph6_decode(graph6_encode(petersen_graph())), parse_graph_spec("K3s:2")):
             assert g.orbit_reps is None, g
 
+    def test_constructors_give_no_clique_hint(self):
+        # a hint on a graph that has the clique would let erdos_majorizer
+        # skip its gate: K4 hinted 3 would pass as triangle-free
+        for g in (Graph(3, [(0, 1)]), complete_graph(4), cycle_graph(5), path_graph(3),
+                  complete_bipartite(2, 3), complete_multipartite([2, 2, 2]), blowup_k3(2),
+                  graph6_decode(graph6_encode(petersen_graph())),
+                  graph6_decode(graph6_encode(complete_graph(5))),
+                  parse_graph_spec("K3s:2"), parse_graph_spec("K4"), parse_graph_spec("C5"),
+                  parse_graph_spec("P5"), parse_graph_spec("K2,3"), parse_graph_spec("Dhc")):
+            assert g.clique_free is None, g
+
 
 class TestObjective:
     def test_k3_square_weight(self):

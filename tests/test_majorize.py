@@ -20,7 +20,9 @@ from dwturan import (
     theorem1_chain,
     verify_majorization,
 )
-from oracles import empty_graph, turan_graph
+from dwturan import majorize
+from dwturan.graphs import mask_has_clique
+from oracles import empty_graph, naive_contains, turan_graph
 
 
 class TestConstruction:
@@ -202,3 +204,57 @@ def test_generator_output_is_clique_free():
         for _ in range(20):
             g = random_kr_free_graph(12, r, 0.6, rng)
             assert not contains_subgraph(g, complete_graph(r))
+
+
+class TestCliqueHint:
+    """random_kr_free_graph records the r it proved in ``clique_free``, and
+    erdos_majorizer skips its clique search only for a hint at most r."""
+
+    def test_hint_is_sound_by_oracle(self):
+        rng = random.Random(21)
+        for r in (3, 4, 5, 6):
+            for n in range(1, 11):
+                for p in (0.5, 0.95):
+                    g = random_kr_free_graph(n, r, p, rng)
+                    assert g.clique_free == r
+                    assert not naive_contains(g, complete_graph(g.clique_free)), (r, n, p)
+
+    def test_hint_is_sound_by_clique_search(self):
+        rng = random.Random(22)
+        for r in (3, 4, 5, 6):
+            for _ in range(15):
+                n = rng.randrange(11, 61)
+                g = random_kr_free_graph(n, r, rng.uniform(0.3, 1.0), rng)
+                assert g.clique_free == r
+                assert not mask_has_clique(g.adj, (1 << n) - 1, g.clique_free), (r, n)
+
+    def test_hinted_and_unhinted_agree(self):
+        rng = random.Random(24)
+        for r in (3, 4, 5):
+            for _ in range(20):
+                g = random_kr_free_graph(rng.randrange(1, 40), r, rng.random(), rng)
+                plain = Graph._from_adj(g.n, g.adj)
+                assert plain.clique_free is None and plain == g
+                assert hash(plain) == hash(g) and graph6_encode(plain) == graph6_encode(g)
+                for s in range(r, r + 2):
+                    assert erdos_majorizer(g, s) == erdos_majorizer(plain, s)
+
+    def test_hint_above_r_still_runs_the_gate(self):
+        # K4 is K5-free, so the hint 5 is true, but it proves nothing at r=4
+        g = Graph._from_adj(4, complete_graph(4).adj, clique_free=5)
+        with pytest.raises(ValueError):
+            erdos_majorizer(g, 4)
+        assert erdos_majorizer(g, 5).graph == complete_graph(4)
+
+    def test_hint_at_most_r_skips_the_gate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the clique gate ran on a proved graph")
+
+        rng = random.Random(25)
+        g = random_kr_free_graph(20, 3, 0.5, rng)
+        monkeypatch.setattr(majorize, "mask_has_clique", refuse)
+        for r in (3, 4, 5):
+            assert verify_majorization(g, erdos_majorizer(g, r))
+            assert theorem1_chain(g, r, power(2)).holds_first
+        with pytest.raises(AssertionError):
+            erdos_majorizer(Graph._from_adj(g.n, g.adj), 4)
