@@ -1,10 +1,14 @@
 """Multipartite optimizer: DP against enumeration, witnesses."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dwturan
 from dwturan import (
     PartSizes,
     ScaleLimitError,
@@ -40,6 +44,17 @@ def _falling_step_weight(rng):
     """Random step table whose levels rise and fall, some below zero."""
     jumps = [0] + sorted(rng.sample(range(1, 60), rng.randrange(0, 8)))
     return StepWeight(jumps, [rng.randrange(-20, 60) for _ in jumps])
+
+
+def _degree_table(levels):
+    """The weight with f(d) = levels[d]: a step at every degree."""
+    return StepWeight(list(range(len(levels))), levels)
+
+
+def _constant_tail_step_weight(rng):
+    """Random rising step table that stops rising by degree 12."""
+    jumps = [0] + sorted(rng.sample(range(1, 12), rng.randrange(0, 4)))
+    return StepWeight(jumps, sorted(rng.randrange(0, 60) for _ in jumps))
 
 
 def _bits(res):
@@ -206,6 +221,116 @@ class TestAgainstFullTable:
         f = parse_weight("log:floor=0")
         assert ex_prime(n, k, f).value.approx.hex() == bits
         assert ex_prime_enumerated(n, k, f).value.approx.hex() == bits
+
+
+def _part_counts(n):
+    """k from 1 to 8 and around n, where the DP has the most levels."""
+    return sorted(k for k in {*range(1, 9), n - 1, n, n + 3} if k >= 1)
+
+
+class TestJensenBound:
+    """Row j fills only the m whose Jensen bound reaches the balanced total;
+    the cells it skips must never hold an optimal filling."""
+
+    def test_every_vector_ties(self):
+        # f = 1: every vector scores n, so the bound equals the balanced
+        # total on every cell and no cell may be dropped
+        f = parse_weight("pow:mu=0")
+        for n in range(31):
+            for k in _part_counts(n):
+                res = ex_prime(n, k, f)
+                assert _bits(res) == _bits(full_table_ex_prime(n, k, f)), (n, k)
+                assert res.value.exact == n
+                assert res.ties_flag == (n >= 2 and k >= 2), (n, k)
+                if n <= 14:
+                    assert _bits(res) == _bits(generator_ex_prime(n, k, f)), (n, k)
+
+    @pytest.mark.parametrize("weight", [
+        "step:0:9;4:2;20:-3",  # falling, below zero at the end
+        "step:0:-1;3:-6;11:-2",  # negative everywhere
+        "step:0:5;2:-4;7:8;15:0",  # up and down
+    ])
+    def test_falling_and_negative_steps(self, weight):
+        f = parse_weight(weight)
+        for n in range(42):
+            for k in _part_counts(n):
+                res = ex_prime(n, k, f)
+                assert _bits(res) == _bits(full_table_ex_prime(n, k, f)), (n, k)
+                if n <= 14:
+                    assert _bits(res) == _bits(generator_ex_prime(n, k, f)), (n, k)
+
+    @pytest.mark.parametrize("levels", [
+        # at k = 7 a cell inside its interval but off every optimal path
+        # has maximal t only over rests whose min_max exceeds t
+        [-4, -6, -6, -9, -1, -9, 3, 4, 2, 7, 9, -3],
+        # at k = 3 the bound of a cell holding a tying vector has a
+        # fractional part: rounding it down loses the tie
+        [-5, -4, 3, -9, -6, -2, -4, -3, 4, 2, -4, 9],
+    ])
+    def test_hand_picked_tables(self, levels):
+        f = _degree_table(levels)
+        for k in range(1, 16):
+            assert _bits(ex_prime(12, k, f)) == _bits(generator_ex_prime(12, k, f)), k
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_with_a_level_per_degree(self, seed):
+        # no shape at all: the majorant and the table part ways everywhere
+        rng = random.Random(seed)
+        for _ in range(4):
+            n = rng.randrange(8, 26)
+            f = _degree_table([rng.randrange(-9, 10) for _ in range(n)])
+            for k in _part_counts(n):
+                assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), \
+                    (f, n, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integers_past_float_range(self, seed):
+        # f(0) = -5e-324 scales the table by 2**1074, to integers that a
+        # float cannot hold; the full table adds -inf to them and overflows,
+        # so the generators check here
+        rng = random.Random(seed)
+        weights = [parse_weight("log:floor=-5e-324")]
+        for _ in range(3):
+            n = rng.randrange(8, 15)
+            weights.append(_degree_table([-5e-324] + [rng.uniform(-9, 9) for _ in range(n - 1)]))
+        for f in weights:
+            for n in range(15):
+                for k in _part_counts(n):
+                    assert _bits(ex_prime(n, k, f)) == _bits(generator_ex_prime(n, k, f)), \
+                        (f, n, k)
+
+    @pytest.mark.parametrize("weight", ["pow:mu=2", "log:floor=0"])
+    def test_reach(self, weight):
+        # each row keeps only the balanced cell: well under a second, where
+        # the unpruned DP needs minutes
+        code = ("from dwturan import ex_prime, parse_weight; "
+                f"r = ex_prime(20_000, 5, parse_weight({weight!r})); "
+                "print(*r.witness, r.ties_flag)")
+        src = os.path.dirname(os.path.dirname(dwturan.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.split() == ["4000"] * 5 + ["False"]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("weight", REFERENCE_WEIGHTS + [
+        "pow:mu=0", "pow:mu=3.3", "rising", "falling", "constant tail"])
+    def test_sweep_against_full_table(self, weight):
+        # every n up to 131, k in 1..8, 12 and around n; a named family
+        # stands for three seeded step tables of that shape
+        makers = {"rising": random_step_weight, "falling": _falling_step_weight,
+                  "constant tail": _constant_tail_step_weight}
+        if weight in makers:
+            rng = random.Random(weight)
+            weights = [makers[weight](rng) for _ in range(3)]
+        else:
+            weights = [parse_weight(weight)]
+        for f in weights:
+            for n in range(132):
+                for k in sorted({*_part_counts(n), 12}):
+                    assert _bits(ex_prime(n, k, f)) == _bits(full_table_ex_prime(n, k, f)), \
+                        (f, n, k)
 
 
 class TestLargeFloatTotals:
